@@ -26,7 +26,6 @@ from .algebra import (
     parse_element,
     phi,
     phi_iterate,
-    phi_monomial,
     row_col_bound_profile,
     sigma,
 )

@@ -6,9 +6,9 @@ are stored as maps from monomial words to nonzero coefficients over a
 coefficient ring: rationals, integers, or a prime field.
 
 The decomposition ``phi`` sends a generator to a monomial q x q matrix and
-extends multiplicatively and linearly; it restricts on group words to the
-wreath decomposition of module ``group``, with the matrix of a wreath
-element carrying section a at row a, column perm(a).  Under this assignment
+extends multiplicatively and linearly.  On a monomial it is the wreath
+decomposition of ``WreathRecursion.thue_morse`` from module ``group``: the
+matrix carries section a at row a, column perm(a).  Under this assignment
 ``phi(theta(w))`` is exactly ``diag(w, gamma(w), ..., gamma^{q-1}(w))`` and
 ``phi(sigma(s_0, ..., s_{q-1}))`` has entry ``gamma^j(s_{(i-j) mod q})`` at
 (i, j).
@@ -23,7 +23,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
+from .group import WreathRecursion
 from .words import (
     Word,
     free_reduce,
@@ -328,12 +330,12 @@ class AlgebraElement:
     def phi(self) -> tuple[tuple["AlgebraElement", ...], ...]:
         """One decomposition step as a q x q matrix."""
         q = self.q
+        fold = _thue_morse(q).fold
         grid: list[list[dict[Word, object]]] = [
             [dict() for _ in range(q)] for _ in range(q)]
         for word, coeff in self.terms.items():
-            perm, entries = phi_monomial(word, q)
-            for a in range(q):
-                entry = free_reduce(entries[a]) if self.mode == "B" else entries[a]
+            perm, entries = fold(word)
+            for a, entry in enumerate(entries):
                 cell = grid[a][perm[a]]
                 new = cell.get(entry, 0) + coeff
                 if new == 0:
@@ -386,42 +388,10 @@ class AlgebraElement:
         }
 
 
-# -- generator images and monomial products --------------------------------
-
-
-def _letter_image(letter: tuple[int, int], q: int):
-    """Per-row (column, entry-letters) data of a generator's matrix."""
-    i, sign = letter
-    if sign == 1:
-        # row a, column a-1; entry x_a for the 0th generator, else 1
-        cols = tuple((a - 1) % q for a in range(q))
-        if i == 0:
-            ents = tuple(((a, 1),) for a in range(q))
-        else:
-            ents = ((),) * q
-    else:
-        cols = tuple((a + 1) % q for a in range(q))
-        if i == 0:
-            ents = tuple((((a + 1) % q, -1),) for a in range(q))
-        else:
-            ents = ((),) * q
-    return cols, ents
-
-
-def phi_monomial(word: Word, q: int) -> tuple[tuple[int, ...], tuple[Word, ...]]:
-    """Matrix of a monomial: per row a, the column perm[a] and entry word.
-
-    Folding one letter at a time costs O(len(word) * q).
-    """
-    perm = list(range(q))
-    entries: list[list[tuple[int, int]]] = [[] for _ in range(q)]
-    for letter in word:
-        cols, ents = _letter_image(letter, q)
-        for a in range(q):
-            b = perm[a]
-            entries[a].extend(ents[b])
-            perm[a] = cols[b]
-    return tuple(perm), tuple(tuple(e) for e in entries)
+@cache
+def _thue_morse(q: int) -> WreathRecursion:
+    """The wreath recursion that ``phi`` folds monomials with."""
+    return WreathRecursion.thue_morse(q)
 
 
 # -- matrices ---------------------------------------------------------------
@@ -458,11 +428,6 @@ def mat_mul(m1: Matrix, m2: Matrix) -> Matrix:
 
 def mat_is_zero(m: Matrix) -> bool:
     return all(e.is_zero_literal for row in m for e in row)
-
-
-def mat_star_transpose(m: Matrix) -> Matrix:
-    q = len(m)
-    return tuple(tuple(m[b][a].star() for b in range(q)) for a in range(q))
 
 
 def mat_to_json(m: Matrix) -> list[list[str]]:
@@ -567,18 +532,6 @@ def is_zero(s: AlgebraElement, cap_depth: int = 60) -> ZeroVerdict:
 
 
 # -- derived operations ------------------------------------------------------
-
-
-def star(s: AlgebraElement) -> AlgebraElement:
-    return s.star()
-
-
-def theta_alg(s: AlgebraElement) -> AlgebraElement:
-    return s.theta_map()
-
-
-def gamma_alg(s: AlgebraElement, shift: int = 1) -> AlgebraElement:
-    return s.gamma_map(shift)
 
 
 def sigma(*components: AlgebraElement) -> AlgebraElement:

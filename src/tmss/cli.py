@@ -174,7 +174,7 @@ def _cmd_algebra(args) -> int:
               "\n".join("[" + ", ".join(row) + "]" for row in data))
     elif args.action == "zero":
         verdict = alg.is_zero(_parse_elem(args, args.elem),
-                              cap_depth=args.depth if args.depth else 60)
+                              cap_depth=args.depth if args.depth is not None else 60)
         _emit(args, {"verdict": str(verdict)}, str(verdict))
         return _verdict_exit(verdict)
     elif args.action == "star":
@@ -446,6 +446,12 @@ def main(argv=None) -> int:
     except (ValueError, chars.SingularSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ZeroDivisionError as exc:
+        print(f"error: division by zero: {exc}", file=sys.stderr)
+        return 1
+    except chars.ClassExplosionError as exc:
+        print(f"unknown: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

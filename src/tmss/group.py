@@ -7,9 +7,11 @@ indexed by the strand they act on, the product rule is
 tree action ``act(g, a v) = pi_g(a) . act(g_a, v)`` composes as a right
 action: ``act(gh, v) = act(h, act(g, v))``.
 
-``WreathRecursion`` bundles the generator images and provides the word
-problem (``is_trivial``, coinductive closure with a state budget), element
-comparison, orders, nucleus computation, boundedness counters and portraits.
+``WreathRecursion`` bundles the generator images, folds a word into its
+decomposition in one pass (``fold``, also the engine behind the algebra's
+``phi``), and provides the word problem (``is_trivial``, coinductive
+closure with a state budget), element comparison, orders, nucleus
+computation, boundedness counters and portraits.
 Triviality certified by a closed section set is sound: a set of words with
 identity root permutations whose sections stay in the set acts trivially on
 every tree level, hence is trivial in the injective quotient.
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 
 from .verdict import Unknown, Verdict
 from .words import (
+    Letter,
     Word,
     check_word,
     free_reduce,
@@ -143,9 +146,14 @@ class WreathRecursion:
                 check_word(s, q)
         self.q = q
         self.name = name
-        self._images = dict(images)
-        self._inverse_images = {i: el.inverse() for i, el in images.items()}
-        self._trivial_cache: dict[Word, bool] = {(): True}
+        # per signed letter: root permutation images and sections
+        self._letters: dict[Letter, tuple[tuple[int, ...], tuple[Word, ...]]] = {}
+        for i, el in images.items():
+            inv = el.inverse()
+            self._letters[(i, 1)] = (el.perm.images, el.sections)
+            self._letters[(i, -1)] = (inv.perm.images, inv.sections)
+        # always empty (is_trivial keeps no state); perfbench/tracer.py reads its size
+        self._trivial_cache: dict[Word, bool] = {}
 
     @classmethod
     def thue_morse(cls, q: int) -> "WreathRecursion":
@@ -184,17 +192,35 @@ class WreathRecursion:
         el = WreathElement.identity(q)
         return cls(q, {i: el for i in range(q)}, name="trivial")
 
-    def image_of_letter(self, letter: tuple[int, int]) -> WreathElement:
-        i, sign = letter
-        if not 0 <= i < self.q:
-            raise ValueError(f"letter x{i} is outside x0..x{self.q - 1}")
-        return self._images[i] if sign == 1 else self._inverse_images[i]
+    def fold(self, word: Word) -> tuple[tuple[int, ...], tuple[Word, ...]]:
+        """Root permutation images and freely reduced sections of ``word``.
+
+        Reads the word letter by letter; strand a tracks where the prefix
+        read so far sends a and collects its section on a stack that cancels
+        on push, so the cost is O(len(word) * q) for bounded images.
+        """
+        letters = self._letters
+        pos = list(range(self.q))
+        stacks: list[list[Letter]] = [[] for _ in pos]
+        for letter in word:
+            try:
+                images, sections = letters[letter]
+            except KeyError:
+                check_word((letter,), self.q)  # raises, naming the fault
+                raise
+            for a, stack in enumerate(stacks):
+                b = pos[a]
+                for i, sign in sections[b]:
+                    if stack and stack[-1][0] == i and stack[-1][1] == -sign:
+                        stack.pop()
+                    else:
+                        stack.append((i, sign))
+                pos[a] = images[b]
+        return tuple(pos), tuple(map(tuple, stacks))
 
     def decompose(self, word: Word) -> WreathElement:
-        el = WreathElement.identity(self.q)
-        for letter in word:
-            el = el * self.image_of_letter(letter)
-        return el
+        images, sections = self.fold(word)
+        return WreathElement(sections, Permutation(images))
 
     def act(self, word: Word, vertex: tuple[int, ...]) -> tuple[int, ...]:
         """Image of a tree vertex under the element given by ``word``."""
@@ -221,46 +247,23 @@ class WreathRecursion:
         """Word problem in the injective quotient by coinductive closure.
 
         Maintains a set of words assumed trivial; a nontrivial root
-        permutation anywhere refutes the whole ancestor chain, while a
-        section-closed set with identity permutations certifies triviality
-        of all its members.
+        permutation anywhere refutes the root, while a section-closed set
+        with identity permutations certifies triviality of all its members.
         """
         root = free_reduce(word)
-        cached = self._trivial_cache.get(root)
-        if cached is not None:
-            return Verdict.yes() if cached else Verdict.no()
         closure: set[Word] = {root}
-        parent: dict[Word, Word | None] = {root: None}
         stack: list[Word] = [root]
         while stack:
             if len(closure) > cap_states:
                 return Verdict.unknown(cap_states)
-            w = stack.pop()
-            el = self.decompose(w)
+            el = self.decompose(stack.pop())
             if not el.perm.is_identity:
-                self._mark_false_chain(w, parent)
                 return Verdict.no()
             for s in el.sections:
-                if s == ():
-                    continue
-                known = self._trivial_cache.get(s)
-                if known is False:
-                    self._mark_false_chain(w, parent)
-                    return Verdict.no()
-                if known is True or s in closure:
-                    continue
-                closure.add(s)
-                parent[s] = w
-                stack.append(s)
-        for w in closure:
-            self._trivial_cache[w] = True
+                if s and s not in closure:
+                    closure.add(s)
+                    stack.append(s)
         return Verdict.yes()
-
-    def _mark_false_chain(self, w: Word, parent: dict[Word, Word | None]) -> None:
-        cur: Word | None = w
-        while cur is not None:
-            self._trivial_cache[cur] = False
-            cur = parent[cur]
 
     def equal(self, left: Word, right: Word, cap_states: int = 100_000) -> Verdict:
         return self.is_trivial(left + inverse(right), cap_states)

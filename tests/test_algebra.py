@@ -20,11 +20,10 @@ from tmss.algebra import (
     parse_element,
     phi,
     phi_iterate,
-    phi_monomial,
     row_col_bound_profile,
     sigma,
-    star,
 )
+from tmss.group import WreathElement, WreathRecursion
 from tmss.words import gamma, theta
 
 
@@ -87,7 +86,7 @@ def test_positive_mode_rejects_inverse_letters():
     with pytest.raises(UnsupportedModeError):
         AlgebraElement.monomial(RATIONALS, 2, ((0, -1),), mode="A")
     with pytest.raises(UnsupportedModeError):
-        star(gen(2, 0, mode="A"))
+        gen(2, 0, mode="A").star()
 
 
 def test_involutive_mode_free_reduces_words():
@@ -136,14 +135,38 @@ def test_phi_of_x0_inverse():
                 assert entry.is_zero_literal
 
 
-def test_phi_monomial_matches_phi():
-    q = 3
-    word = ((0, 1), (1, -1), (0, 1))
-    perm, entries = phi_monomial(word, q)
-    block = phi(AlgebraElement.monomial(RATIONALS, q, word))
-    for a in range(q):
-        expected = AlgebraElement.monomial(RATIONALS, q, entries[a])
-        assert block[a][perm[a]] == expected
+def unreduced_words(q, max_chunks=8):
+    """Words in which cancelling pairs x x^-1 are common."""
+    letter = st.tuples(st.integers(0, q - 1), st.sampled_from((1, -1)))
+    chunk = st.one_of(letter.map(lambda x: (x,)),
+                      letter.map(lambda x: (x, (x[0], -x[1]))))
+    return st.lists(chunk, max_size=max_chunks).map(
+        lambda chunks: tuple(x for c in chunks for x in c))
+
+
+@given(st.sampled_from(("thue_morse", "inverted_variant", "transposed_variant")),
+       st.integers(2, 4), st.data())
+def test_phi_and_decompose_follow_one_wreath_fold(preset, q, data):
+    word = data.draw(unreduced_words(q))
+    # oracle: the product of the single-letter decompositions, letter by letter
+    rec = getattr(WreathRecursion, preset)(q)
+    expected = WreathElement.identity(q)
+    for letter in word:
+        expected = expected * rec.decompose((letter,))
+    assert rec.decompose(word) == expected
+    # phi of a monomial is the matrix of its Thue-Morse decomposition
+    tm = WreathRecursion.thue_morse(q)
+    positive = tuple((i, 1) for i, _ in word)
+    for mode, w in (("B", word), ("A", positive)):
+        el = tm.decompose(w)
+        block = phi(AlgebraElement.monomial(RATIONALS, q, w, mode=mode))
+        for a in range(q):
+            for b in range(q):
+                if b == el.perm(a):
+                    assert block[a][b] == AlgebraElement.monomial(
+                        RATIONALS, q, el.sections[a], mode=mode)
+                else:
+                    assert block[a][b].is_zero_literal
 
 
 @given(st.sampled_from((2, 3)), st.data())
@@ -192,15 +215,15 @@ def test_star_is_an_anti_involution(data):
     q = 2
     s = data.draw(elements(q))
     t = data.draw(elements(q))
-    assert star(star(s)) == s
-    assert star(s * t) == star(t) * star(s)
-    assert star(s + t) == star(s) + star(t)
+    assert s.star().star() == s
+    assert (s * t).star() == t.star() * s.star()
+    assert (s + t).star() == s.star() + t.star()
 
 
 def test_star_reverses_and_inverts():
     elem = AlgebraElement.monomial(RATIONALS, 2, ((0, 1), (1, -1)),
                                    coeff=Fraction(3))
-    assert star(elem) == AlgebraElement.monomial(
+    assert elem.star() == AlgebraElement.monomial(
         RATIONALS, 2, ((1, 1), (0, -1)), coeff=Fraction(3))
 
 

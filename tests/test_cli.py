@@ -115,6 +115,11 @@ def test_algebra_zero_unknown_exit(capsys):
     assert code == 2 and out.startswith("unknown")
 
 
+def test_algebra_zero_depth_zero_is_honoured(capsys):
+    code, out, _ = run(capsys, "algebra", "zero", "x0", "--depth", "0")
+    assert code == 2 and out == "unknown(cap=0)"
+
+
 def test_algebra_phi_json(capsys):
     code, out, _ = run(capsys, "algebra", "phi", "x0", "--json")
     assert code == 0
@@ -195,6 +200,17 @@ def test_char_witness(capsys):
 def test_char_witness_not_found(capsys):
     code, out, _ = run(capsys, "char", "witness", "1/3", "--q", "3")
     assert code == 2 and "NotFound" in out
+
+
+def test_char_witness_zero_denominator_exits_1(capsys):
+    code, out, err = run(capsys, "char", "witness", "1/0")
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
+def test_char_count_class_cap_exits_2(capsys):
+    code, out, err = run(capsys, "char", "count", "1 - x0", "30",
+                         "--cap-classes", "2")
+    assert code == 2 and out == "" and err.startswith("unknown:")
 
 
 def test_char_additivity(capsys):

@@ -70,6 +70,13 @@ def test_sections_of_x0_list_the_generators():
         assert elem.sections == tuple(((a, 1),) for a in range(q))
 
 
+def test_decompose_rejects_bad_letters():
+    rec = WreathRecursion.thue_morse(3)
+    for letter in ((0, 0), (0, 2), (3, 1), (-1, 1)):
+        with pytest.raises(ValueError):
+            rec.decompose(((1, 1), letter))
+
+
 def test_inverted_variant_sections():
     rec = WreathRecursion.inverted_variant(3)
     elem = rec.decompose(((0, 1),))
