@@ -30,9 +30,7 @@ from .algebra import (
     sigma,
 )
 from .characters import (
-    BaseCharacter,
     ClassExplosionError,
-    ExperimentalModeError,
     Kernel,
     NotFound,
     SingularSystemError,

@@ -13,36 +13,24 @@ their wreath recursion with
 
     q * chi(w) = sum over strands a of k(a, perm(a)) * chi(section_a(w)).
 
-No floating point is used anywhere in this module.
+One closure engine (``_Closure``) serves both, and ``count_L`` walks the
+same class graph with unit weights.  No floating point is used anywhere in
+this module.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraElement, omega_generator, sigma
 from .group import WreathRecursion
-from .verdict import Unknown
+from .verdict import ClassExplosionError, Unknown
 from .words import Word, free_reduce, power as word_power
 
 
 class SingularSystemError(ValueError):
     """The dependency system has no unique solution."""
-
-
-class ClassExplosionError(RuntimeError):
-    """Closure exceeded the class cap; carries the partial class count."""
-
-    def __init__(self, message: str, classes_seen: int):
-        super().__init__(message)
-        self.classes_seen = classes_seen
-
-
-class ExperimentalModeError(ValueError):
-    """Raised when the unit-embedding mode is pushed past base cases."""
 
 
 # -- exact value rendering ---------------------------------------------------
@@ -79,92 +67,6 @@ def exact_json(value: Fraction, q: int, classes_used: int, depth: int) -> dict:
     }
 
 
-# -- base characters on the coefficient ring ---------------------------------
-
-
-@dataclass(frozen=True)
-class RootOfUnity:
-    """Exact cyclotomic value exp(2 pi i num / order)."""
-
-    num: int
-    order: int
-
-    @staticmethod
-    def make(num: int, order: int) -> "RootOfUnity":
-        num %= order
-        g = math.gcd(num, order)
-        if num == 0:
-            return RootOfUnity(0, 1)
-        return RootOfUnity(num // g, order // g)
-
-    def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
-        order = self.order * other.order // math.gcd(self.order, other.order)
-        num = self.num * (order // self.order) + other.num * (order // other.order)
-        return RootOfUnity.make(num, order)
-
-    def __str__(self) -> str:
-        if self.order == 1:
-            return "1"
-        if self.order == 2:
-            return "-1"
-        return f"zeta_{self.order}^{self.num}"
-
-
-def _primitive_root(p: int) -> int:
-    order = p - 1
-    factors = set()
-    n = order
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            factors.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        factors.add(n)
-    for g in range(2, p):
-        if all(pow(g, order // f, p) != 1 for f in factors):
-            return g
-    raise ValueError(f"no primitive root modulo {p}")
-
-
-class BaseCharacter:
-    """Semigroup character on the coefficient ring."""
-
-    def __init__(self, rule: str, field=None):
-        self.rule = rule
-        self.field = field
-        if rule == "unit-embedding":
-            if field is None or not hasattr(field, "p"):
-                raise ValueError("unit embedding needs a prime field")
-            self._root = _primitive_root(field.p)
-            self._dlog = {}
-            acc = 1
-            for e in range(field.p - 1):
-                self._dlog[acc] = e
-                acc = acc * self._root % field.p
-
-    @classmethod
-    def trivial(cls) -> "BaseCharacter":
-        return cls("trivial")
-
-    @classmethod
-    def unit_embedding(cls, field) -> "BaseCharacter":
-        return cls("unit-embedding", field)
-
-    @property
-    def scalar_blind(self) -> bool:
-        return self.rule == "trivial"
-
-    def evaluate(self, scalar):
-        if self.rule == "trivial":
-            return Fraction(0) if scalar == 0 else Fraction(1)
-        c = scalar % self.field.p
-        if c == 0:
-            return Fraction(0)
-        return RootOfUnity.make(self._dlog[c], self.field.p - 1)
-
-
 # -- kernels ------------------------------------------------------------------
 
 
@@ -196,28 +98,32 @@ class Kernel:
     def psd_report(self) -> dict:
         q = self.q
         sym = all(self.entries[i][j] == self.entries[j][i]
-                  for i in range(q) for j in range(q))
+                  for i in range(q) for j in range(i))
         s = [[(self.entries[i][j] + self.entries[j][i]) / 2 for j in range(q)]
              for i in range(q)]
-        psd = True
-        for r in range(1, q + 1):
-            for subset in itertools.combinations(range(q), r):
-                minor = [[s[i][j] for j in subset] for i in subset]
-                if _det(minor) < 0:
-                    psd = False
-        return {"symmetric": sym, "psd": psd}
+        return {"symmetric": sym, "psd": _is_psd(s)}
 
 
-def _det(m) -> Fraction:
+def _is_psd(m: list[list[Fraction]]) -> bool:
+    """Exact positive semidefiniteness of a symmetric matrix, in O(n^3).
+
+    Symmetric elimination is a congruence, so it preserves the property; a
+    negative pivot, or a zero pivot with a nonzero rest of its row (a 2 x 2
+    principal minor -b^2 < 0), refutes it.  Modifies ``m``.
+    """
     n = len(m)
-    if n == 1:
-        return Fraction(m[0][0])
-    out = Fraction(0)
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = Fraction(m[0][j]) * _det(minor)
-        out += term if j % 2 == 0 else -term
-    return out
+    for k in range(n):
+        pivot = m[k][k]
+        if pivot < 0 or (pivot == 0 and any(m[k][k + 1:])):
+            return False
+        if pivot == 0:
+            continue
+        for i in range(k + 1, n):
+            factor = m[i][k] / pivot
+            if factor:
+                for j in range(k + 1, n):
+                    m[i][j] -= factor * m[k][j]
+    return True
 
 
 # -- exact linear solving ------------------------------------------------------
@@ -249,117 +155,109 @@ def _solve_system(n: int, rows: list[tuple[dict[int, Fraction], Fraction]]):
     return [dense[r][n] for r in range(n)]
 
 
+# -- the closure engine ----------------------------------------------------------
+
+
+class _Closure:
+    """Scaling classes reached from a root under a child map.
+
+    Classes are registered by key, at most ``cap_classes`` of them; one more
+    raises ClassExplosionError.  ``children(rep)`` returns None for a base
+    class (value 1) or an iterable of (key, rep, weight) triples, and
+    ``expand`` calls it at most once per class.
+    """
+
+    def __init__(self, key, rep, children, cap_classes: int):
+        self._children = children
+        self._cap = cap_classes
+        self._index: dict = {}
+        self.reps: list = []
+        self.depth: list[int] = []
+        self.edges: dict[int, dict | None] = {}
+        self.register(key, rep, 0)
+
+    def register(self, key, rep, depth: int) -> int:
+        idx = self._index.get(key)
+        if idx is None:
+            idx = len(self.reps)
+            if idx >= self._cap:
+                raise ClassExplosionError(
+                    f"closure exceeded {self._cap} classes", idx)
+            self._index[key] = idx
+            self.reps.append(rep)
+            self.depth.append(depth)
+        return idx
+
+    def expand(self, idx: int) -> dict | None:
+        """Class ``idx``'s children as {child index: summed weight}, or None
+        for a base class."""
+        if idx not in self.edges:
+            out = self._children(self.reps[idx])
+            if out is not None:
+                edges: dict = {}
+                for key, rep, weight in out:
+                    child = self.register(key, rep, self.depth[idx] + 1)
+                    edges[child] = edges.get(child, 0) + weight
+                out = edges
+            self.edges[idx] = out
+        return self.edges[idx]
+
+    def solve(self, q: int):
+        """Expand every class, then solve q chi(c) = sum of weight *
+        chi(child) with chi = 1 on base classes; the root's value and info."""
+        idx = 0
+        while idx < len(self.reps):
+            self.expand(idx)
+            idx += 1
+        rows: list[tuple[dict[int, Fraction], Fraction]] = []
+        for idx in range(len(self.reps)):
+            edges = self.edges[idx]
+            if edges is None:
+                rows.append(({idx: Fraction(1)}, Fraction(1)))
+                continue
+            coeffs = {idx: Fraction(q)}
+            for child, weight in edges.items():
+                coeffs[child] = coeffs.get(child, Fraction(0)) - weight
+            rows.append((coeffs, Fraction(0)))
+        values = _solve_system(len(rows), rows)
+        return values[0], {"classes_used": len(rows), "depth": max(self.depth)}
+
+
+def _closure_value(key, rep, children, cap_classes: int, q: int,
+                   with_info: bool):
+    """The root's character value, or Unknown(cap_classes) at the cap."""
+    try:
+        value, info = _Closure(key, rep, children, cap_classes).solve(q)
+    except ClassExplosionError:
+        value, info = Unknown(cap_classes), None
+    return (value, info) if with_info else value
+
+
 # -- algebra characters --------------------------------------------------------
 
 
-def _closure_algebra(s: AlgebraElement, kernel: Kernel, cap_classes: int,
-                     monomial_base: bool):
-    """Close ``s`` under phi into scaling classes with equations or bases.
-
-    Returns (index of s, reps, base map, equation map, max depth) or None
-    when the element is literally zero.
-    """
-    if s.is_zero_literal:
-        return None
-    index: dict = {}
-    reps: list[AlgebraElement] = []
-    depth_of: list[int] = []
-    base: dict[int, Fraction] = {}
-    equations: dict[int, dict[int, Fraction]] = {}
-    order: list[int] = []
-
-    def register(elem: AlgebraElement, depth: int) -> int:
-        key = elem.key()
-        if key in index:
-            return index[key]
-        idx = len(reps)
-        if idx >= cap_classes:
-            raise _CapReached
-        index[key] = idx
-        reps.append(elem)
-        depth_of.append(depth)
-        order.append(idx)
-        return idx
-
-    try:
-        register(s, 0)
-        cursor = 0
-        while cursor < len(reps):
-            idx = cursor
-            cursor += 1
-            elem = reps[idx]
-            if elem.is_scalar:
-                base[idx] = Fraction(1)
-                continue
-            if monomial_base and elem.is_single_term:
-                base[idx] = Fraction(1)
-                continue
-            block = elem.phi()
-            coeffs: dict[int, Fraction] = {}
-            for i, row in enumerate(block):
-                for j, entry in enumerate(row):
-                    weight = kernel[i, j]
-                    if weight == 0 or entry.is_zero_literal:
-                        continue
-                    child = register(entry, depth_of[idx] + 1)
-                    coeffs[child] = coeffs.get(child, Fraction(0)) + weight
-            equations[idx] = coeffs
-    except _CapReached:
-        return "cap"
-    return 0, reps, base, equations, max(depth_of, default=0)
-
-
-class _CapReached(Exception):
-    pass
-
-
-def _solve_closure(closure, q: int):
-    if closure is None:
-        return Fraction(0), {"classes_used": 0, "depth": 0}
-    if closure == "cap":
-        return None, None
-    root, reps, base, equations, depth = closure
-    n = len(reps)
-    rows: list[tuple[dict[int, Fraction], Fraction]] = []
-    for idx in range(n):
-        if idx in base:
-            rows.append(({idx: Fraction(1)}, base[idx]))
-        else:
-            coeffs = {idx: Fraction(q)}
-            for child, weight in equations[idx].items():
-                coeffs[child] = coeffs.get(child, Fraction(0)) - weight
-            rows.append((coeffs, Fraction(0)))
-    values = _solve_system(n, rows)
-    return values[root], {"classes_used": n, "depth": depth}
-
-
 def algebra_char(s: AlgebraElement, kernel: Kernel, cap_classes: int = 10_000,
-                 base_char: BaseCharacter | None = None,
                  monomial_base: bool = False, with_info: bool = False):
     """Character of an algebra element for an arbitrary kernel.
 
     The kernel delta_{i=j} gives the fixed-point character; the all-ones
     kernel reproduces the spread character.
     """
-    if base_char is None:
-        base_char = BaseCharacter.trivial()
-    if not base_char.scalar_blind:
-        # scaling classes are invalid for a scalar-sensitive base character;
-        # only direct base cases are evaluated in that mode
-        if s.is_zero_literal:
-            return Fraction(0)
-        if s.is_scalar:
-            return base_char.evaluate(s.terms[()])
-        raise ExperimentalModeError(
-            "unit-embedding mode evaluates zero and scalar base cases only")
     if kernel.q != s.q:
         raise ValueError("kernel size does not match the alphabet")
-    closure = _closure_algebra(s, kernel, cap_classes, monomial_base)
-    value, info = _solve_closure(closure, s.q)
-    if value is None:
-        out = Unknown(cap_classes)
-        return (out, None) if with_info else out
-    return (value, info) if with_info else value
+    if s.is_zero_literal:
+        info = {"classes_used": 0, "depth": 0}
+        return (Fraction(0), info) if with_info else Fraction(0)
+
+    def children(elem: AlgebraElement):
+        if elem.is_scalar or (monomial_base and elem.is_single_term):
+            return None
+        return [(entry.key(), entry, kernel[i, j])
+                for i, row in enumerate(elem.phi())
+                for j, entry in enumerate(row)
+                if kernel[i, j] != 0 and not entry.is_zero_literal]
+
+    return _closure_value(s.key(), s, children, cap_classes, s.q, with_info)
 
 
 def spread_char(s: AlgebraElement, cap_classes: int = 10_000,
@@ -367,10 +265,10 @@ def spread_char(s: AlgebraElement, cap_classes: int = 10_000,
     """All-ones kernel character; every single monomial is a base case
     with value 1 unless ``expand_monomials`` forces one more recursion
     level through them."""
-    result = algebra_char(s, Kernel.ones(s.q), cap_classes=cap_classes,
-                          monomial_base=not expand_monomials, with_info=True)
-    value, info = result if isinstance(result, tuple) else (result, None)
-    if value is not None and not isinstance(value, Unknown):
+    value, info = algebra_char(s, Kernel.ones(s.q), cap_classes=cap_classes,
+                               monomial_base=not expand_monomials,
+                               with_info=True)
+    if not isinstance(value, Unknown):
         k = q_power_denominator(value, s.q)
         assert value >= 0 and k is not None, (
             f"spread value {value} escapes nonnegative q-power denominators")
@@ -392,60 +290,16 @@ def group_char(rec: WreathRecursion, word: Word, kernel: Kernel | None = None,
         kernel = Kernel.identity(q)
     if kernel.q != q:
         raise ValueError("kernel size does not match the alphabet")
-    index: dict[Word, int] = {}
-    reps: list[Word] = []
-    depth_of: list[int] = []
-    base: dict[int, Fraction] = {}
-    equations: dict[int, dict[int, Fraction]] = {}
 
-    def register(w: Word, depth: int) -> int:
-        w = free_reduce(w)
-        if w in index:
-            return index[w]
-        idx = len(reps)
-        if idx >= cap_classes:
-            raise _CapReached
-        index[w] = idx
-        reps.append(w)
-        depth_of.append(depth)
-        return idx
+    def children(w: Word):
+        if not w:
+            return None
+        images, sections = rec.fold(w)
+        return [(sections[a], sections[a], kernel[a, images[a]])
+                for a in range(q) if kernel[a, images[a]] != 0]
 
-    try:
-        register(word, 0)
-        cursor = 0
-        while cursor < len(reps):
-            idx = cursor
-            cursor += 1
-            w = reps[idx]
-            if not w:
-                base[idx] = Fraction(1)
-                continue
-            element = rec.decompose(w)
-            coeffs: dict[int, Fraction] = {}
-            for a in range(q):
-                weight = kernel[a, element.perm(a)]
-                if weight == 0:
-                    continue
-                child = register(element.sections[a], depth_of[idx] + 1)
-                coeffs[child] = coeffs.get(child, Fraction(0)) + weight
-            equations[idx] = coeffs
-    except _CapReached:
-        out = Unknown(cap_classes)
-        return (out, None) if with_info else out
-
-    n = len(reps)
-    rows: list[tuple[dict[int, Fraction], Fraction]] = []
-    for idx in range(n):
-        if idx in base:
-            rows.append(({idx: Fraction(1)}, base[idx]))
-        else:
-            coeffs = {idx: Fraction(q)}
-            for child, weight in equations[idx].items():
-                coeffs[child] = coeffs.get(child, Fraction(0)) - weight
-            rows.append((coeffs, Fraction(0)))
-    values = _solve_system(n, rows)
-    info = {"classes_used": n, "depth": max(depth_of, default=0)}
-    return (values[0], info) if with_info else values[0]
+    w = free_reduce(word)
+    return _closure_value(w, w, children, cap_classes, q, with_info)
 
 
 # -- language counting -----------------------------------------------------------
@@ -464,9 +318,10 @@ def count_L(s: AlgebraElement, k: int, cap_classes: int = 10_000) -> int:
     scalar multiple of 1, x_0 or x_1.
 
     The multiset of entry scaling classes is evolved k steps without
-    materializing the q^k x q^k matrix.  Generators above index 1 are
-    collapsed to x_1 throughout; this identification is certified by a
-    zero test on the differences x_i - x_1, whose matrix images coincide.
+    materializing the q^k x q^k matrix; a class is expanded only once it
+    is reached.  Generators above index 1 are collapsed to x_1
+    throughout; this identification is certified by a zero test on the
+    differences x_i - x_1, whose matrix images coincide.
     """
     if k < 0:
         raise ValueError("depth must be nonnegative")
@@ -481,44 +336,22 @@ def count_L(s: AlgebraElement, k: int, cap_classes: int = 10_000) -> int:
     collapsed = s.collapse_high_letters()
     if collapsed.is_zero_literal:
         return 0
-    index: dict = {}
-    reps: list[AlgebraElement] = []
-    transitions: list[list[tuple[int, int]]] = []
 
-    def register(elem: AlgebraElement) -> int:
-        key = elem.key()
-        if key in index:
-            return index[key]
-        if len(reps) >= cap_classes:
-            raise ClassExplosionError(
-                f"count closure exceeded {cap_classes} classes", len(reps))
-        idx = len(reps)
-        index[key] = idx
-        reps.append(elem)
-        transitions.append([])
-        return idx
+    def children(elem: AlgebraElement):
+        entries = (entry.collapse_high_letters() for row in elem.phi()
+                   for entry in row if not entry.is_zero_literal)
+        return [(entry.key(), entry, 1) for entry in entries]
 
-    root = register(collapsed)
-    counts: dict[int, int] = {root: 1}
-    expanded: set[int] = set()
+    closure = _Closure(collapsed.key(), collapsed, children, cap_classes)
+    counts: dict[int, int] = {0: 1}
     for _ in range(k):
         grown: dict[int, int] = {}
         for idx, multiplicity in counts.items():
-            if idx not in expanded:
-                expanded.add(idx)
-                bucket: dict[int, int] = {}
-                for row in reps[idx].phi():
-                    for entry in row:
-                        if entry.is_zero_literal:
-                            continue
-                        child = register(entry.collapse_high_letters())
-                        bucket[child] = bucket.get(child, 0) + 1
-                transitions[idx] = sorted(bucket.items())
-            for child, times in transitions[idx]:
+            for child, times in closure.expand(idx).items():
                 grown[child] = grown.get(child, 0) + multiplicity * times
         counts = grown
     return sum(multiplicity for idx, multiplicity in counts.items()
-               if _is_countable(reps[idx]))
+               if _is_countable(closure.reps[idx]))
 
 
 def growth_constant(s: AlgebraElement, k_min: int, k_max: int,

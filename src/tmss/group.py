@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .verdict import Unknown, Verdict
+from .verdict import ClassExplosionError, Unknown, Verdict
 from .words import (
     Letter,
     Word,
@@ -347,8 +347,8 @@ class WreathRecursion:
             if u in edges:
                 continue
             if len(edges) >= cap_nodes:
-                raise BudgetExceededError(
-                    f"section graph exceeded {cap_nodes} classes")
+                raise ClassExplosionError(
+                    f"section graph exceeded {cap_nodes} classes", len(edges))
             secs = tuple(self._canonical(s, reps, cap_states)
                          for s in self.decompose(u).sections)
             edges[u] = secs
@@ -399,20 +399,19 @@ class WreathRecursion:
         for i in range(self.q):
             seeds.append(((i, 1),))
             seeds.append(((i, -1),))
-        for s in seeds:
-            absorb(self._limit_classes(s, reps, cap_elements, cap_states))
-        while True:
-            grew = False
-            for u, v in itertools.product(tuple(current), repeat=2):
-                classes = self._limit_classes(free_reduce(u + v), reps,
-                                              cap_elements, cap_states)
-                if absorb(classes):
-                    grew = True
-                if len(current) > cap_elements:
-                    return NucleusResult(tuple(current), closed=False)
-            if not grew:
-                return NucleusResult(tuple(sorted(current)), closed=True)
-
-
-class BudgetExceededError(RuntimeError):
-    """Raised when a closure computation outgrows its explicit cap."""
+        try:
+            for s in seeds:
+                absorb(self._limit_classes(s, reps, cap_elements, cap_states))
+            while True:
+                grew = False
+                for u, v in itertools.product(tuple(current), repeat=2):
+                    classes = self._limit_classes(free_reduce(u + v), reps,
+                                                  cap_elements, cap_states)
+                    if absorb(classes):
+                        grew = True
+                    if len(current) > cap_elements:
+                        return NucleusResult(tuple(current), closed=False)
+                if not grew:
+                    return NucleusResult(tuple(sorted(current)), closed=True)
+        except ClassExplosionError:
+            return NucleusResult(tuple(current), closed=False)

@@ -3,7 +3,9 @@
 Closure-based procedures can certify a positive or a negative answer, or run
 into their budget.  ``Verdict`` carries the three-valued outcome of a yes/no
 question; ``Unknown`` is the budget-exhausted marker for value-returning
-operations (orders, character values).
+operations (orders, character values).  Inside a closure, running past the
+class cap raises ``ClassExplosionError``; callers that return a value turn
+it into ``Unknown``.
 """
 
 from __future__ import annotations
@@ -56,3 +58,11 @@ class Unknown:
 
     def __str__(self) -> str:
         return f"unknown(cap={self.cap})"
+
+
+class ClassExplosionError(RuntimeError):
+    """Closure exceeded the class cap; carries the partial class count."""
+
+    def __init__(self, message: str, classes_seen: int):
+        super().__init__(message)
+        self.classes_seen = classes_seen

@@ -1,7 +1,7 @@
 """Self-similar characters: spread values, counting, additivity, witnesses."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,19 +9,16 @@ from hypothesis import given, settings, strategies as st
 from tmss.algebra import (
     RATIONALS,
     AlgebraElement,
-    PrimeField,
     big_product_word,
     omega_enumerate,
     omega_generator,
+    phi_iterate,
     sigma,
 )
 from tmss.characters import (
-    BaseCharacter,
     ClassExplosionError,
-    ExperimentalModeError,
     Kernel,
     NotFound,
-    RootOfUnity,
     SingularSystemError,
     additivity_check,
     algebra_char,
@@ -36,7 +33,7 @@ from tmss.characters import (
 )
 from tmss.group import WreathRecursion
 from tmss.verdict import Unknown
-from tmss.words import gamma, power as word_power
+from tmss.words import free_reduce, gamma, power as word_power
 
 
 def one(q):
@@ -191,6 +188,33 @@ def test_all_ones_kernel_gives_trivial_character(data):
     assert group_char(rec, w, Kernel.ones(q)) == 1
 
 
+def _kernels(q):
+    random_kernel = st.lists(st.lists(st.integers(0, 2), min_size=q, max_size=q),
+                             min_size=q, max_size=q).map(Kernel)
+    return st.one_of(st.just(Kernel.identity(q)), st.just(Kernel.ones(q)),
+                     random_kernel)
+
+
+def _value_or_singular(compute):
+    try:
+        return compute()
+    except SingularSystemError:
+        return "singular"
+
+
+@given(st.sampled_from((2, 3, 4)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_algebra_and_group_characters_agree_on_monomials(q, data):
+    letter = st.tuples(st.integers(0, q - 1), st.sampled_from((1, -1)))
+    w = tuple(data.draw(st.lists(letter, max_size=5)))
+    kernel = data.draw(_kernels(q))
+    c = data.draw(st.sampled_from((Fraction(1), Fraction(-3), Fraction(2, 5))))
+    monomial = AlgebraElement.monomial(RATIONALS, q, w, coeff=c)
+    rec = WreathRecursion.thue_morse(q)
+    assert (_value_or_singular(lambda: algebra_char(monomial, kernel))
+            == _value_or_singular(lambda: group_char(rec, w, kernel)))
+
+
 def test_group_character_unknown_on_cap():
     rec = WreathRecursion.thue_morse(2)
     result = group_char(rec, ((1, 1), (1, 1)), cap_classes=1)
@@ -221,6 +245,34 @@ def test_psd_report():
     assert Kernel.identity(3).psd_report() == {"symmetric": True, "psd": True}
     assert Kernel([[1, 3], [3, 1]]).psd_report()["psd"] is False
     assert Kernel([[1, 2], [0, 1]]).psd_report()["symmetric"] is False
+    assert Kernel([[1, 1], [1, 1]]).psd_report()["psd"] is True
+    assert Kernel([[0, 1], [1, 0]]).psd_report()["psd"] is False
+    assert Kernel.ones(10).psd_report() == {"symmetric": True, "psd": True}
+
+
+def _principal_minors_nonnegative(entries):
+    sympy = pytest.importorskip("sympy")
+    q = len(entries)
+    sym = sympy.Matrix(q, q, lambda i, j: sympy.Rational(
+        entries[i][j] + entries[j][i], 2))
+    return all(sym.extract(list(rows), list(rows)).det() >= 0
+               for r in range(1, q + 1) for rows in combinations(range(q), r))
+
+
+@given(st.integers(1, 4), st.booleans(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_psd_report_matches_principal_minors(q, gram, data):
+    entry = st.integers(-2, 2)
+    if gram:
+        # B B^T is positive semidefinite, and singular when B has few columns
+        r = data.draw(st.integers(1, q))
+        b = [[data.draw(entry) for _ in range(r)] for _ in range(q)]
+        entries = [[sum(b[i][t] * b[j][t] for t in range(r)) for j in range(q)]
+                   for i in range(q)]
+    else:
+        entries = [[data.draw(entry) for _ in range(q)] for _ in range(q)]
+    assert (Kernel(entries).psd_report()["psd"]
+            == _principal_minors_nonnegative(entries))
 
 
 # -- counting ---------------------------------------------------------------------
@@ -245,6 +297,29 @@ def test_count_of_zero():
 def test_count_rejects_negative_depth():
     with pytest.raises(ValueError):
         count_L(one(2), -1)
+
+
+def _count_countable_entries(s, k):
+    """count_L's oracle: collapse x_i to x_1 in every entry of the explicit
+    q^k x q^k matrix phi^k(s), reduce, and keep nonzero multiples of 1, x_0
+    or x_1."""
+    total = 0
+    for entry in phi_iterate(s, k).values():
+        collapsed = {}
+        for word, coeff in entry.terms.items():
+            w = free_reduce(tuple((min(i, 1), sign) for i, sign in word))
+            collapsed[w] = collapsed.get(w, 0) + coeff
+        nonzero = [w for w, coeff in collapsed.items() if coeff != 0]
+        total += len(nonzero) == 1 and len(nonzero[0]) <= 1
+    return total
+
+
+@given(st.sampled_from((2, 3)), st.data())
+@settings(max_examples=40, deadline=None)
+def test_count_matches_explicit_matrix(q, data):
+    s = data.draw(elements(q, max_terms=3).filter(lambda e: e.terms))
+    k = data.draw(st.integers(0, 4 if q == 2 else 3))
+    assert count_L(s, k) == _count_countable_entries(s, k)
 
 
 def test_count_explosion_reports_classes():
@@ -381,53 +456,3 @@ def test_exact_json():
     payload = exact_json(Fraction(2, 9), 3, classes_used=7, depth=4)
     assert payload == {"value": "2/3^2", "num": 2, "den": 9,
                        "classes_used": 7, "depth": 4}
-
-
-# -- roots of unity and the embedding character ---------------------------------------
-
-
-def test_root_of_unity_normalization():
-    assert RootOfUnity.make(2, 8) == RootOfUnity(1, 4)
-    assert RootOfUnity.make(0, 5) == RootOfUnity(0, 1)
-    assert RootOfUnity.make(9, 8) == RootOfUnity(1, 8)
-
-
-def test_root_of_unity_product():
-    a = RootOfUnity.make(1, 4)
-    b = RootOfUnity.make(1, 3)
-    assert a * b == RootOfUnity(7, 12)
-    assert str(RootOfUnity.make(0, 3)) == "1"
-    assert str(RootOfUnity.make(3, 6)) == "-1"
-    assert str(RootOfUnity.make(1, 4)) == "zeta_4^1"
-
-
-def test_unit_embedding_table():
-    chi = BaseCharacter.unit_embedding(PrimeField(5))
-    assert chi.evaluate(0) == 0
-    assert chi.evaluate(1) == RootOfUnity(0, 1)
-    assert chi.evaluate(2) == RootOfUnity(1, 4)
-    assert chi.evaluate(3) == RootOfUnity(3, 4)
-    assert chi.evaluate(4) == RootOfUnity(1, 2)
-
-
-def test_unit_embedding_is_multiplicative():
-    field = PrimeField(7)
-    chi = BaseCharacter.unit_embedding(field)
-    for a in range(1, 7):
-        for b in range(1, 7):
-            assert chi.evaluate(a) * chi.evaluate(b) == chi.evaluate(a * b % 7)
-
-
-def test_unit_embedding_base_cases_only():
-    chi = BaseCharacter.unit_embedding(PrimeField(5))
-    two = one(2).scale(2)
-    assert algebra_char(two, Kernel.ones(2), base_char=chi) == RootOfUnity(1, 4)
-    assert algebra_char(AlgebraElement.zero(RATIONALS, 2), Kernel.ones(2),
-                        base_char=chi) == 0
-    with pytest.raises(ExperimentalModeError):
-        algebra_char(one(2) - gen(2, 0), Kernel.ones(2), base_char=chi)
-
-
-def test_unit_embedding_requires_prime_field():
-    with pytest.raises(ValueError):
-        BaseCharacter.unit_embedding(None)

@@ -268,6 +268,12 @@ def test_nucleus_closed_under_sections_and_inverses():
                 assert any(rec.equal(section, r).is_true for r in reps)
 
 
+def test_nucleus_cap_on_section_graph_reports_open():
+    # one generator's section graph already outgrows a cap of one class
+    result = WreathRecursion.thue_morse(2).nucleus(cap_elements=1)
+    assert result.closed is False
+
+
 def test_trivial_recursion_nucleus():
     rec = WreathRecursion.trivial(2)
     result = rec.nucleus()
