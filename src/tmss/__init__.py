@@ -15,11 +15,9 @@ from .algebra import (
     PrimeField,
     RATIONALS,
     Rationals,
-    ZeroVerdict,
     contraction_depth,
     is_zero,
     mat_add,
-    mat_identity,
     mat_mul,
     omega_enumerate,
     omega_generator,
@@ -30,9 +28,7 @@ from .algebra import (
     sigma,
 )
 from .characters import (
-    ClassExplosionError,
     Kernel,
-    NotFound,
     SingularSystemError,
     additivity_check,
     algebra_char,
@@ -45,7 +41,7 @@ from .characters import (
 )
 from .dynamics import PRESETS, RationalMap, RenderConfig, julia_points, render, write_pgm
 from .group import NucleusResult, Permutation, WreathElement, WreathRecursion
-from .verdict import Unknown, Verdict
+from .verdict import Verdict
 from .words import (
     InvalidLetterError,
     commutator,

@@ -21,11 +21,11 @@ certifies nonzero.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
 from .group import WreathRecursion
+from .verdict import Verdict
 from .words import (
     Word,
     free_reduce,
@@ -400,13 +400,6 @@ def _thue_morse(q: int) -> WreathRecursion:
 Matrix = tuple[tuple[AlgebraElement, ...], ...]
 
 
-def mat_identity(ring, q: int, mode: str = "B") -> Matrix:
-    return tuple(
-        tuple(AlgebraElement.one(ring, q, mode) if a == b
-              else AlgebraElement.zero(ring, q, mode) for b in range(q))
-        for a in range(q))
-
-
 def mat_add(m1: Matrix, m2: Matrix) -> Matrix:
     return tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(m1, m2))
 
@@ -424,10 +417,6 @@ def mat_mul(m1: Matrix, m2: Matrix) -> Matrix:
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
-
-
-def mat_is_zero(m: Matrix) -> bool:
-    return all(e.is_zero_literal for row in m for e in row)
 
 
 def mat_to_json(m: Matrix) -> list[list[str]]:
@@ -461,40 +450,7 @@ def phi_iterate(s: AlgebraElement, n: int) -> dict[tuple[int, int], AlgebraEleme
 # -- zero testing -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZeroVerdict:
-    """Outcome of membership testing in the union of vanishing ideals."""
-
-    state: str  # "zero" | "nonzero" | "unknown"
-    depth: int | None = None
-    witness_row: tuple[int, ...] | None = None
-    witness_col: tuple[int, ...] | None = None
-    witness_scalar: object | None = None
-    cap: int | None = None
-
-    @property
-    def is_zero(self) -> bool:
-        return self.state == "zero"
-
-    @property
-    def is_nonzero(self) -> bool:
-        return self.state == "nonzero"
-
-    @property
-    def is_unknown(self) -> bool:
-        return self.state == "unknown"
-
-    def __str__(self) -> str:
-        if self.state == "zero":
-            return f"zero(depth={self.depth})"
-        if self.state == "nonzero":
-            u = "".join(map(str, self.witness_row))
-            v = "".join(map(str, self.witness_col))
-            return f"nonzero(witness=({u or 'e'},{v or 'e'}), scalar={self.witness_scalar})"
-        return f"unknown(cap={self.cap})"
-
-
-def is_zero(s: AlgebraElement, cap_depth: int = 60) -> ZeroVerdict:
+def is_zero(s: AlgebraElement, cap_depth: int = 60) -> Verdict:
     """Decide whether some phi-iterate of ``s`` is the zero matrix.
 
     Tracks one representative per scaling class of nonzero entries, with the
@@ -503,7 +459,7 @@ def is_zero(s: AlgebraElement, cap_depth: int = 60) -> ZeroVerdict:
     depth cap yields unknown.
     """
     if s.is_zero_literal:
-        return ZeroVerdict("zero", depth=0)
+        return Verdict("zero", depth=0)
     frontier: dict = {s.key(): (s, (), ())}
     seen: set = set(frontier)
     for depth in range(1, cap_depth + 1):
@@ -515,20 +471,18 @@ def is_zero(s: AlgebraElement, cap_depth: int = 60) -> ZeroVerdict:
                     if entry.is_zero_literal:
                         continue
                     if entry.is_scalar:
-                        return ZeroVerdict(
-                            "nonzero", depth=depth,
-                            witness_row=u + (i,), witness_col=v + (j,),
-                            witness_scalar=entry.terms[()])
+                        return Verdict("nonzero", depth=depth, witness=(
+                            u + (i,), v + (j,), entry.terms[()]))
                     key = entry.key()
                     if key not in grown:
                         grown[key] = (entry, u + (i,), v + (j,))
         if not grown:
-            return ZeroVerdict("zero", depth=depth)
+            return Verdict("zero", depth=depth)
         if set(grown) <= seen:
-            return ZeroVerdict("unknown", cap=cap_depth)
+            break
         seen |= set(grown)
         frontier = grown
-    return ZeroVerdict("unknown", cap=cap_depth)
+    return Verdict.unknown(cap_depth, "cap_depth")
 
 
 # -- derived operations ------------------------------------------------------
@@ -595,9 +549,7 @@ def omega_enumerate(ring, q: int, n: int, k_max: int, size_cap: int = 512,
 
 def contraction_depth(s: AlgebraElement, cap_depth: int = 12):
     """Least n with every entry of phi^n(s) in the span of 1 and single
-    generators, or Unknown past the cap."""
-    from .verdict import Unknown
-
+    generators, or an unknown Verdict past the cap."""
     frontier = {s.key(): s}
     for depth in range(cap_depth + 1):
         if all(rep.max_monomial_length() <= 1 for rep in frontier.values()):
@@ -609,7 +561,7 @@ def contraction_depth(s: AlgebraElement, cap_depth: int = 12):
                     if not entry.is_zero_literal:
                         grown.setdefault(entry.key(), entry)
         frontier = grown
-    return Unknown(cap_depth)
+    return Verdict.unknown(cap_depth, "cap_depth")
 
 
 def row_col_bound_profile(s: AlgebraElement, depth: int) -> list[tuple[int, int]]:

@@ -20,12 +20,11 @@ this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraElement, omega_generator, sigma
 from .group import WreathRecursion
-from .verdict import ClassExplosionError, Unknown
+from .verdict import ClassExplosionError, Verdict
 from .words import Word, free_reduce, power as word_power
 
 
@@ -91,9 +90,6 @@ class Kernel:
 
     def __getitem__(self, idx: tuple[int, int]) -> Fraction:
         return self.entries[idx[0]][idx[1]]
-
-    def is_ones(self) -> bool:
-        return all(e == 1 for row in self.entries for e in row)
 
     def psd_report(self) -> dict:
         q = self.q
@@ -182,7 +178,7 @@ class _Closure:
             idx = len(self.reps)
             if idx >= self._cap:
                 raise ClassExplosionError(
-                    f"closure exceeded {self._cap} classes", idx)
+                    f"closure exceeded {self._cap} classes")
             self._index[key] = idx
             self.reps.append(rep)
             self.depth.append(depth)
@@ -225,11 +221,11 @@ class _Closure:
 
 def _closure_value(key, rep, children, cap_classes: int, q: int,
                    with_info: bool):
-    """The root's character value, or Unknown(cap_classes) at the cap."""
+    """The root's character value, or an unknown Verdict at the cap."""
     try:
         value, info = _Closure(key, rep, children, cap_classes).solve(q)
     except ClassExplosionError:
-        value, info = Unknown(cap_classes), None
+        value, info = Verdict.unknown(cap_classes, "cap_classes"), None
     return (value, info) if with_info else value
 
 
@@ -268,7 +264,7 @@ def spread_char(s: AlgebraElement, cap_classes: int = 10_000,
     value, info = algebra_char(s, Kernel.ones(s.q), cap_classes=cap_classes,
                                monomial_base=not expand_monomials,
                                with_info=True)
-    if not isinstance(value, Unknown):
+    if not isinstance(value, Verdict):
         k = q_power_denominator(value, s.q)
         assert value >= 0 and k is not None, (
             f"spread value {value} escapes nonnegative q-power denominators")
@@ -313,9 +309,10 @@ def _is_countable(entry: AlgebraElement) -> bool:
     return len(word) <= 1
 
 
-def count_L(s: AlgebraElement, k: int, cap_classes: int = 10_000) -> int:
+def count_L(s: AlgebraElement, k: int, cap_classes: int = 10_000):
     """Number of index pairs (u, v) at depth k whose entry is a nonzero
-    scalar multiple of 1, x_0 or x_1.
+    scalar multiple of 1, x_0 or x_1, or an unknown Verdict when more than
+    ``cap_classes`` classes are reached.
 
     The multiset of entry scaling classes is evolved k steps without
     materializing the q^k x q^k matrix; a class is expanded only once it
@@ -342,14 +339,17 @@ def count_L(s: AlgebraElement, k: int, cap_classes: int = 10_000) -> int:
                    for entry in row if not entry.is_zero_literal)
         return [(entry.key(), entry, 1) for entry in entries]
 
-    closure = _Closure(collapsed.key(), collapsed, children, cap_classes)
-    counts: dict[int, int] = {0: 1}
-    for _ in range(k):
-        grown: dict[int, int] = {}
-        for idx, multiplicity in counts.items():
-            for child, times in closure.expand(idx).items():
-                grown[child] = grown.get(child, 0) + multiplicity * times
-        counts = grown
+    try:
+        closure = _Closure(collapsed.key(), collapsed, children, cap_classes)
+        counts: dict[int, int] = {0: 1}
+        for _ in range(k):
+            grown: dict[int, int] = {}
+            for idx, multiplicity in counts.items():
+                for child, times in closure.expand(idx).items():
+                    grown[child] = grown.get(child, 0) + multiplicity * times
+            counts = grown
+    except ClassExplosionError:
+        return Verdict.unknown(cap_classes, "cap_classes")
     return sum(multiplicity for idx, multiplicity in counts.items()
                if _is_countable(closure.reps[idx]))
 
@@ -358,40 +358,49 @@ def growth_constant(s: AlgebraElement, k_min: int, k_max: int,
                     cap_classes: int = 10_000):
     """The defect q^k * chi_s(s) - count_L(s, k) over a depth range.
 
-    Returns (constant at k_max, stable flag); the defect becomes constant
-    once k is large enough.
+    Returns (constant at k_max, stable flag), or the first unknown Verdict;
+    the defect becomes constant once k is large enough.
     """
     if k_min >= k_max:
         raise ValueError("need k_min < k_max")
     chi = spread_char(s, cap_classes=cap_classes)
-    if isinstance(chi, Unknown):
-        raise ClassExplosionError("character closure exceeded the cap", cap_classes)
-    defects = [Fraction(s.q) ** k * chi - count_L(s, k, cap_classes)
-               for k in range(k_min, k_max + 1)]
+    if isinstance(chi, Verdict):
+        return chi
+    defects = []
+    for k in range(k_min, k_max + 1):
+        count = count_L(s, k, cap_classes)
+        if isinstance(count, Verdict):
+            return count
+        defects.append(Fraction(s.q) ** k * chi - count)
     return defects[-1], all(d == defects[-1] for d in defects)
 
 
 # -- additivity over the sigma tower ---------------------------------------------
 
 
-def additivity_check(components, cap_classes: int = 10_000) -> dict:
+def additivity_check(components, cap_classes: int = 10_000):
     """Exact two-sided check of value additivity under sigma, with the
-    per-element diagonality and gamma-invariance side conditions."""
+    per-element diagonality and gamma-invariance side conditions; the first
+    unknown Verdict instead when a value hits the cap."""
     components = list(components)
     q = components[0].q
-    combined = sigma(*components)
-    sigma_value = spread_char(combined, cap_classes=cap_classes)
+    sigma_value = spread_char(sigma(*components), cap_classes=cap_classes)
+    if isinstance(sigma_value, Verdict):
+        return sigma_value
     reports = []
     total = Fraction(0)
     for comp in components:
-        value = spread_char(comp, cap_classes=cap_classes)
+        values = [spread_char(comp.gamma_map(i) if i else comp,
+                              cap_classes=cap_classes) for i in range(q)]
+        unknown = next((v for v in values if isinstance(v, Verdict)), None)
+        if unknown is not None:
+            return unknown
+        value = values[0]
         total += value
         block = comp.phi()
         diagonal = all(block[i][j].is_zero_literal
                        for i in range(q) for j in range(q) if i != j)
-        gamma_invariant = all(
-            spread_char(comp.gamma_map(i), cap_classes=cap_classes) == value
-            for i in range(1, q))
+        gamma_invariant = all(v == value for v in values[1:])
         reports.append({
             "value": value,
             "diagonal": diagonal,
@@ -408,17 +417,6 @@ def additivity_check(components, cap_classes: int = 10_000) -> dict:
 # -- witness construction ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NotFound:
-    """Failed witness search, with the frontier that was examined."""
-
-    target: Fraction
-    reason: str
-
-    def __str__(self) -> str:
-        return f"NotFound(target={self.target}, reason={self.reason})"
-
-
 def theorem_witness(target, q: int, ring=None, mode: str = "B",
                     budget_leaves: int = 729, cap_classes: int = 20_000):
     """Search for an element whose spread character equals ``target``.
@@ -426,8 +424,8 @@ def theorem_witness(target, q: int, ring=None, mode: str = "B",
     Targets 2a/q^k are reached by combining a copies of the level-k tower
     generator through sigma, padding with zeros; every candidate is
     verified by exact evaluation before being returned.  The search is
-    best-effort: odd numerators over odd q are out of reach of the sigma
-    sums and report NotFound.
+    best-effort: a target out of reach (odd numerators over odd q, more
+    copies than ``budget_leaves``, a class cap) gives an unknown Verdict.
     """
     from .algebra import RATIONALS
 
@@ -442,9 +440,11 @@ def theorem_witness(target, q: int, ring=None, mode: str = "B",
 
     def verified(candidate):
         value = spread_char(candidate, cap_classes=cap_classes)
-        if value == target:
-            return candidate
-        return NotFound(target, "candidate failed exact verification")
+        if isinstance(value, Verdict):
+            return value
+        if value != target:
+            return Verdict.unknown(None, "candidate failed exact verification")
+        return candidate
 
     if target == 0:
         return verified(AlgebraElement.zero(ring, q, mode))
@@ -454,17 +454,15 @@ def theorem_witness(target, q: int, ring=None, mode: str = "B",
     num = target.numerator
     if num % 2 == 1:
         if q % 2 == 1:
-            return NotFound(
-                target,
-                "odd numerator over odd q: sigma sums of tower values "
-                "2/q^j keep even numerators")
+            return Verdict.unknown(
+                None, "odd numerator over odd q: sigma sums of tower values "
+                      "2/q^j keep even numerators")
         num, k = num * q // 2, k + 1
         copies = num
     else:
         copies = num // 2
     if copies > budget_leaves:
-        return NotFound(target, f"needs {copies} tower copies, budget "
-                                f"{budget_leaves} leaves")
+        return Verdict.unknown(budget_leaves, "budget_leaves")
     if copies == 1:
         # the tower element 1 - x_0^{q^{k+1}} evaluates to 2/q^k directly
         word = word_power(((0, 1),), q ** (k + 1))

@@ -20,7 +20,7 @@ from . import algebra as alg
 from . import characters as chars
 from . import dynamics, verification
 from .group import WreathRecursion
-from .verdict import Unknown, Verdict
+from .verdict import Verdict
 from .words import gamma, parse_word, render_word, theta_iter, tm_prefix
 
 
@@ -64,14 +64,13 @@ def _emit(args, payload, text: str) -> None:
         print(text)
 
 
-def _verdict_exit(verdict) -> int:
-    if isinstance(verdict, Unknown):
-        return 2
-    if isinstance(verdict, Verdict) and verdict.is_unknown:
-        return 2
-    if isinstance(verdict, alg.ZeroVerdict) and verdict.is_unknown:
-        return 2
-    return 0
+def _verdict_exit(answer) -> int:
+    return 2 if isinstance(answer, Verdict) and answer.is_unknown else 0
+
+
+def _emit_verdict(args, verdict: Verdict) -> int:
+    _emit(args, {"verdict": str(verdict)}, str(verdict))
+    return _verdict_exit(verdict)
 
 
 # -- word commands -------------------------------------------------------------
@@ -122,16 +121,12 @@ def _cmd_group(args) -> int:
                            _parse_vertex(args.vertex, args.q))
         _emit(args, {"word": render_word(word)}, render_word(word))
     elif args.action == "trivial":
-        verdict = rec.is_trivial(parse_word(args.word, args.q),
-                                 cap_states=args.cap_states)
-        _emit(args, {"verdict": str(verdict)}, str(verdict))
-        return _verdict_exit(verdict)
+        return _emit_verdict(args, rec.is_trivial(parse_word(args.word, args.q),
+                                                  cap_states=args.cap_states))
     elif args.action == "equal":
-        verdict = rec.equal(parse_word(args.left, args.q),
-                            parse_word(args.right, args.q),
-                            cap_states=args.cap_states)
-        _emit(args, {"verdict": str(verdict)}, str(verdict))
-        return _verdict_exit(verdict)
+        return _emit_verdict(args, rec.equal(parse_word(args.left, args.q),
+                                             parse_word(args.right, args.q),
+                                             cap_states=args.cap_states))
     elif args.action == "order":
         result = rec.order_of(parse_word(args.word, args.q),
                               cap_states=args.cap_states)
@@ -173,10 +168,9 @@ def _cmd_algebra(args) -> int:
         _emit(args, {"matrix": data},
               "\n".join("[" + ", ".join(row) + "]" for row in data))
     elif args.action == "zero":
-        verdict = alg.is_zero(_parse_elem(args, args.elem),
-                              cap_depth=args.depth if args.depth is not None else 60)
-        _emit(args, {"verdict": str(verdict)}, str(verdict))
-        return _verdict_exit(verdict)
+        return _emit_verdict(args, alg.is_zero(
+            _parse_elem(args, args.elem),
+            cap_depth=args.depth if args.depth is not None else 60))
     elif args.action == "star":
         elem = _parse_elem(args, args.elem).star()
         _emit(args, elem.to_json(), elem.render())
@@ -190,7 +184,9 @@ def _cmd_algebra(args) -> int:
         rendered = [e.render() for e in items]
         _emit(args, {"elements": rendered}, "\n".join(rendered))
     elif args.action == "cdepth":
-        result = alg.contraction_depth(_parse_elem(args, args.elem))
+        result = alg.contraction_depth(
+            _parse_elem(args, args.elem),
+            cap_depth=args.depth if args.depth is not None else 12)
         _emit(args, {"depth": str(result)}, str(result))
         return _verdict_exit(result)
     elif args.action == "rcbound":
@@ -205,7 +201,7 @@ def _cmd_algebra(args) -> int:
 
 
 def _exactq_payload(args, value, info) -> tuple[dict, str]:
-    if isinstance(value, Unknown):
+    if isinstance(value, Verdict):
         return {"verdict": str(value)}, str(value)
     payload = chars.exact_json(value, args.q,
                                info["classes_used"] if info else 0,
@@ -227,7 +223,7 @@ def _cmd_char(args) -> int:
                                          cap_classes=args.cap_classes,
                                          with_info=True)
         payload, text = _exactq_payload(args, value, info)
-        if not isinstance(value, Unknown):
+        if not isinstance(value, Verdict):
             payload["kernel_psd"] = kernel.psd_report()
         _emit(args, payload, text)
         return _verdict_exit(value)
@@ -244,16 +240,22 @@ def _cmd_char(args) -> int:
         count = chars.count_L(_parse_elem(args, args.elem), args.k,
                               cap_classes=args.cap_classes)
         _emit(args, {"count": count}, str(count))
+        return _verdict_exit(count)
     elif args.action == "growth":
-        constant, stable = chars.growth_constant(
+        result = chars.growth_constant(
             _parse_elem(args, args.elem), args.kmin, args.kmax,
             cap_classes=args.cap_classes)
+        if isinstance(result, Verdict):
+            return _emit_verdict(args, result)
+        constant, stable = result
         payload = {"constant": chars.render_exact(constant, args.q),
                    "stable": stable}
         _emit(args, payload, f"{payload['constant']} stable={stable}")
     elif args.action == "additivity":
         parts = [_parse_elem(args, text) for text in args.elems]
         report = chars.additivity_check(parts, cap_classes=args.cap_classes)
+        if isinstance(report, Verdict):
+            return _emit_verdict(args, report)
         text = (f"sigma={report['sigma_value']} sum={report['component_sum']} "
                 f"additive={report['additive']}")
         _emit(args, report, text)
@@ -262,8 +264,8 @@ def _cmd_char(args) -> int:
         target = Fraction(args.target)
         found = chars.theorem_witness(target, args.q, ring=args.ring,
                                       mode=args.mode)
-        if isinstance(found, chars.NotFound):
-            _emit(args, {"found": False, "reason": found.reason}, str(found))
+        if isinstance(found, Verdict):
+            _emit(args, {"found": False, "reason": found.limit}, str(found))
             return 2
         _emit(args, {"found": True, "element": found.render()}, found.render())
     return 0
@@ -449,9 +451,6 @@ def main(argv=None) -> int:
     except ZeroDivisionError as exc:
         print(f"error: division by zero: {exc}", file=sys.stderr)
         return 1
-    except chars.ClassExplosionError as exc:
-        print(f"unknown: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .verdict import ClassExplosionError, Unknown, Verdict
+from .verdict import ClassExplosionError, Verdict
 from .words import (
     Letter,
     Word,
@@ -255,7 +255,7 @@ class WreathRecursion:
         stack: list[Word] = [root]
         while stack:
             if len(closure) > cap_states:
-                return Verdict.unknown(cap_states)
+                return Verdict.unknown(cap_states, "cap_states")
             el = self.decompose(stack.pop())
             if not el.perm.is_identity:
                 return Verdict.no()
@@ -270,15 +270,14 @@ class WreathRecursion:
 
     def order_of(self, word: Word, cap_power: int = 256,
                  cap_states: int = 100_000):
-        """Least k >= 1 with word^k trivial, or Unknown past the caps."""
+        """Least k >= 1 with word^k trivial, or an unknown Verdict past the
+        caps."""
         base = free_reduce(word)
         for k in range(1, cap_power + 1):
             verdict = self.is_trivial(power(base, k), cap_states)
-            if verdict.is_true:
-                return k
-            if verdict.is_unknown:
-                return Unknown(cap_states)
-        return Unknown(cap_power)
+            if not verdict.is_false:
+                return k if verdict.is_true else verdict
+        return Verdict.unknown(cap_power, "cap_power")
 
     def moved_vertex(self, word: Word,
                      cap_states: int = 10_000) -> tuple[int, ...] | None:
@@ -328,10 +327,19 @@ class WreathRecursion:
 
     def _canonical(self, word: Word, reps: list[Word],
                    cap_states: int) -> Word:
+        """The representative equal to ``word``, appending it if it equals
+        none.  An equality left unknown within ``cap_states`` counts as
+        refuted only by a moved vertex; otherwise it ends the computation."""
         w = free_reduce(word)
         for r in reps:
-            if w == r or self.equal(w, r, cap_states).is_true:
+            if w == r:
                 return r
+            verdict = self.equal(w, r, cap_states)
+            if verdict.is_true:
+                return r
+            if (verdict.is_unknown
+                    and self.moved_vertex(w + inverse(r)) is None):
+                raise ClassExplosionError(f"equality undecided within {verdict}")
         reps.append(w)
         return w
 
@@ -348,7 +356,7 @@ class WreathRecursion:
                 continue
             if len(edges) >= cap_nodes:
                 raise ClassExplosionError(
-                    f"section graph exceeded {cap_nodes} classes", len(edges))
+                    f"section graph exceeded {cap_nodes} classes")
             secs = tuple(self._canonical(s, reps, cap_states)
                          for s in self.decompose(u).sections)
             edges[u] = secs
@@ -383,7 +391,9 @@ class WreathRecursion:
                 cap_states: int = 100_000) -> NucleusResult:
         """Minimal absorbing set of the recursion, as representatives modulo
         equality.  Starts from the limit classes of the generators and their
-        inverses and closes under limit classes of pairwise products."""
+        inverses and closes under limit classes of pairwise products;
+        ``closed`` is False when a cap, or an equality undecided within
+        ``cap_states``, stops the closure."""
         reps: list[Word] = []
         current: list[Word] = []
 

@@ -24,7 +24,6 @@ from .algebra import (
 )
 from .characters import (
     Kernel,
-    NotFound,
     additivity_check,
     count_L,
     group_char,
@@ -33,7 +32,7 @@ from .characters import (
 )
 from .dynamics import PRESETS, RationalMap, RenderConfig, julia_points, render
 from .group import WreathRecursion
-from .verdict import Unknown
+from .verdict import Verdict
 from .words import (
     commutator,
     free_reduce,
@@ -237,7 +236,7 @@ def check_algebra_relations() -> CheckResult:
                 return False, f"defining product gave {v2} at q={q}"
 
             v3 = is_zero(AlgebraElement.generator(RATIONALS, q, 0) - one)
-            if not (v3.is_nonzero and v3.witness_scalar is not None):
+            if v3.state != "nonzero":
                 return False, f"x0-1 gave {v3} at q={q}"
         return True, "both relations vanish, x0-1 refuted by a scalar entry"
 
@@ -280,8 +279,10 @@ def check_counting_defect() -> CheckResult:
             x0 = AlgebraElement.generator(RATIONALS, q, 0)
             tower = _one_minus_word(q, ((0, 1),) * q)
             for s in (x0, one - x0, tower):
-                constant, stable = growth_constant(s, 3, 6)
-                if not stable:
+                result = growth_constant(s, 3, 6)
+                if isinstance(result, Verdict):
+                    return False, f"{result} for {s.render()} at q={q}"
+                if not result[1]:
                     return False, f"defect not constant for {s.render()} at q={q}"
             t0 = time.perf_counter()
             count_L(tower, 20)
@@ -313,6 +314,8 @@ def check_sigma_additivity(tuples: int = 20) -> CheckResult:
         for _ in range(tuples):
             batch = [rng.choice(pool) for _ in range(q)]
             report = additivity_check(batch)
+            if isinstance(report, Verdict):
+                return False, f"additivity check gave {report}"
             if not report["additive"]:
                 return False, f"additivity failed: {report['sigma_value']}"
             for comp in report["components"]:
@@ -335,17 +338,17 @@ def check_range_witnesses() -> CheckResult:
                 for k in range(0, 4):
                     target = Fraction(2 * a, q ** k)
                     found = theorem_witness(target, q)
-                    if isinstance(found, NotFound):
+                    if isinstance(found, Verdict):
                         return False, f"no witness for {target} at q={q}"
                     if spread_char(found, cap_classes=20_000) != target:
                         return False, f"wrong witness value for {target}"
         for target in (Fraction(1, 3), Fraction(5, 9), Fraction(7, 27)):
             found = theorem_witness(target, 3)
-            if not isinstance(found, NotFound):
+            if not isinstance(found, Verdict):
                 if spread_char(found, cap_classes=20_000) != target:
                     return False, f"wrong value returned for {target}"
         one_witness = theorem_witness(Fraction(1), 3)
-        if isinstance(one_witness, NotFound):
+        if isinstance(one_witness, Verdict):
             return False, "no witness for 1"
         return True, "all even-numerator targets reached; odd ones never wrong"
 
@@ -383,7 +386,7 @@ def check_fixed_point_oracle(samples: int = 25) -> CheckResult:
         for _ in range(samples):
             w = _random_word(rng, q, 6)
             value = group_char(rec, w, Kernel.identity(q))
-            if isinstance(value, Unknown):
+            if isinstance(value, Verdict):
                 return False, f"unknown verdict for {w}"
             if (q ** depth) % value.denominator == 0:
                 oracle = Fraction(fixed_count(w, depth), q ** depth)

@@ -24,6 +24,7 @@ from tmss.algebra import (
     sigma,
 )
 from tmss.group import WreathElement, WreathRecursion
+from tmss.verdict import Verdict
 from tmss.words import gamma, theta
 
 
@@ -276,11 +277,12 @@ def test_relation_commuting_powers():
 
 def test_nonzero_certificate():
     verdict = is_zero(gen(2, 0) - one(2))
-    assert verdict.is_nonzero
-    assert verdict.witness_scalar == Fraction(-1)
-    assert verdict.witness_row == (0,) * len(verdict.witness_row)
-    assert len(verdict.witness_row) == verdict.depth
-    assert "scalar" in str(verdict)
+    assert verdict.state == "nonzero" and not verdict.is_zero
+    row, col, scalar = verdict.witness
+    assert scalar == Fraction(-1)
+    assert row == (0,) * len(row)
+    assert len(row) == len(col) == verdict.depth
+    assert str(verdict) == "nonzero(witness=(0,0), scalar=-1)"
 
 
 def test_zero_literal_shortcut():
@@ -338,9 +340,9 @@ def test_contraction_depth_of_tower_element():
 
 
 def test_contraction_depth_cap():
-    from tmss.verdict import Unknown
     result = contraction_depth(one(2) - gen(2, 0) ** 4, cap_depth=0)
-    assert isinstance(result, Unknown)
+    assert result == Verdict.unknown(0, "cap_depth")
+    assert str(result) == "unknown(cap=0)"
 
 
 def test_row_col_bounds_for_monomials():

@@ -16,9 +16,7 @@ from tmss.algebra import (
     sigma,
 )
 from tmss.characters import (
-    ClassExplosionError,
     Kernel,
-    NotFound,
     SingularSystemError,
     additivity_check,
     algebra_char,
@@ -32,7 +30,7 @@ from tmss.characters import (
     theorem_witness,
 )
 from tmss.group import WreathRecursion
-from tmss.verdict import Unknown
+from tmss.verdict import Verdict
 from tmss.words import free_reduce, gamma, power as word_power
 
 
@@ -116,7 +114,8 @@ def test_spread_is_scale_invariant(q, data):
 def test_spread_value_containment(q, data):
     s = data.draw(elements(q))
     value = spread_char(s, cap_classes=20_000)
-    if isinstance(value, Unknown):
+    if isinstance(value, Verdict):
+        assert value == Verdict.unknown(20_000, "cap_classes")
         return
     assert value >= 0
     assert q_power_denominator(value, q) is not None
@@ -146,7 +145,8 @@ def test_spread_is_shift_invariant_on_products(q):
 def test_unknown_on_tiny_cap():
     result = algebra_char(one(2) - gen(2, 0) ** 2, Kernel.ones(2),
                           cap_classes=2)
-    assert isinstance(result, Unknown)
+    assert result == Verdict.unknown(2, "cap_classes")
+    assert str(result) == "unknown(cap=2)"
 
 
 def test_spread_info_payload():
@@ -218,7 +218,7 @@ def test_algebra_and_group_characters_agree_on_monomials(q, data):
 def test_group_character_unknown_on_cap():
     rec = WreathRecursion.thue_morse(2)
     result = group_char(rec, ((1, 1), (1, 1)), cap_classes=1)
-    assert isinstance(result, Unknown)
+    assert result == Verdict.unknown(1, "cap_classes")
 
 
 def test_asymmetric_kernel_can_be_singular():
@@ -325,9 +325,18 @@ def test_count_matches_explicit_matrix(q, data):
 def test_count_explosion_reports_classes():
     elem = one(2) - AlgebraElement.monomial(
         RATIONALS, 2, ((0, 1), (1, 1), (0, 1), (1, -1)))
-    with pytest.raises(ClassExplosionError) as info:
-        count_L(elem, 6, cap_classes=3)
-    assert info.value.classes_seen == 3
+    assert count_L(elem, 6, cap_classes=3) == Verdict.unknown(3, "cap_classes")
+    assert count_L(elem, 6) == _count_countable_entries(elem, 6)
+
+
+def test_growth_constant_reports_the_first_cap():
+    x0_cubed = one(2) - gen(2, 0) ** 3
+    # the character closes within 4 classes, the count does not
+    assert spread_char(x0_cubed, cap_classes=4) == 2
+    assert growth_constant(x0_cubed, 3, 6, cap_classes=4) == Verdict.unknown(
+        4, "cap_classes")
+    assert growth_constant(x0_cubed, 3, 6, cap_classes=1) == Verdict.unknown(
+        1, "cap_classes")
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -385,6 +394,12 @@ def test_additivity_across_levels():
     assert report["sigma_value"] == Fraction(2) + Fraction(2, 4)
 
 
+def test_additivity_reports_the_class_cap():
+    parts = [one(2) - gen(2, 0) ** 2, one(2) - gen(2, 1) ** 2]
+    assert additivity_check(parts, cap_classes=2) == Verdict.unknown(
+        2, "cap_classes")
+
+
 @pytest.mark.parametrize("q", [2])
 def test_enumerated_pool_is_additive(q):
     pool = omega_enumerate(RATIONALS, q, 0, k_max=1)
@@ -406,28 +421,33 @@ def test_witness_tower_targets(q):
     for k in range(3):
         target = Fraction(2, q ** k)
         found = theorem_witness(target, q)
-        assert not isinstance(found, NotFound)
+        assert isinstance(found, AlgebraElement)
         assert spread_char(found) == target
 
 
 def test_witness_composite_targets():
     for target in (Fraction(4, 3), Fraction(8, 9), Fraction(3, 4)):
         found = theorem_witness(target, 3 if target.denominator % 3 == 0 else 2)
-        assert not isinstance(found, NotFound)
+        assert isinstance(found, AlgebraElement)
         assert spread_char(found, cap_classes=40_000) == target
 
 
 def test_witness_odd_numerator_odd_q():
     result = theorem_witness(Fraction(1, 3), 3)
-    assert isinstance(result, NotFound)
-    assert "odd numerator" in result.reason
-    assert isinstance(theorem_witness(Fraction(5, 9), 3), NotFound)
+    assert result.is_unknown and result.cap is None
+    assert result.limit.startswith("odd numerator over odd q")
+    assert str(result) == f"unknown({result.limit})"
+    assert theorem_witness(Fraction(5, 9), 3) == result
 
 
 def test_witness_budget():
     result = theorem_witness(Fraction(1600), 2, budget_leaves=10)
-    assert isinstance(result, NotFound)
-    assert "budget" in result.reason
+    assert result == Verdict.unknown(10, "budget_leaves")
+
+
+def test_witness_class_cap_is_reported_as_such():
+    result = theorem_witness(Fraction(2, 9), 3, cap_classes=2)
+    assert result == Verdict.unknown(2, "cap_classes")
 
 
 def test_witness_target_validation():

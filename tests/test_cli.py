@@ -198,8 +198,9 @@ def test_char_witness(capsys):
 
 
 def test_char_witness_not_found(capsys):
-    code, out, _ = run(capsys, "char", "witness", "1/3", "--q", "3")
-    assert code == 2 and "NotFound" in out
+    code, out, err = run(capsys, "char", "witness", "1/3", "--q", "3")
+    assert code == 2 and err == ""
+    assert out.startswith("unknown(odd numerator over odd q")
 
 
 def test_char_witness_zero_denominator_exits_1(capsys):
@@ -210,7 +211,38 @@ def test_char_witness_zero_denominator_exits_1(capsys):
 def test_char_count_class_cap_exits_2(capsys):
     code, out, err = run(capsys, "char", "count", "1 - x0", "30",
                          "--cap-classes", "2")
-    assert code == 2 and out == "" and err.startswith("unknown:")
+    assert code == 2 and out == "unknown(cap=2)" and err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("group", "trivial", "x0 x1", "--cap-states", "0"),
+    ("group", "equal", "x1", "x1^-1", "--cap-states", "0"),
+    ("group", "order", "x0", "--cap-states", "0"),
+    ("group", "nucleus", "--cap-states", "0"),
+    ("algebra", "zero", "1 - x0 x0", "--depth", "0"),
+    ("algebra", "cdepth", "1 - x0 x0 x0 x0", "--depth", "0"),
+    ("char", "spread", "1 - x0 x0", "--cap-classes", "1"),
+    ("char", "kernel", "1 - x0 x0", "--cap-classes", "1"),
+    ("char", "group", "x0 x1", "--cap-classes", "1"),
+    ("char", "count", "1 - x0 x0", "5", "--cap-classes", "1"),
+    ("char", "growth", "1 - x0 x0", "--cap-classes", "1"),
+    ("char", "additivity", "1 - x0 x0", "1 - x1 x1", "--cap-classes", "2"),
+], ids=lambda argv: " ".join(argv[:2]))
+def test_capped_subcommands_exit_2_with_an_unknown_answer(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and err == ""
+    if argv[1] == "nucleus":
+        assert out.endswith("(cap reached)")
+    else:
+        assert out.startswith("unknown")
+
+
+def test_algebra_cdepth_honours_depth(capsys):
+    code, out, _ = run(capsys, "algebra", "cdepth", "1 - x0 x0 x0 x0",
+                       "--depth", "0")
+    assert code == 2 and out == "unknown(cap=0)"
+    code, out, _ = run(capsys, "algebra", "cdepth", "1 - x0 x0 x0 x0")
+    assert code == 0 and out == "4"
 
 
 def test_char_additivity(capsys):

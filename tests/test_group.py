@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tmss.group import Permutation, WreathElement, WreathRecursion
+from tmss.verdict import Verdict
 from tmss.words import (
     commutator,
     free_reduce,
@@ -222,6 +223,14 @@ def test_order_of_x0_is_unresolved_within_cap():
     assert not isinstance(result, int)
 
 
+def test_order_of_names_the_cap_that_ran_out():
+    rec = WreathRecursion.thue_morse(2)
+    x0 = ((0, 1),)
+    assert rec.order_of(x0, cap_power=16).limit == "cap_power"
+    assert rec.order_of(x0, cap_states=2).limit == "cap_states"
+    assert rec.order_of(x0, cap_states=2) == Verdict.unknown(2, "cap_states")
+
+
 def test_moved_vertex_soundness():
     rec = WreathRecursion.thue_morse(2)
     for word in (((0, 1),), ((0, 1), (0, 1)), ((0, 1), (1, 1))):
@@ -272,6 +281,27 @@ def test_nucleus_cap_on_section_graph_reports_open():
     # one generator's section graph already outgrows a cap of one class
     result = WreathRecursion.thue_morse(2).nucleus(cap_elements=1)
     assert result.closed is False
+
+
+PRESETS = (WreathRecursion.thue_morse, WreathRecursion.inverted_variant,
+           WreathRecursion.transposed_variant)
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_nucleus_undecided_equality_reports_open(preset, q):
+    # at cap 0 no equality is certified, so x1^-1 and its equal power of x1
+    # cannot be merged; the closure must stop instead of counting both
+    assert preset(q).nucleus(cap_states=0).closed is False
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_nucleus_small_state_caps_keep_the_reference(preset, q):
+    reference = preset(q).nucleus()
+    assert reference.closed
+    for cap in range(1, 5):
+        assert preset(q).nucleus(cap_states=cap) == reference
 
 
 def test_trivial_recursion_nucleus():
