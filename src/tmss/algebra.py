@@ -153,13 +153,19 @@ class AlgebraElement:
 
     __slots__ = ("ring", "q", "mode", "terms")
 
-    def __init__(self, ring, q: int, mode: str, terms: dict[Word, object]):
+    def __init__(self, ring, q: int, mode: str, terms):
+        """``terms`` is a dict from words to coefficients or an iterable of
+        ``(word, coefficient)`` pairs.  In mode B every word is freely
+        reduced; equal words are summed, each sum is reduced in ``ring`` and
+        zero sums are dropped."""
         if mode not in ("A", "B"):
             raise ValueError("mode must be 'A' or 'B'")
         if q < 2:
             raise ValueError("alphabet size must be at least 2")
-        clean: dict[Word, object] = {}
-        for word, coeff in terms.items():
+        if isinstance(terms, dict):
+            terms = terms.items()
+        sums: dict[Word, object] = {}
+        for word, coeff in terms:
             for i, sign in word:
                 if not 0 <= i < q:
                     raise ValueError(f"letter x{i} is outside x0..x{q - 1}")
@@ -168,17 +174,12 @@ class AlgebraElement:
                         "mode A admits positive letters only")
             if mode == "B":
                 word = free_reduce(word)
-            coeff = ring.coerce(coeff)
-            if word in clean:
-                coeff = clean[word] + coeff
-            if coeff == 0:
-                clean.pop(word, None)
-            else:
-                clean[word] = coeff
+            sums[word] = sums.get(word, 0) + coeff
         self.ring = ring
         self.q = q
         self.mode = mode
-        self.terms = clean
+        self.terms = {word: coeff for word, total in sums.items()
+                      if (coeff := ring.coerce(total)) != 0}
 
     # construction helpers
 
@@ -207,14 +208,8 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._compatible(other)
-        terms = dict(self.terms)
-        for word, coeff in other.terms.items():
-            new = terms.get(word, 0) + coeff
-            if new == 0:
-                terms.pop(word, None)
-            else:
-                terms[word] = new
-        return AlgebraElement(self.ring, self.q, self.mode, terms)
+        return AlgebraElement(self.ring, self.q, self.mode, itertools.chain(
+            self.terms.items(), other.terms.items()))
 
     def __neg__(self) -> "AlgebraElement":
         return AlgebraElement(self.ring, self.q, self.mode,
@@ -225,18 +220,9 @@ class AlgebraElement:
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._compatible(other)
-        terms: dict[Word, object] = {}
-        for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                word = wa + wb
-                if self.mode == "B":
-                    word = free_reduce(word)
-                new = terms.get(word, 0) + ca * cb
-                if new == 0:
-                    terms.pop(word, None)
-                else:
-                    terms[word] = new
-        return AlgebraElement(self.ring, self.q, self.mode, terms)
+        return AlgebraElement(self.ring, self.q, self.mode, (
+            (wa + wb, ca * cb)
+            for wa, ca in self.terms.items() for wb, cb in other.terms.items()))
 
     def scale(self, coeff) -> "AlgebraElement":
         coeff = self.ring.coerce(coeff)
@@ -313,17 +299,9 @@ class AlgebraElement:
     def collapse_high_letters(self) -> "AlgebraElement":
         """Send x_i to x_1 for i >= 2, keeping signs.  Safe for anything
         computed through phi, because those generators share one image."""
-        terms: dict[Word, object] = {}
-        for w, c in self.terms.items():
-            cw = tuple((min(i, 1), s) for i, s in w)
-            if self.mode == "B":
-                cw = free_reduce(cw)
-            new = terms.get(cw, 0) + c
-            if new == 0:
-                terms.pop(cw, None)
-            else:
-                terms[cw] = new
-        return AlgebraElement(self.ring, self.q, self.mode, terms)
+        return AlgebraElement(self.ring, self.q, self.mode, (
+            (tuple((min(i, 1), s) for i, s in w), c)
+            for w, c in self.terms.items()))
 
     # decomposition
 
@@ -331,17 +309,12 @@ class AlgebraElement:
         """One decomposition step as a q x q matrix."""
         q = self.q
         fold = _thue_morse(q).fold
-        grid: list[list[dict[Word, object]]] = [
-            [dict() for _ in range(q)] for _ in range(q)]
+        grid: list[list[list[tuple[Word, object]]]] = [
+            [[] for _ in range(q)] for _ in range(q)]
         for word, coeff in self.terms.items():
             perm, entries = fold(word)
             for a, entry in enumerate(entries):
-                cell = grid[a][perm[a]]
-                new = cell.get(entry, 0) + coeff
-                if new == 0:
-                    cell.pop(entry, None)
-                else:
-                    cell[entry] = new
+                grid[a][perm[a]].append((entry, coeff))
         return tuple(
             tuple(AlgebraElement(self.ring, q, self.mode, grid[a][b])
                   for b in range(q))
@@ -496,12 +469,9 @@ def sigma(*components: AlgebraElement) -> AlgebraElement:
         raise ValueError(f"sigma needs exactly {q} components")
     for c in components[1:]:
         first._compatible(c)
-    out = AlgebraElement.zero(first.ring, q, first.mode)
-    for m, comp in enumerate(components):
-        shift = AlgebraElement.monomial(first.ring, q, ((1, 1),) * m,
-                                        mode=first.mode)
-        out = out + shift * comp.theta_map()
-    return out
+    return AlgebraElement(first.ring, q, first.mode, (
+        (((1, 1),) * m + word_theta(w, q), c)
+        for m, comp in enumerate(components) for w, c in comp.terms.items()))
 
 
 def big_product_word(q: int) -> Word:
@@ -629,7 +599,7 @@ def parse_element(text: str, ring, q: int, mode: str = "B") -> AlgebraElement:
     if not groups:
         raise ValueError("empty element")
 
-    terms: dict[Word, object] = {}
+    terms: list[tuple[Word, object]] = []
     for sgn, toks in groups:
         coeff = ring.coerce(1)
         letters: list[tuple[int, int]] = []
@@ -642,15 +612,5 @@ def parse_element(text: str, ring, q: int, mode: str = "B") -> AlgebraElement:
                 raise ValueError(f"coefficient {tok!r} after letters")
             else:
                 coeff = coeff * ring.parse(tok)
-        if sgn < 0:
-            coeff = -coeff
-        coeff = ring.coerce(coeff)
-        word = tuple(letters)
-        if mode == "B":
-            word = free_reduce(word)
-        new = terms.get(word, 0) + coeff
-        if new == 0:
-            terms.pop(word, None)
-        else:
-            terms[word] = new
+        terms.append((tuple(letters), coeff if sgn > 0 else -coeff))
     return AlgebraElement(ring, q, mode, terms)

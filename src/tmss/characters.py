@@ -418,7 +418,7 @@ def additivity_check(components, cap_classes: int = 10_000):
 
 
 def theorem_witness(target, q: int, ring=None, mode: str = "B",
-                    budget_leaves: int = 729, cap_classes: int = 20_000):
+                    budget_leaves: int = 729, cap_classes: int = 10_000):
     """Search for an element whose spread character equals ``target``.
 
     Targets 2a/q^k are reached by combining a copies of the level-k tower

@@ -263,7 +263,8 @@ def _cmd_char(args) -> int:
     elif args.action == "witness":
         target = Fraction(args.target)
         found = chars.theorem_witness(target, args.q, ring=args.ring,
-                                      mode=args.mode)
+                                      mode=args.mode,
+                                      cap_classes=args.cap_classes)
         if isinstance(found, Verdict):
             _emit(args, {"found": False, "reason": found.limit}, str(found))
             return 2

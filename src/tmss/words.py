@@ -82,11 +82,6 @@ def gamma(word: Word, shift: int, q: int) -> Word:
     return tuple(((i + shift) % q, sign) for i, sign in word)
 
 
-def ascending_word(q: int) -> Word:
-    """The word x_0 x_1 ... x_{q-1}."""
-    return tuple((i, 1) for i in range(q))
-
-
 def tm_prefix(q: int, n: int) -> tuple[int, ...]:
     """First ``n`` letter indices of the fixed word of ``theta``.
 

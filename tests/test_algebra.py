@@ -36,22 +36,13 @@ def one(q, ring=RATIONALS, mode="B"):
     return AlgebraElement.one(ring, q, mode=mode)
 
 
-def elements(q, max_terms=3, max_len=4, mode="B"):
+def elements(q, max_terms=3, max_len=4, mode="B", ring=RATIONALS):
     sign = (1, -1) if mode == "B" else (1,)
     letter = st.tuples(st.integers(0, q - 1), st.sampled_from(sign))
     word = st.lists(letter, max_size=max_len).map(tuple)
-    coeff = st.integers(-3, 3).map(Fraction)
-    term = st.tuples(word, coeff)
+    term = st.tuples(word, st.integers(-3, 3))
     return st.lists(term, max_size=max_terms).map(
-        lambda terms: AlgebraElement(RATIONALS, q, mode,
-                                     dict_sum(terms)))
-
-
-def dict_sum(terms):
-    acc = {}
-    for word, coeff in terms:
-        acc[word] = acc.get(word, 0) + coeff
-    return acc
+        lambda terms: AlgebraElement(ring, q, mode, terms))
 
 
 # -- ring scaffolding ----------------------------------------------------------
@@ -93,6 +84,17 @@ def test_positive_mode_rejects_inverse_letters():
 def test_involutive_mode_free_reduces_words():
     elem = AlgebraElement.monomial(RATIONALS, 2, ((0, 1), (0, -1), (1, 1)))
     assert elem == gen(2, 1)
+
+
+def test_constructor_reduces_sums_of_reduced_words_in_the_ring():
+    x0, x0_inv = (0, 1), (0, -1)
+    elem = AlgebraElement(PrimeField(5), 2, "B", {(x0, x0_inv): 2, (): 3})
+    assert elem == AlgebraElement.zero(PrimeField(5), 2)
+    assert elem.is_zero_literal and elem.render() == "0"
+    assert is_zero(elem) == Verdict("zero", depth=0)
+    field = PrimeField(7)
+    elem = AlgebraElement(field, 2, "B", [((x0, x0_inv), 5), ((), 3), ((x0,), 6)])
+    assert elem.terms == {(): 1, (x0,): 6}
 
 
 # -- generator matrices under phi ----------------------------------------------
@@ -427,17 +429,18 @@ def test_to_json_shape():
 # -- algebra laws ------------------------------------------------------------------
 
 
-@given(st.sampled_from((2, 3)), st.data())
-def test_ring_axioms_sampled(q, data):
-    a = data.draw(elements(q))
-    b = data.draw(elements(q))
-    c = data.draw(elements(q))
+@given(st.sampled_from((2, 3)), st.sampled_from((RATIONALS, INTEGERS, PrimeField(5))),
+       st.data())
+def test_ring_axioms_sampled(q, ring, data):
+    a = data.draw(elements(q, ring=ring))
+    b = data.draw(elements(q, ring=ring))
+    c = data.draw(elements(q, ring=ring))
     assert a + b == b + a
     assert (a + b) + c == a + (b + c)
     assert a * (b + c) == a * b + a * c
     assert (a * b) * c == a * (b * c)
-    assert a - a == AlgebraElement.zero(RATIONALS, q)
-    assert a * one(q) == a and one(q) * a == a
+    assert a - a == AlgebraElement.zero(ring, q)
+    assert a * one(q, ring) == a and one(q, ring) * a == a
 
 
 @given(st.sampled_from((2, 3)), st.data())

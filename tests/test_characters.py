@@ -60,16 +60,9 @@ def fixed_fraction(rec, word, depth):
 def elements(q, max_terms=3, max_len=3):
     letter = st.tuples(st.integers(0, q - 1), st.sampled_from((1, -1)))
     word = st.lists(letter, max_size=max_len).map(tuple)
-    coeff = st.integers(-2, 2).map(Fraction)
-    term = st.tuples(word, coeff)
-
-    def build(terms):
-        acc = {}
-        for w, c in terms:
-            acc[w] = acc.get(w, 0) + c
-        return AlgebraElement(RATIONALS, q, "B", acc)
-
-    return st.lists(term, max_size=max_terms).map(build)
+    term = st.tuples(word, st.integers(-2, 2))
+    return st.lists(term, max_size=max_terms).map(
+        lambda terms: AlgebraElement(RATIONALS, q, "B", terms))
 
 
 # -- spread values on the tower -------------------------------------------------

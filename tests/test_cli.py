@@ -227,6 +227,7 @@ def test_char_count_class_cap_exits_2(capsys):
     ("char", "count", "1 - x0 x0", "5", "--cap-classes", "1"),
     ("char", "growth", "1 - x0 x0", "--cap-classes", "1"),
     ("char", "additivity", "1 - x0 x0", "1 - x1 x1", "--cap-classes", "2"),
+    ("char", "witness", "2/9", "--q", "3", "--cap-classes", "2"),
 ], ids=lambda argv: " ".join(argv[:2]))
 def test_capped_subcommands_exit_2_with_an_unknown_answer(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from tmss.words import (
     InvalidLetterError,
-    ascending_word,
     check_word,
     commutator,
     free_reduce,
@@ -93,10 +92,6 @@ def test_check_word_rejects_out_of_range():
         check_word(((2, 1),), 2)
     with pytest.raises(InvalidLetterError):
         theta(((3, 1),), 3)
-
-
-def test_ascending_word():
-    assert ascending_word(3) == ((0, 1), (1, 1), (2, 1))
 
 
 def test_power_and_inverse():
