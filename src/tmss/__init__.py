@@ -4,7 +4,8 @@ The package follows one substitution: each generator x_i maps to the block
 x_i x_{i+1} ... x_{i-1} of cyclically ascending letters.  Groups are
 handled through wreath recursions with exact word-problem certificates;
 algebras through sparse matrix decompositions; characters through closed
-linear systems solved over the rationals; and a floating-point renderer
+linear systems, back-substituted over the rationals in topological order
+with elimination only inside cyclic components; and a floating-point renderer
 draws Julia sets of the associated rational maps.
 """
 

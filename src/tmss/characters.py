@@ -5,11 +5,14 @@ decomposition recursion
 
     q * chi(s) = sum over the q x q entries (i, j) of k(i, j) * chi(phi(s)_{i,j})
 
-into finitely many scaling classes, attaching base values where the axioms
-pin them (zero maps to 0, scalars map to 1, and for the spread kernel every
-single monomial maps to 1), and solving the resulting square linear system
-exactly over the rationals.  Group words follow the same scheme through
-their wreath recursion with
+into finitely many scaling classes and attaching base values where the
+axioms pin them (zero maps to 0, scalars map to 1, and for the spread kernel
+every single monomial maps to 1).  The equations are then solved exactly
+over the rationals by back-substitution along the class graph in
+topological order: its strongly connected components are visited children
+first, and only a component with a cycle of two or more classes needs an
+elimination of its own.  Group words follow the same scheme through their
+wreath recursion with
 
     q * chi(w) = sum over strands a of k(a, perm(a)) * chi(section_a(w)).
 
@@ -126,7 +129,11 @@ def _is_psd(m: list[list[Fraction]]) -> bool:
 
 
 def _solve_system(n: int, rows: list[tuple[dict[int, Fraction], Fraction]]):
-    """Solve a square exact system given as (coefficient map, rhs) rows."""
+    """Solve a square exact system given as (coefficient map, rhs) rows.
+
+    The elimination inside one cyclic component of a closure, and the
+    dense oracle that the component-wise solve is tested against.
+    """
     if len(rows) != n:
         raise SingularSystemError(f"system has {len(rows)} rows for {n} variables")
     dense = [[Fraction(0)] * n + [rhs] for _, rhs in rows]
@@ -198,25 +205,88 @@ class _Closure:
             self.edges[idx] = out
         return self.edges[idx]
 
+    def components(self):
+        """Strongly connected components of the class graph, each yielded
+        after every component it reaches: Tarjan (SIAM J. Comput. 1(2),
+        1972) with an explicit stack, since closure depth grows with the
+        input.  Every class is reachable from class 0."""
+        index: dict[int, int] = {}
+        low: dict[int, int] = {}
+        stack: list[int] = []
+        on_stack: set[int] = set()
+
+        def visit(v: int):
+            index[v] = low[v] = len(index)
+            stack.append(v)
+            on_stack.add(v)
+            return v, iter(self.edges[v] or ())
+
+        work = [visit(0)]
+        while work:
+            v, children = work[-1]
+            for w in children:
+                if w not in index:
+                    work.append(visit(w))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    component = []
+                    while not component or component[-1] != v:
+                        component.append(stack.pop())
+                        on_stack.discard(component[-1])
+                    yield component
+
     def solve(self, q: int):
         """Expand every class, then solve q chi(c) = sum of weight *
-        chi(child) with chi = 1 on base classes; the root's value and info."""
+        chi(child) with chi = 1 on base classes; the root's value and info.
+
+        Components are solved children first, so each sees only known
+        values outside itself; the system is singular exactly when one
+        component's block is.
+        """
         idx = 0
         while idx < len(self.reps):
             self.expand(idx)
             idx += 1
-        rows: list[tuple[dict[int, Fraction], Fraction]] = []
-        for idx in range(len(self.reps)):
-            edges = self.edges[idx]
-            if edges is None:
-                rows.append(({idx: Fraction(1)}, Fraction(1)))
+        values: dict[int, Fraction] = {}
+        largest = 1
+        for component in self.components():
+            largest = max(largest, len(component))
+            if len(component) == 1:
+                c = component[0]
+                edges = self.edges[c]
+                if edges is None:
+                    values[c] = Fraction(1)
+                    continue
+                known = sum((w * values[child] for child, w in edges.items()
+                             if child != c), Fraction(0))
+                pivot = q - edges.get(c, 0)
+                if pivot == 0:
+                    raise SingularSystemError("dependency system is singular")
+                values[c] = known / pivot
                 continue
-            coeffs = {idx: Fraction(q)}
-            for child, weight in edges.items():
-                coeffs[child] = coeffs.get(child, Fraction(0)) - weight
-            rows.append((coeffs, Fraction(0)))
-        values = _solve_system(len(rows), rows)
-        return values[0], {"classes_used": len(rows), "depth": max(self.depth)}
+            position = {c: i for i, c in enumerate(component)}
+            rows: list[tuple[dict[int, Fraction], Fraction]] = []
+            for c in component:
+                coeffs = {position[c]: Fraction(q)}
+                rhs = Fraction(0)
+                for child, w in self.edges[c].items():
+                    j = position.get(child)
+                    if j is None:
+                        rhs += w * values[child]
+                    else:
+                        coeffs[j] = coeffs.get(j, Fraction(0)) - w
+                rows.append((coeffs, rhs))
+            values.update(zip(component, _solve_system(len(rows), rows)))
+        return values[0], {"classes_used": len(self.reps),
+                           "depth": max(self.depth),
+                           "largest_component": largest}
 
 
 def _closure_value(key, rep, children, cap_classes: int, q: int,
@@ -242,7 +312,7 @@ def algebra_char(s: AlgebraElement, kernel: Kernel, cap_classes: int = 10_000,
     if kernel.q != s.q:
         raise ValueError("kernel size does not match the alphabet")
     if s.is_zero_literal:
-        info = {"classes_used": 0, "depth": 0}
+        info = {"classes_used": 0, "depth": 0, "largest_component": 0}
         return (Fraction(0), info) if with_info else Fraction(0)
 
     def children(elem: AlgebraElement):

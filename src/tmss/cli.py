@@ -203,9 +203,9 @@ def _cmd_algebra(args) -> int:
 def _exactq_payload(args, value, info) -> tuple[dict, str]:
     if isinstance(value, Verdict):
         return {"verdict": str(value)}, str(value)
-    payload = chars.exact_json(value, args.q,
-                               info["classes_used"] if info else 0,
-                               info["depth"] if info else 0)
+    payload = chars.exact_json(value, args.q, info["classes_used"],
+                               info["depth"])
+    payload["largest_component"] = info["largest_component"]
     return payload, payload["value"]
 
 

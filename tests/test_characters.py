@@ -1,7 +1,9 @@
 """Self-similar characters: spread values, counting, additivity, witnesses."""
 
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,8 @@ from tmss.algebra import (
 from tmss.characters import (
     Kernel,
     SingularSystemError,
+    _Closure,
+    _solve_system,
     additivity_check,
     algebra_char,
     count_L,
@@ -145,7 +149,7 @@ def test_unknown_on_tiny_cap():
 def test_spread_info_payload():
     value, info = spread_char(one(2) - gen(2, 0) ** 2, with_info=True)
     assert value == 2
-    assert info["classes_used"] == 8 and info["depth"] == 3
+    assert info == {"classes_used": 8, "depth": 3, "largest_component": 1}
 
 
 # -- group characters -----------------------------------------------------------
@@ -206,6 +210,118 @@ def test_algebra_and_group_characters_agree_on_monomials(q, data):
     rec = WreathRecursion.thue_morse(q)
     assert (_value_or_singular(lambda: algebra_char(monomial, kernel))
             == _value_or_singular(lambda: group_char(rec, w, kernel)))
+
+
+# -- the component-wise solve against one dense elimination -------------------
+
+
+@contextmanager
+def _recorded_closures():
+    """Collect every (_Closure, q) that ``solve`` is called on."""
+    seen = []
+    solve = _Closure.solve
+
+    def recording_solve(closure, q):
+        seen.append((closure, q))
+        return solve(closure, q)
+
+    with mock.patch.object(_Closure, "solve", recording_solve):
+        yield seen
+
+
+def _dense_root_value(closure, q):
+    """The oracle: one row per class of a finished closure, solved by a
+    single elimination over the whole system."""
+    rows = []
+    for idx in range(len(closure.reps)):
+        edges = closure.edges[idx]
+        if edges is None:
+            rows.append(({idx: Fraction(1)}, Fraction(1)))
+            continue
+        coeffs = {idx: Fraction(q)}
+        for child, weight in edges.items():
+            coeffs[child] = coeffs.get(child, Fraction(0)) - weight
+        rows.append((coeffs, Fraction(0)))
+    return _solve_system(len(rows), rows)[0]
+
+
+def _solved_like_the_oracle(compute):
+    """Run ``compute`` and check its value, or its SingularSystemError,
+    against the dense oracle on the closure it solved; that closure, or
+    None when nothing was solved or the class cap was hit."""
+    with _recorded_closures() as seen:
+        result = _value_or_singular(compute)
+    if not seen or isinstance(result, Verdict):
+        return None
+    (closure, q), = seen
+    assert result == _value_or_singular(lambda: _dense_root_value(closure, q))
+    return closure
+
+
+def _has_self_loop(closure):
+    return any(idx in (edges or ()) for idx, edges in closure.edges.items())
+
+
+@given(st.sampled_from((2, 3)), st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_algebra_solve_matches_the_dense_oracle(q, monomial_base, data):
+    s = data.draw(elements(q))
+    kernel = data.draw(_kernels(q))
+    _solved_like_the_oracle(lambda: spread_char(s))
+    _solved_like_the_oracle(
+        lambda: algebra_char(s, kernel, monomial_base=monomial_base))
+
+
+@given(st.sampled_from((2, 3, 4)),
+       st.sampled_from(("thue_morse", "inverted_variant", "transposed_variant")),
+       st.data())
+@settings(max_examples=80, deadline=None)
+def test_group_solve_matches_the_dense_oracle(q, preset, data):
+    rec = getattr(WreathRecursion, preset)(q)
+    letter = st.tuples(st.integers(0, q - 1), st.sampled_from((1, -1)))
+    w = tuple(data.draw(st.lists(letter, max_size=6)))
+    for kernel in (Kernel.identity(q), Kernel.ones(q)):
+        _solved_like_the_oracle(lambda: group_char(rec, w, kernel))
+
+
+def test_solve_takes_a_self_loop():
+    rec = WreathRecursion.thue_morse(2)
+    closure = _solved_like_the_oracle(
+        lambda: group_char(rec, ((0, 1),), Kernel.ones(2)))
+    assert _has_self_loop(closure)
+    assert group_char(rec, ((0, 1),), Kernel.ones(2), with_info=True) == (
+        1, {"classes_used": 3, "depth": 2, "largest_component": 1})
+
+
+def test_solve_takes_a_two_class_cycle():
+    rec = WreathRecursion.inverted_variant(2)
+    closure = _solved_like_the_oracle(
+        lambda: group_char(rec, ((0, 1),), Kernel.ones(2)))
+    assert not _has_self_loop(closure)
+    assert group_char(rec, ((0, 1),), Kernel.ones(2), with_info=True) == (
+        1, {"classes_used": 5, "depth": 2, "largest_component": 2})
+
+
+def test_singular_self_loop_raises():
+    rec = WreathRecursion.thue_morse(2)
+    kernel = Kernel([[0, 2], [0, 0]])
+    closure = _solved_like_the_oracle(lambda: group_char(rec, ((0, 1),), kernel))
+    assert _has_self_loop(closure)
+    with pytest.raises(SingularSystemError):
+        group_char(rec, ((0, 1),), kernel)
+
+
+def test_solve_needs_no_recursion_on_a_long_chain():
+    # class i has a self-loop and one child i + 1, so
+    # 3 chi(i) = chi(i) + chi(i + 1) and chi(0) = 2^-n
+    n = 5_000
+
+    def children(i):
+        return None if i == n else [(i, i, 1), (i + 1, i + 1, 1)]
+
+    value, info = _Closure(0, 0, children, cap_classes=n + 1).solve(3)
+    assert value == Fraction(1, 2 ** n)
+    assert info == {"classes_used": n + 1, "depth": n, "largest_component": 1}
 
 
 def test_group_character_unknown_on_cap():

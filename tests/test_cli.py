@@ -166,6 +166,15 @@ def test_char_spread_json(capsys):
     payload = json.loads(out)
     assert payload["value"] == "2" and payload["num"] == 2
     assert payload["den"] == 1 and payload["classes_used"] > 0
+    assert payload["largest_component"] == 1
+
+
+def test_char_group_json_reports_the_largest_component(capsys):
+    code, out, _ = run(capsys, "char", "group", "x0", "--preset", "inverted",
+                       "--kernel", "ones", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value"] == "1" and payload["largest_component"] == 2
 
 
 def test_char_kernel_reports_psd(capsys):
