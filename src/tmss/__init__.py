@@ -30,7 +30,6 @@ from .algebra import (
 )
 from .characters import (
     Kernel,
-    SingularSystemError,
     additivity_check,
     algebra_char,
     count_L,
@@ -40,6 +39,7 @@ from .characters import (
     spread_char,
     theorem_witness,
 )
+from .closure import SingularSystemError
 from .dynamics import PRESETS, RationalMap, RenderConfig, julia_points, render, write_pgm
 from .group import NucleusResult, Permutation, WreathElement, WreathRecursion
 from .verdict import Verdict

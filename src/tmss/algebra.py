@@ -14,8 +14,10 @@ matrix carries section a at row a, column perm(a).  Under this assignment
 (i, j).
 
 Zero testing asks whether some iterate ``phi^n(s)`` is the literally zero
-matrix; a nonzero scalar entry in any iterate is a permanent obstruction and
-certifies nonzero.
+matrix.  It walks the class graph of ``closure.Closure`` level by level and
+stops on an empty level (zero), on a nonzero scalar entry, which is a
+permanent obstruction (nonzero), or at the depth cap (unknown).
+``contraction_depth`` walks the same graph.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import itertools
 from fractions import Fraction
 from functools import cache
 
+from .closure import Closure
 from .group import WreathRecursion
 from .verdict import Verdict
 from .words import (
@@ -31,7 +34,9 @@ from .words import (
     free_reduce,
     gamma as word_gamma,
     inverse as word_inverse,
+    parse_word,
     power as word_power,
+    render_word,
     theta as word_theta,
 )
 
@@ -325,8 +330,6 @@ class AlgebraElement:
     def render(self) -> str:
         if not self.terms:
             return "0"
-        from .words import render_word
-
         parts: list[str] = []
         for word, coeff in self.sorted_terms():
             body = render_word(word) if word else "1"
@@ -350,8 +353,6 @@ class AlgebraElement:
         return f"<{self.mode}_{self.q}[{self.ring.name}] {self.render()}>"
 
     def to_json(self) -> dict:
-        from .words import render_word
-
         return {
             "mode": self.mode,
             "q": self.q,
@@ -423,38 +424,39 @@ def phi_iterate(s: AlgebraElement, n: int) -> dict[tuple[int, int], AlgebraEleme
 # -- zero testing -----------------------------------------------------------
 
 
+def _entries(rep: AlgebraElement) -> list:
+    """The nonzero entries of ``phi(rep)`` as closure children."""
+    return [(entry.key(), entry, 1, (i, j))
+            for i, row in enumerate(rep.phi()) for j, entry in enumerate(row)
+            if not entry.is_zero_literal]
+
+
 def is_zero(s: AlgebraElement, cap_depth: int = 60) -> Verdict:
     """Decide whether some phi-iterate of ``s`` is the zero matrix.
 
-    Tracks one representative per scaling class of nonzero entries, with the
-    vertex pair that produced it.  A nonzero scalar entry certifies nonzero
-    forever; an empty entry set certifies zero; a stable class set or the
-    depth cap yields unknown.
+    Walks the scaling classes of nonzero entries level by level, expanding
+    each class once.  An empty level certifies zero.  A nonzero scalar entry
+    certifies nonzero forever, with its first route as the witness, and
+    ends the walk before the rest of its level is expanded.  The depth cap
+    yields unknown.
     """
     if s.is_zero_literal:
         return Verdict("zero", depth=0)
-    frontier: dict = {s.key(): (s, (), ())}
-    seen: set = set(frontier)
+    # the root is keyed None, so no entry joins its class: a scalar entry
+    # always gets a class, and a route, of its own
+    closure = Closure(None, s, _entries)
+    level = {0: 1}
     for depth in range(1, cap_depth + 1):
-        grown: dict = {}
-        for rep, u, v in frontier.values():
-            block = rep.phi()
-            for i, row in enumerate(block):
-                for j, entry in enumerate(row):
-                    if entry.is_zero_literal:
-                        continue
-                    if entry.is_scalar:
-                        return Verdict("nonzero", depth=depth, witness=(
-                            u + (i,), v + (j,), entry.terms[()]))
-                    key = entry.key()
-                    if key not in grown:
-                        grown[key] = (entry, u + (i,), v + (j,))
-        if not grown:
+        for idx in level:
+            for child in closure.expand(idx):
+                entry = closure.reps[child]
+                if entry.is_scalar:
+                    rows, cols = zip(*closure.path(child))
+                    return Verdict("nonzero", depth=depth,
+                                   witness=(rows, cols, entry.terms[()]))
+        level = closure.step(level)
+        if not level:
             return Verdict("zero", depth=depth)
-        if set(grown) <= seen:
-            break
-        seen |= set(grown)
-        frontier = grown
     return Verdict.unknown(cap_depth, "cap_depth")
 
 
@@ -520,17 +522,12 @@ def omega_enumerate(ring, q: int, n: int, k_max: int, size_cap: int = 512,
 def contraction_depth(s: AlgebraElement, cap_depth: int = 12):
     """Least n with every entry of phi^n(s) in the span of 1 and single
     generators, or an unknown Verdict past the cap."""
-    frontier = {s.key(): s}
+    closure = Closure(s.key(), s, _entries)
+    level = {0: 1}
     for depth in range(cap_depth + 1):
-        if all(rep.max_monomial_length() <= 1 for rep in frontier.values()):
+        if all(closure.reps[idx].max_monomial_length() <= 1 for idx in level):
             return depth
-        grown: dict = {}
-        for rep in frontier.values():
-            for row in rep.phi():
-                for entry in row:
-                    if not entry.is_zero_literal:
-                        grown.setdefault(entry.key(), entry)
-        frontier = grown
+        level = closure.step(level)
     return Verdict.unknown(cap_depth, "cap_depth")
 
 
@@ -554,8 +551,6 @@ def row_col_bound_profile(s: AlgebraElement, depth: int) -> list[tuple[int, int]
 
 def parse_element(text: str, ring, q: int, mode: str = "B") -> AlgebraElement:
     """Parse ``"2*x0 x1 - 1 + x1^-1 x0"`` style input."""
-    from .words import parse_word
-
     stripped = text.strip()
     if not stripped:
         raise ValueError("empty element")

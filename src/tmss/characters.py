@@ -16,23 +16,20 @@ wreath recursion with
 
     q * chi(w) = sum over strands a of k(a, perm(a)) * chi(section_a(w)).
 
-One closure engine (``_Closure``) serves both, and ``count_L`` walks the
-same class graph with unit weights.  No floating point is used anywhere in
-this module.
+The class graph and its solve live in ``closure.Closure``, which serves
+both; ``count_L`` walks the same class graph level by level with unit
+weights.  No floating point is used anywhere in this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import AlgebraElement, omega_generator, sigma
+from .algebra import RATIONALS, AlgebraElement, is_zero, omega_generator, sigma
+from .closure import Closure
 from .group import WreathRecursion
 from .verdict import ClassExplosionError, Verdict
 from .words import Word, free_reduce, power as word_power
-
-
-class SingularSystemError(ValueError):
-    """The dependency system has no unique solution."""
 
 
 # -- exact value rendering ---------------------------------------------------
@@ -125,181 +122,17 @@ def _is_psd(m: list[list[Fraction]]) -> bool:
     return True
 
 
-# -- exact linear solving ------------------------------------------------------
-
-
-def _solve_system(n: int, rows: list[tuple[dict[int, Fraction], Fraction]]):
-    """Solve a square exact system given as (coefficient map, rhs) rows.
-
-    The elimination inside one cyclic component of a closure, and the
-    dense oracle that the component-wise solve is tested against.
-    """
-    if len(rows) != n:
-        raise SingularSystemError(f"system has {len(rows)} rows for {n} variables")
-    dense = [[Fraction(0)] * n + [rhs] for _, rhs in rows]
-    for r, (coeffs, _) in enumerate(rows):
-        for c, val in coeffs.items():
-            dense[r][c] = val
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if dense[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            raise SingularSystemError("dependency system is singular")
-        dense[col], dense[pivot] = dense[pivot], dense[col]
-        inv = 1 / dense[col][col]
-        dense[col] = [v * inv for v in dense[col]]
-        for r in range(n):
-            if r != col and dense[r][col] != 0:
-                factor = dense[r][col]
-                dense[r] = [a - factor * b for a, b in zip(dense[r], dense[col])]
-    return [dense[r][n] for r in range(n)]
-
-
-# -- the closure engine ----------------------------------------------------------
-
-
-class _Closure:
-    """Scaling classes reached from a root under a child map.
-
-    Classes are registered by key, at most ``cap_classes`` of them; one more
-    raises ClassExplosionError.  ``children(rep)`` returns None for a base
-    class (value 1) or an iterable of (key, rep, weight) triples, and
-    ``expand`` calls it at most once per class.
-    """
-
-    def __init__(self, key, rep, children, cap_classes: int):
-        self._children = children
-        self._cap = cap_classes
-        self._index: dict = {}
-        self.reps: list = []
-        self.depth: list[int] = []
-        self.edges: dict[int, dict | None] = {}
-        self.register(key, rep, 0)
-
-    def register(self, key, rep, depth: int) -> int:
-        idx = self._index.get(key)
-        if idx is None:
-            idx = len(self.reps)
-            if idx >= self._cap:
-                raise ClassExplosionError(
-                    f"closure exceeded {self._cap} classes")
-            self._index[key] = idx
-            self.reps.append(rep)
-            self.depth.append(depth)
-        return idx
-
-    def expand(self, idx: int) -> dict | None:
-        """Class ``idx``'s children as {child index: summed weight}, or None
-        for a base class."""
-        if idx not in self.edges:
-            out = self._children(self.reps[idx])
-            if out is not None:
-                edges: dict = {}
-                for key, rep, weight in out:
-                    child = self.register(key, rep, self.depth[idx] + 1)
-                    edges[child] = edges.get(child, 0) + weight
-                out = edges
-            self.edges[idx] = out
-        return self.edges[idx]
-
-    def components(self):
-        """Strongly connected components of the class graph, each yielded
-        after every component it reaches: Tarjan (SIAM J. Comput. 1(2),
-        1972) with an explicit stack, since closure depth grows with the
-        input.  Every class is reachable from class 0."""
-        index: dict[int, int] = {}
-        low: dict[int, int] = {}
-        stack: list[int] = []
-        on_stack: set[int] = set()
-
-        def visit(v: int):
-            index[v] = low[v] = len(index)
-            stack.append(v)
-            on_stack.add(v)
-            return v, iter(self.edges[v] or ())
-
-        work = [visit(0)]
-        while work:
-            v, children = work[-1]
-            for w in children:
-                if w not in index:
-                    work.append(visit(w))
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                if low[v] == index[v]:
-                    component = []
-                    while not component or component[-1] != v:
-                        component.append(stack.pop())
-                        on_stack.discard(component[-1])
-                    yield component
-
-    def solve(self, q: int):
-        """Expand every class, then solve q chi(c) = sum of weight *
-        chi(child) with chi = 1 on base classes; the root's value and info.
-
-        Components are solved children first, so each sees only known
-        values outside itself; the system is singular exactly when one
-        component's block is.
-        """
-        idx = 0
-        while idx < len(self.reps):
-            self.expand(idx)
-            idx += 1
-        values: dict[int, Fraction] = {}
-        largest = 1
-        for component in self.components():
-            largest = max(largest, len(component))
-            if len(component) == 1:
-                c = component[0]
-                edges = self.edges[c]
-                if edges is None:
-                    values[c] = Fraction(1)
-                    continue
-                known = sum((w * values[child] for child, w in edges.items()
-                             if child != c), Fraction(0))
-                pivot = q - edges.get(c, 0)
-                if pivot == 0:
-                    raise SingularSystemError("dependency system is singular")
-                values[c] = known / pivot
-                continue
-            position = {c: i for i, c in enumerate(component)}
-            rows: list[tuple[dict[int, Fraction], Fraction]] = []
-            for c in component:
-                coeffs = {position[c]: Fraction(q)}
-                rhs = Fraction(0)
-                for child, w in self.edges[c].items():
-                    j = position.get(child)
-                    if j is None:
-                        rhs += w * values[child]
-                    else:
-                        coeffs[j] = coeffs.get(j, Fraction(0)) - w
-                rows.append((coeffs, rhs))
-            values.update(zip(component, _solve_system(len(rows), rows)))
-        return values[0], {"classes_used": len(self.reps),
-                           "depth": max(self.depth),
-                           "largest_component": largest}
+# -- algebra characters --------------------------------------------------------
 
 
 def _closure_value(key, rep, children, cap_classes: int, q: int,
                    with_info: bool):
     """The root's character value, or an unknown Verdict at the cap."""
     try:
-        value, info = _Closure(key, rep, children, cap_classes).solve(q)
+        value, info = Closure(key, rep, children, cap_classes).solve(q)
     except ClassExplosionError:
         value, info = Verdict.unknown(cap_classes, "cap_classes"), None
     return (value, info) if with_info else value
-
-
-# -- algebra characters --------------------------------------------------------
 
 
 def algebra_char(s: AlgebraElement, kernel: Kernel, cap_classes: int = 10_000,
@@ -318,7 +151,7 @@ def algebra_char(s: AlgebraElement, kernel: Kernel, cap_classes: int = 10_000,
     def children(elem: AlgebraElement):
         if elem.is_scalar or (monomial_base and elem.is_single_term):
             return None
-        return [(entry.key(), entry, kernel[i, j])
+        return [(entry.key(), entry, kernel[i, j], (i, j))
                 for i, row in enumerate(elem.phi())
                 for j, entry in enumerate(row)
                 if kernel[i, j] != 0 and not entry.is_zero_literal]
@@ -361,7 +194,7 @@ def group_char(rec: WreathRecursion, word: Word, kernel: Kernel | None = None,
         if not w:
             return None
         images, sections = rec.fold(w)
-        return [(sections[a], sections[a], kernel[a, images[a]])
+        return [(sections[a], sections[a], kernel[a, images[a]], a)
                 for a in range(q) if kernel[a, images[a]] != 0]
 
     w = free_reduce(word)
@@ -392,12 +225,10 @@ def count_L(s: AlgebraElement, k: int, cap_classes: int = 10_000):
     """
     if k < 0:
         raise ValueError("depth must be nonnegative")
-    from .algebra import is_zero as algebra_is_zero
-
     for i in range(2, s.q):
         diff = (AlgebraElement.generator(s.ring, s.q, i, s.mode)
                 - AlgebraElement.generator(s.ring, s.q, 1, s.mode))
-        certificate = algebra_is_zero(diff, cap_depth=2)
+        certificate = is_zero(diff, cap_depth=2)
         assert certificate.is_zero, f"x{i} and x1 have different images"
 
     collapsed = s.collapse_high_letters()
@@ -407,17 +238,13 @@ def count_L(s: AlgebraElement, k: int, cap_classes: int = 10_000):
     def children(elem: AlgebraElement):
         entries = (entry.collapse_high_letters() for row in elem.phi()
                    for entry in row if not entry.is_zero_literal)
-        return [(entry.key(), entry, 1) for entry in entries]
+        return [(entry.key(), entry, 1, None) for entry in entries]
 
     try:
-        closure = _Closure(collapsed.key(), collapsed, children, cap_classes)
+        closure = Closure(collapsed.key(), collapsed, children, cap_classes)
         counts: dict[int, int] = {0: 1}
         for _ in range(k):
-            grown: dict[int, int] = {}
-            for idx, multiplicity in counts.items():
-                for child, times in closure.expand(idx).items():
-                    grown[child] = grown.get(child, 0) + multiplicity * times
-            counts = grown
+            counts = closure.step(counts)
     except ClassExplosionError:
         return Verdict.unknown(cap_classes, "cap_classes")
     return sum(multiplicity for idx, multiplicity in counts.items()
@@ -487,7 +314,7 @@ def additivity_check(components, cap_classes: int = 10_000):
 # -- witness construction ----------------------------------------------------------
 
 
-def theorem_witness(target, q: int, ring=None, mode: str = "B",
+def theorem_witness(target, q: int, ring=RATIONALS, mode: str = "B",
                     budget_leaves: int = 729, cap_classes: int = 10_000):
     """Search for an element whose spread character equals ``target``.
 
@@ -497,10 +324,6 @@ def theorem_witness(target, q: int, ring=None, mode: str = "B",
     best-effort: a target out of reach (odd numerators over odd q, more
     copies than ``budget_leaves``, a class cap) gives an unknown Verdict.
     """
-    from .algebra import RATIONALS
-
-    if ring is None:
-        ring = RATIONALS
     target = Fraction(target)
     if target < 0:
         raise ValueError("target must be nonnegative")

@@ -1,0 +1,214 @@
+"""The class graph that every closure in the package walks.
+
+An object is decomposed one level, its pieces are identified up to a key
+(a scaling class, a word, a nucleus representative), and each class is
+decomposed once.  ``Closure`` keeps the classes with their first parent,
+the weighted edges, a level step, the strongly connected components and
+the exact solve over them.  The characters, the zero test, the contraction
+depth, the counting of ``L`` and the nucleus limit classes all walk it.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from .verdict import ClassExplosionError
+
+
+class SingularSystemError(ValueError):
+    """The dependency system has no unique solution."""
+
+
+def _solve_system(n: int, rows: list[tuple[dict[int, Fraction], Fraction]]):
+    """Solve a square exact system given as (coefficient map, rhs) rows.
+
+    The elimination inside one cyclic component of a closure, and the
+    dense oracle that the component-wise solve is tested against.
+    """
+    if len(rows) != n:
+        raise SingularSystemError(f"system has {len(rows)} rows for {n} variables")
+    dense = [[Fraction(0)] * n + [rhs] for _, rhs in rows]
+    for r, (coeffs, _) in enumerate(rows):
+        for c, val in coeffs.items():
+            dense[r][c] = val
+    for col in range(n):
+        pivot = None
+        for r in range(col, n):
+            if dense[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            raise SingularSystemError("dependency system is singular")
+        dense[col], dense[pivot] = dense[pivot], dense[col]
+        inv = 1 / dense[col][col]
+        dense[col] = [v * inv for v in dense[col]]
+        for r in range(n):
+            if r != col and dense[r][col] != 0:
+                factor = dense[r][col]
+                dense[r] = [a - factor * b for a, b in zip(dense[r], dense[col])]
+    return [dense[r][n] for r in range(n)]
+
+
+class Closure:
+    """Classes reached from a root under a child map.
+
+    Classes are registered by key, at most ``cap_classes`` of them (no cap
+    when None); one more raises ClassExplosionError.  ``children(rep)``
+    returns None for a base class or an iterable of (key, rep, weight,
+    label) quadruples, and ``expand`` calls it at most once per class.  A
+    class keeps the class and label it was first reached from, so ``path``
+    reads back a route from the root.
+    """
+
+    def __init__(self, key, rep, children, cap_classes: int | None = None):
+        self._children = children
+        self._cap = cap_classes
+        self._index: dict = {}
+        self.reps: list = []
+        self.depth: list[int] = []
+        self.parent: list[tuple[int, object] | None] = []
+        self.edges: dict[int, dict | None] = {}
+        self._register(key, rep, None)
+
+    def _register(self, key, rep, parent: tuple[int, object] | None) -> int:
+        idx = self._index.get(key)
+        if idx is None:
+            idx = len(self.reps)
+            if self._cap is not None and idx >= self._cap:
+                raise ClassExplosionError(
+                    f"closure exceeded {self._cap} classes")
+            self._index[key] = idx
+            self.reps.append(rep)
+            self.parent.append(parent)
+            self.depth.append(0 if parent is None
+                              else self.depth[parent[0]] + 1)
+        return idx
+
+    def expand(self, idx: int) -> dict | None:
+        """Class ``idx``'s children as {child index: summed weight}, in
+        first-occurrence order, or None for a base class."""
+        if idx not in self.edges:
+            out = self._children(self.reps[idx])
+            if out is not None:
+                edges: dict = {}
+                for key, rep, weight, label in out:
+                    child = self._register(key, rep, (idx, label))
+                    edges[child] = edges.get(child, 0) + weight
+                out = edges
+            self.edges[idx] = out
+        return self.edges[idx]
+
+    def path(self, idx: int) -> list:
+        """The labels along first parents from the root to class ``idx``."""
+        labels = []
+        while self.parent[idx] is not None:
+            idx, label = self.parent[idx]
+            labels.append(label)
+        return labels[::-1]
+
+    def step(self, level: dict[int, int]) -> dict[int, int]:
+        """The next level of a walk by depth: every class of ``level``
+        expanded, with its multiplicity times the edge weight summed per
+        child, in first-occurrence order.  A base class has no children."""
+        grown: dict[int, int] = {}
+        for idx, multiplicity in level.items():
+            for child, weight in (self.expand(idx) or {}).items():
+                grown[child] = grown.get(child, 0) + multiplicity * weight
+        return grown
+
+    def components(self):
+        """Expand every class in index order, then yield the strongly
+        connected components of the class graph, each after every
+        component it reaches: Tarjan (SIAM J. Comput. 1(2), 1972) with an
+        explicit stack, since closure depth grows with the input.  Every
+        class is reachable from class 0."""
+        for idx, _ in enumerate(self.reps):  # reps grows as it is walked
+            self.expand(idx)
+        index: dict[int, int] = {}
+        low: dict[int, int] = {}
+        stack: list[int] = []
+        on_stack: set[int] = set()
+
+        def visit(v: int):
+            index[v] = low[v] = len(index)
+            stack.append(v)
+            on_stack.add(v)
+            return v, iter(self.edges[v] or ())
+
+        work = [visit(0)]
+        while work:
+            v, children = work[-1]
+            for w in children:
+                if w not in index:
+                    work.append(visit(w))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    component = []
+                    while not component or component[-1] != v:
+                        component.append(stack.pop())
+                        on_stack.discard(component[-1])
+                    yield component
+
+    def limit_classes(self) -> set[int]:
+        """The classes that occur at arbitrarily large depth: everything
+        reachable from a component of two or more classes or from a class
+        with a self-loop."""
+        stack = [c for comp in self.components()
+                 if len(comp) > 1 or comp[0] in (self.edges[comp[0]] or ())
+                 for c in comp]
+        limit: set[int] = set()
+        while stack:
+            c = stack.pop()
+            if c not in limit:
+                limit.add(c)
+                stack.extend(self.edges[c] or ())
+        return limit
+
+    def solve(self, q: int):
+        """Solve q chi(c) = sum of weight * chi(child) with chi = 1 on base
+        classes; the root's value and info.
+
+        Components are solved children first, so each sees only known
+        values outside itself; the system is singular exactly when one
+        component's block is.
+        """
+        values: dict[int, Fraction] = {}
+        largest = 1
+        for component in self.components():
+            largest = max(largest, len(component))
+            if len(component) == 1:
+                c = component[0]
+                edges = self.edges[c]
+                if edges is None:
+                    values[c] = Fraction(1)
+                    continue
+                known = sum((w * values[child] for child, w in edges.items()
+                             if child != c), Fraction(0))
+                pivot = q - edges.get(c, 0)
+                if pivot == 0:
+                    raise SingularSystemError("dependency system is singular")
+                values[c] = known / pivot
+                continue
+            position = {c: i for i, c in enumerate(component)}
+            rows: list[tuple[dict[int, Fraction], Fraction]] = []
+            for c in component:
+                coeffs = {position[c]: Fraction(q)}
+                rhs = Fraction(0)
+                for child, w in self.edges[c].items():
+                    j = position.get(child)
+                    if j is None:
+                        rhs += w * values[child]
+                    else:
+                        coeffs[j] = coeffs.get(j, Fraction(0)) - w
+                rows.append((coeffs, rhs))
+            values.update(zip(component, _solve_system(len(rows), rows)))
+        return values[0], {"classes_used": len(self.reps),
+                           "depth": max(self.depth),
+                           "largest_component": largest}

@@ -10,8 +10,9 @@ action: ``act(gh, v) = act(h, act(g, v))``.
 ``WreathRecursion`` bundles the generator images, folds a word into its
 decomposition in one pass (``fold``, also the engine behind the algebra's
 ``phi``), and provides the word problem (``is_trivial``, coinductive
-closure with a state budget), element comparison, orders, nucleus
-computation, boundedness counters and portraits.
+closure with a state budget), element comparison, orders, the nucleus
+(its limit classes walk the section graph as a ``closure.Closure``),
+boundedness counters and portraits.
 Triviality certified by a closed section set is sound: a set of words with
 identity root permutations whose sections stay in the set acts trivially on
 every tree level, hence is trivial in the injective quotient.
@@ -20,8 +21,10 @@ every tree level, hence is trivial in the injective quotient.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 
+from .closure import Closure
 from .verdict import ClassExplosionError, Verdict
 from .words import (
     Letter,
@@ -30,6 +33,7 @@ from .words import (
     free_reduce,
     inverse,
     power,
+    render_word,
 )
 
 
@@ -112,8 +116,6 @@ class WreathElement:
         return self.perm.is_identity and all(s == () for s in self.sections)
 
     def to_json(self) -> dict:
-        from .words import render_word
-
         return {
             "perm": list(self.perm.images),
             "sections": [render_word(s) for s in self.sections],
@@ -283,8 +285,6 @@ class WreathRecursion:
                      cap_states: int = 10_000) -> tuple[int, ...] | None:
         """Shortest tree vertex moved by the element, or None if the search
         budget runs out (in particular for trivial elements)."""
-        from collections import deque
-
         queue = deque([((), free_reduce(word))])
         visited = 0
         while queue and visited < cap_states:
@@ -347,45 +347,14 @@ class WreathRecursion:
                        cap_states: int) -> set[Word]:
         """Classes that occur at arbitrarily large depth in the iterated
         section graph of ``word``: everything reachable from a cycle."""
-        start = self._canonical(word, reps, cap_states)
-        edges: dict[Word, tuple[Word, ...]] = {}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            if u in edges:
-                continue
-            if len(edges) >= cap_nodes:
-                raise ClassExplosionError(
-                    f"section graph exceeded {cap_nodes} classes")
-            secs = tuple(self._canonical(s, reps, cap_states)
-                         for s in self.decompose(u).sections)
-            edges[u] = secs
-            stack.extend(s for s in secs if s not in edges)
-        on_cycle = {u for u in edges if self._reaches(u, u, edges)}
-        limit: set[Word] = set()
-        frontier = list(on_cycle)
-        while frontier:
-            u = frontier.pop()
-            if u in limit:
-                continue
-            limit.add(u)
-            frontier.extend(edges[u])
-        return limit
+        def children(u: Word):
+            sections = [self._canonical(s, reps, cap_states)
+                        for s in self.decompose(u).sections]
+            return [(s, s, 1, a) for a, s in enumerate(sections)]
 
-    @staticmethod
-    def _reaches(src: Word, dst: Word, edges: dict[Word, tuple[Word, ...]]) -> bool:
-        """Whether dst is reachable from src in at least one step."""
-        seen: set[Word] = set()
-        stack = list(edges[src])
-        while stack:
-            u = stack.pop()
-            if u == dst:
-                return True
-            if u in seen:
-                continue
-            seen.add(u)
-            stack.extend(edges[u])
-        return False
+        start = self._canonical(word, reps, cap_states)
+        graph = Closure(start, start, children, cap_nodes)
+        return {graph.reps[c] for c in graph.limit_classes()}
 
     def nucleus(self, cap_elements: int = 512,
                 cap_states: int = 100_000) -> NucleusResult:

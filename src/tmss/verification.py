@@ -29,6 +29,7 @@ from .characters import (
     group_char,
     growth_constant,
     spread_char,
+    theorem_witness,
 )
 from .dynamics import PRESETS, RationalMap, RenderConfig, julia_points, render
 from .group import WreathRecursion
@@ -331,8 +332,6 @@ def check_range_witnesses() -> CheckResult:
     wrong value on odd numerators."""
 
     def body():
-        from .characters import theorem_witness
-
         for q in (2, 3):
             for a in range(1, 6):
                 for k in range(0, 4):

@@ -466,3 +466,81 @@ def test_power_matches_repeated_product():
     assert s ** 0 == one(2)
     with pytest.raises(ValueError):
         s ** -1
+
+
+# -- the class-graph walks against per-level frontier oracles ------------------
+
+
+def _frontier_is_zero(s, cap_depth=60):
+    """The oracle: one representative per scaling class on every level, with
+    the first vertex pair that produced it, each level expanded afresh; a
+    level whose classes were all seen before stops with unknown."""
+    if s.is_zero_literal:
+        return Verdict("zero", depth=0)
+    frontier = {s.key(): (s, (), ())}
+    seen = set(frontier)
+    for depth in range(1, cap_depth + 1):
+        grown = {}
+        for rep, u, v in frontier.values():
+            for i, row in enumerate(rep.phi()):
+                for j, entry in enumerate(row):
+                    if entry.is_zero_literal:
+                        continue
+                    if entry.is_scalar:
+                        return Verdict("nonzero", depth=depth, witness=(
+                            u + (i,), v + (j,), entry.terms[()]))
+                    grown.setdefault(entry.key(), (entry, u + (i,), v + (j,)))
+        if not grown:
+            return Verdict("zero", depth=depth)
+        if set(grown) <= seen:
+            break
+        seen |= set(grown)
+        frontier = grown
+    return Verdict.unknown(cap_depth, "cap_depth")
+
+
+def _frontier_contraction_depth(s, cap_depth=12):
+    frontier = {s.key(): s}
+    for depth in range(cap_depth + 1):
+        if all(rep.max_monomial_length() <= 1 for rep in frontier.values()):
+            return depth
+        grown = {}
+        for rep in frontier.values():
+            for row in rep.phi():
+                for entry in row:
+                    if not entry.is_zero_literal:
+                        grown.setdefault(entry.key(), entry)
+        frontier = grown
+    return Verdict.unknown(cap_depth, "cap_depth")
+
+
+@st.composite
+def walk_inputs(draw):
+    """Elements over Q, Z, F2 and F3 in both modes, half of them shifted to
+    coefficient sum zero, which makes zero and unknown verdicts common."""
+    q = draw(st.sampled_from((2, 3, 4)))
+    ring = draw(st.sampled_from((RATIONALS, INTEGERS, PrimeField(2),
+                                 PrimeField(3))))
+    mode = draw(st.sampled_from(("A", "B")))
+    s = draw(elements(q, max_terms=4, mode=mode, ring=ring))
+    if draw(st.booleans()):
+        s = s - AlgebraElement.one(ring, q, mode).scale(sum(s.terms.values()))
+    return s
+
+
+@given(walk_inputs(), st.integers(1, 60))
+@settings(max_examples=300, deadline=None)
+def test_is_zero_matches_the_frontier_oracle(s, cap_depth):
+    assert is_zero(s, cap_depth) == _frontier_is_zero(s, cap_depth)
+
+
+@given(walk_inputs(), st.integers(0, 8))
+@settings(max_examples=200, deadline=None)
+def test_contraction_depth_matches_the_frontier_oracle(s, cap_depth):
+    assert (contraction_depth(s, cap_depth)
+            == _frontier_contraction_depth(s, cap_depth))
+
+
+def test_scalar_root_witness_sits_below_the_root():
+    verdict = is_zero(one(3).scale(2))
+    assert verdict == Verdict("nonzero", depth=1, witness=((0,), (0,), 2))

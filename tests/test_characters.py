@@ -19,9 +19,6 @@ from tmss.algebra import (
 )
 from tmss.characters import (
     Kernel,
-    SingularSystemError,
-    _Closure,
-    _solve_system,
     additivity_check,
     algebra_char,
     count_L,
@@ -33,6 +30,7 @@ from tmss.characters import (
     spread_char,
     theorem_witness,
 )
+from tmss.closure import Closure, SingularSystemError, _solve_system
 from tmss.group import WreathRecursion
 from tmss.verdict import Verdict
 from tmss.words import free_reduce, gamma, power as word_power
@@ -217,15 +215,15 @@ def test_algebra_and_group_characters_agree_on_monomials(q, data):
 
 @contextmanager
 def _recorded_closures():
-    """Collect every (_Closure, q) that ``solve`` is called on."""
+    """Collect every (Closure, q) that ``solve`` is called on."""
     seen = []
-    solve = _Closure.solve
+    solve = Closure.solve
 
     def recording_solve(closure, q):
         seen.append((closure, q))
         return solve(closure, q)
 
-    with mock.patch.object(_Closure, "solve", recording_solve):
+    with mock.patch.object(Closure, "solve", recording_solve):
         yield seen
 
 
@@ -317,9 +315,9 @@ def test_solve_needs_no_recursion_on_a_long_chain():
     n = 5_000
 
     def children(i):
-        return None if i == n else [(i, i, 1), (i + 1, i + 1, 1)]
+        return None if i == n else [(i, i, 1, 0), (i + 1, i + 1, 1, 1)]
 
-    value, info = _Closure(0, 0, children, cap_classes=n + 1).solve(3)
+    value, info = Closure(0, 0, children, cap_classes=n + 1).solve(3)
     assert value == Fraction(1, 2 ** n)
     assert info == {"classes_used": n + 1, "depth": n, "largest_component": 1}
 

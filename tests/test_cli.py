@@ -307,6 +307,26 @@ def test_parser_requires_subcommand():
         build_parser().parse_args([])
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "bogus"],
+    ["char", "spread"],
+    ["char", "spread", "x0", "--q", "abc"],
+    ["char", "spread", "x0", "--ring", "R"],
+    [],
+])
+def test_usage_errors_exit_1_with_usage_and_no_traceback(capsys, argv):
+    # exit 2 is kept for an exhausted budget
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage: tmss") and "error:" in err
+    assert "Traceback" not in err
+
+
+def test_help_exits_0(capsys):
+    code, out, _ = run(capsys, "char", "spread", "--help")
+    assert code == 0 and out.startswith("usage: tmss char spread")
+
+
 def declared_scripts():
     """The ``[project.scripts]`` table of the repository's pyproject.toml."""
     try:

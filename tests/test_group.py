@@ -1,10 +1,12 @@
 """Wreath recursion engine: decomposition, action, word problem, nucleus."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tmss.group import Permutation, WreathElement, WreathRecursion
-from tmss.verdict import Verdict
+from tmss.verdict import ClassExplosionError, Verdict
 from tmss.words import (
     commutator,
     free_reduce,
@@ -302,6 +304,86 @@ def test_nucleus_small_state_caps_keep_the_reference(preset, q):
     assert reference.closed
     for cap in range(1, 5):
         assert preset(q).nucleus(cap_states=cap) == reference
+
+
+def _reaches_limit_classes(rec, word, reps, cap_nodes, cap_states):
+    """The oracle: a depth-first walk of the section graph, then every class
+    that reaches itself by a search from its own children, closed forward."""
+    start = rec._canonical(word, reps, cap_states)
+    edges = {}
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        if u in edges:
+            continue
+        if len(edges) >= cap_nodes:
+            raise ClassExplosionError(f"section graph exceeded {cap_nodes}")
+        edges[u] = tuple(rec._canonical(s, reps, cap_states)
+                         for s in rec.decompose(u).sections)
+        stack.extend(s for s in edges[u] if s not in edges)
+
+    def reaches_itself(u):
+        seen = set()
+        stack = list(edges[u])
+        while stack:
+            v = stack.pop()
+            if v == u:
+                return True
+            if v not in seen:
+                seen.add(v)
+                stack.extend(edges[v])
+        return False
+
+    limit = set()
+    frontier = list({u for u in edges if reaches_itself(u)})
+    while frontier:
+        u = frontier.pop()
+        if u not in limit:
+            limit.add(u)
+            frontier.extend(edges[u])
+    return limit
+
+
+ALL_PRESETS = PRESETS + (WreathRecursion.trivial,)
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except ClassExplosionError:
+        return "capped"
+
+
+@given(st.sampled_from(ALL_PRESETS), st.sampled_from((2, 3, 4)),
+       st.sampled_from((1, 2, 3, 4, 5, 6, 7, 8, 12)),
+       st.sampled_from((0, 1, 2, 5, 100_000)))
+@settings(max_examples=120, deadline=None)
+def test_nucleus_matches_the_reaches_oracle(preset, q, cap_elements,
+                                            cap_states):
+    rec = preset(q)
+    result = rec.nucleus(cap_elements, cap_states)
+    with mock.patch.object(WreathRecursion, "_limit_classes",
+                           _reaches_limit_classes):
+        assert rec.nucleus(cap_elements, cap_states) == result
+
+
+@given(st.sampled_from(PRESETS), st.sampled_from((2, 3, 4)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_limit_classes_match_the_reaches_oracle(preset, q, data):
+    # from a fresh representative list the walk order picks the word that
+    # stands for a class (x1 or x2 at q = 3), so classes are compared as
+    # elements; the nucleus, seeded in a fixed order, is compared verbatim
+    rec = preset(q)
+    word = data.draw(words(q, max_len=6))
+    cap_nodes = data.draw(st.sampled_from((1, 3, 8, 512)))
+    found = _outcome(lambda: rec._limit_classes(word, [], cap_nodes, 100_000))
+    oracle = _outcome(lambda: _reaches_limit_classes(rec, word, [], cap_nodes,
+                                                     100_000))
+    if "capped" in (found, oracle):
+        assert found == oracle
+        return
+    assert len(found) == len(oracle)
+    assert all(any(rec.equal(u, v).is_true for v in oracle) for u in found)
 
 
 def test_trivial_recursion_nucleus():
