@@ -53,7 +53,7 @@ class Rationals:
     is_field = True
 
     def coerce(self, x):
-        return Fraction(x)
+        return x if type(x) is Fraction else Fraction(x)
 
     def parse(self, text: str):
         return Fraction(text)
@@ -179,7 +179,7 @@ class AlgebraElement:
                         "mode A admits positive letters only")
             if mode == "B":
                 word = free_reduce(word)
-            sums[word] = sums.get(word, 0) + coeff
+            sums[word] = sums[word] + coeff if word in sums else coeff
         self.ring = ring
         self.q = q
         self.mode = mode
@@ -276,8 +276,7 @@ class AlgebraElement:
         """Hashable canonical form; with ``scale`` the first coefficient is
         normalized to 1, identifying nonzero scalar multiples."""
         items = self.sorted_terms()
-        if scale and items:
-            lead = items[0][1]
+        if scale and items and (lead := items[0][1]) != 1:
             if self.ring.is_field:
                 inv = self.ring.invert(lead)
                 items = tuple((w, self.ring.coerce(c * inv)) for w, c in items)
@@ -311,17 +310,23 @@ class AlgebraElement:
     # decomposition
 
     def phi(self) -> tuple[tuple["AlgebraElement", ...], ...]:
-        """One decomposition step as a q x q matrix."""
+        """One decomposition step as a q x q matrix.
+
+        Each monomial is folded once by ``WreathRecursion.fold``, so the
+        cost is O(q * |root|) per monomial, plus the output; every empty
+        cell holds one shared zero element.
+        """
         q = self.q
         fold = _thue_morse(q).fold
-        grid: list[list[list[tuple[Word, object]]]] = [
-            [[] for _ in range(q)] for _ in range(q)]
+        grid: dict[tuple[int, int], list[tuple[Word, object]]] = {}
         for word, coeff in self.terms.items():
             perm, entries = fold(word)
             for a, entry in enumerate(entries):
-                grid[a][perm[a]].append((entry, coeff))
+                grid.setdefault((a, perm[a]), []).append((entry, coeff))
+        zero = AlgebraElement.zero(self.ring, q, self.mode)
         return tuple(
-            tuple(AlgebraElement(self.ring, q, self.mode, grid[a][b])
+            tuple(AlgebraElement(self.ring, q, self.mode, grid[a, b])
+                  if (a, b) in grid else zero
                   for b in range(q))
             for a in range(q))
 

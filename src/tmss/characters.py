@@ -24,6 +24,7 @@ weights.  No floating point is used anywhere in this module.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .algebra import RATIONALS, AlgebraElement, is_zero, omega_generator, sigma
 from .closure import Closure
@@ -168,9 +169,13 @@ def spread_char(s: AlgebraElement, cap_classes: int = 10_000,
                                monomial_base=not expand_monomials,
                                with_info=True)
     if not isinstance(value, Verdict):
-        k = q_power_denominator(value, s.q)
-        assert value >= 0 and k is not None, (
-            f"spread value {value} escapes nonnegative q-power denominators")
+        # the value lies in Z[1/q]: its denominator divides a power of q,
+        # which at composite q need not be a power of q itself (6/4 = 3/2)
+        den = value.denominator
+        while (g := gcd(den, s.q)) > 1:
+            den //= g
+        assert value >= 0 and den == 1, (
+            f"spread value {value} escapes nonnegative values in Z[1/{s.q}]")
     return (value, info) if with_info else value
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .closure import Closure
 from .verdict import ClassExplosionError, Verdict
@@ -35,6 +36,71 @@ from .words import (
     power,
     render_word,
 )
+
+
+# shorter words are never searched for a root: below about this length
+# the letter loop is faster than folding through the root, at q = 2..5
+_POWER_MIN = 32
+
+
+@lru_cache(maxsize=1024)
+def _prime_factors(n: int) -> tuple[int, ...]:
+    out: list[int] = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return tuple(out)
+
+
+def _root_length(word: Word) -> int:
+    """Length of the primitive root u of ``word``, the shortest u with
+    ``word = u^m``.  The periods of a word that divide its length are the
+    multiples of |u|, so dividing out one prime at a time while the period
+    holds ends at |u|."""
+    n = d = len(word)
+    for r in _prime_factors(n):
+        while d % r == 0:
+            p = d // r
+            # first and last letter reject in O(1); then one slice compare
+            if (word[p] != word[0] or word[p - 1] != word[-1]
+                    or word[p:] != word[:-p]):
+                break
+            d = p
+    return d
+
+
+def _product(sections: tuple[Word, ...], strands: list[int]) -> Word:
+    """Free reduction of the concatenated sections along ``strands``."""
+    return free_reduce(tuple(itertools.chain.from_iterable(
+        sections[b] for b in strands)))
+
+
+def _reduced_power(word: Word, r: int) -> Word:
+    """``word^r`` freely reduced, for a freely reduced ``word``: writing it
+    as ``t core t^-1`` with ``core`` cyclically reduced, the power is
+    ``t core^r t^-1``."""
+    if r == 0:
+        return ()
+    n, t = len(word), 0
+    while (2 * t + 1 < n and word[t][0] == word[n - 1 - t][0]
+           and word[t][1] == -word[n - 1 - t][1]):
+        t += 1
+    return word[:t] + word[t:n - t] * r + word[n - t:]
+
+
+def _join(left: Word, right: Word) -> Word:
+    """Product of two freely reduced words, cancelling at the seam only."""
+    n, i = min(len(left), len(right)), 0
+    while (i < n and left[-1 - i][0] == right[i][0]
+           and left[-1 - i][1] == -right[i][1]):
+        i += 1
+    return left[:len(left) - i] + right[i:]
 
 
 @dataclass(frozen=True)
@@ -197,10 +263,28 @@ class WreathRecursion:
     def fold(self, word: Word) -> tuple[tuple[int, ...], tuple[Word, ...]]:
         """Root permutation images and freely reduced sections of ``word``.
 
-        Reads the word letter by letter; strand a tracks where the prefix
-        read so far sends a and collects its section on a stack that cancels
-        on push, so the cost is O(len(word) * q) for bounded images.
+        A proper power ``u^m`` of at least ``_POWER_MIN`` letters is
+        folded through its primitive root: ``u`` is read letter by letter
+        once, and strand a's section of ``u^m`` is built from the cycle of
+        ``perm(u)`` through a.  With L the cycle length and C the product
+        of u's sections around it, the section is ``C^(m // L)`` followed
+        by the first ``m % L`` factors of C.  For bounded images that costs
+        O(q * |u|) to read u and O(q) of u's sections per strand, plus the
+        output; finding u costs a C-speed comparison of the word per
+        prime factor of its length.  Other words are read letter by letter
+        in O(q * len(word)).
         """
+        n = len(word)
+        if n >= _POWER_MIN:
+            d = _root_length(word)
+            if d < n:
+                return self._fold_power(word[:d], n // d)
+        return self._fold_letters(word)
+
+    def _fold_letters(self, word: Word) -> tuple[tuple[int, ...], tuple[Word, ...]]:
+        """``fold`` letter by letter: strand a tracks where the prefix read
+        so far sends a and collects its section on a stack that cancels on
+        push."""
         letters = self._letters
         pos = list(range(self.q))
         stacks: list[list[Letter]] = [[] for _ in pos]
@@ -219,6 +303,28 @@ class WreathRecursion:
                         stack.append((i, sign))
                 pos[a] = images[b]
         return tuple(pos), tuple(map(tuple, stacks))
+
+    def _fold_power(self, root: Word,
+                    m: int) -> tuple[tuple[int, ...], tuple[Word, ...]]:
+        """``fold(root * m)`` from one fold of ``root``, cycle by cycle of
+        its root permutation."""
+        images, sections = self._fold_letters(root)
+        q = self.q
+        perm: list[int] = [-1] * q
+        out: list[Word] = [()] * q
+        for start in range(q):
+            if perm[start] >= 0:
+                continue
+            cycle = [start]
+            while (b := images[cycle[-1]]) != start:
+                cycle.append(b)
+            laps, rest = divmod(m, len(cycle))
+            for i, a in enumerate(cycle):
+                perm[a] = cycle[(i + m) % len(cycle)]
+                order = cycle[i:] + cycle[:i]
+                body = _reduced_power(_product(sections, order), laps)
+                out[a] = _join(body, _product(sections, order[:rest]))
+        return tuple(perm), tuple(out)
 
     def decompose(self, word: Word) -> WreathElement:
         images, sections = self.fold(word)

@@ -25,7 +25,7 @@ from tmss.algebra import (
 )
 from tmss.group import WreathElement, WreathRecursion
 from tmss.verdict import Verdict
-from tmss.words import gamma, theta
+from tmss.words import free_reduce, gamma, theta
 
 
 def gen(q, i, ring=RATIONALS, mode="B"):
@@ -544,3 +544,81 @@ def test_contraction_depth_matches_the_frontier_oracle(s, cap_depth):
 def test_scalar_root_witness_sits_below_the_root():
     verdict = is_zero(one(3).scale(2))
     assert verdict == Verdict("nonzero", depth=1, witness=((0,), (0,), 2))
+
+
+# -- the constructor and key() against the accumulation they replaced -----------
+
+
+def _summing_terms(ring, mode, terms):
+    """The oracle: every word's coefficients summed from 0, then the total
+    coerced (over Q, into a fresh Fraction) and dropped when zero."""
+    sums = {}
+    for word, coeff in terms:
+        if mode == "B":
+            word = free_reduce(word)
+        sums[word] = sums.get(word, 0) + coeff
+    coerce = Fraction if ring == RATIONALS else ring.coerce
+    return {word: coeff for word, total in sums.items()
+            if (coeff := coerce(total)) != 0}
+
+
+def _normalizing_key(elem, scale=True):
+    """The oracle: the lead coefficient is always normalized."""
+    items = elem.sorted_terms()
+    if scale and items:
+        lead = items[0][1]
+        if elem.ring.is_field:
+            inv = elem.ring.invert(lead)
+            items = tuple((w, elem.ring.coerce(c * inv)) for w, c in items)
+        elif lead < 0:
+            items = tuple((w, -c) for w, c in items)
+    return items
+
+
+def _typed(pairs):
+    return [(w, type(c), c) for w, c in pairs]
+
+
+@st.composite
+def colliding_terms(draw):
+    """Term lists over a small pool of words, so equal and mutually
+    cancelling words are common, with some terms repeated negated."""
+    q = draw(st.sampled_from((2, 3)))
+    ring = draw(st.sampled_from((RATIONALS, INTEGERS, PrimeField(5))))
+    mode = draw(st.sampled_from(("A", "B")))
+    sign = (1, -1) if mode == "B" else (1,)
+    letter = st.tuples(st.integers(0, q - 1), st.sampled_from(sign))
+    pool = draw(st.lists(st.lists(letter, max_size=3).map(tuple),
+                         min_size=1, max_size=4))
+    coeff = st.integers(-6, 6)
+    if ring == RATIONALS:
+        coeff = st.one_of(coeff, st.fractions(max_denominator=4))
+    terms = draw(st.lists(st.tuples(st.sampled_from(pool), coeff),
+                          max_size=8))
+    negated = draw(st.lists(st.sampled_from(terms), max_size=4)) if terms else []
+    return ring, q, mode, terms + [(w, -c) for w, c in negated]
+
+
+@given(colliding_terms())
+@settings(max_examples=400, deadline=None)
+def test_constructor_and_key_match_the_summing_oracles(case):
+    ring, q, mode, terms = case
+    elem = AlgebraElement(ring, q, mode, terms)
+    assert (_typed(elem.terms.items())
+            == _typed(_summing_terms(ring, mode, terms).items()))
+    for scale in (True, False):
+        assert _typed(elem.key(scale)) == _typed(_normalizing_key(elem, scale))
+
+
+@given(st.sampled_from((2, 3, 4)), st.sampled_from(("A", "B")),
+       st.sampled_from((RATIONALS, INTEGERS, PrimeField(5))), st.data())
+@settings(max_examples=150, deadline=None)
+def test_empty_phi_cells_are_the_zero_element(q, mode, ring, data):
+    elem = data.draw(elements(q, max_terms=4, mode=mode, ring=ring))
+    zero = AlgebraElement.zero(ring, q, mode)
+    fold = WreathRecursion.thue_morse(q).fold
+    filled = {(a, perm[a]) for perm, _ in map(fold, elem.terms) for a in range(q)}
+    for a, row in enumerate(elem.phi()):
+        for b, cell in enumerate(row):
+            if (a, b) not in filled:
+                assert cell.is_zero_literal and cell == zero

@@ -14,6 +14,7 @@ from tmss.algebra import (
     big_product_word,
     omega_enumerate,
     omega_generator,
+    parse_element,
     phi_iterate,
     sigma,
 )
@@ -82,6 +83,22 @@ def test_shifted_product_values(q):
         for i in range(q):
             elem = omega_generator(RATIONALS, q, i, k)
             assert spread_char(elem) == Fraction(2, q ** k)
+
+
+# past the benchmark's k <= 5: long powers fold through their root
+@pytest.mark.parametrize("q,k", [(2, 10), (3, 10), (5, 7)])
+def test_deep_tower_values(q, k):
+    assert spread_char(tower(q, k)) == Fraction(2, q ** (k - 1))
+    assert spread_char(omega_generator(RATIONALS, q, 1, k)) == Fraction(2, q ** k)
+
+
+def test_spread_denominator_may_drop_below_a_power_of_q():
+    # at q = 4 the value 6/4 is 3/2: in Z[1/4], but 2 is no power of 4
+    s = parse_element("-2*x0^-2 + 2*x3^-1 x0^2 x3", RATIONALS, 4)
+    expected = algebra_char(s, Kernel.ones(4), monomial_base=True)
+    assert expected == Fraction(3, 2)
+    assert spread_char(s) == expected
+    assert q_power_denominator(expected, 4) is None
 
 
 def test_base_values():

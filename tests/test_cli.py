@@ -160,6 +160,12 @@ def test_char_spread(capsys):
     assert code == 0 and out == "2"
 
 
+def test_char_spread_at_composite_q(capsys):
+    code, out, err = run(capsys, "char", "spread",
+                         "-2*x0^-2 + 2*x3^-1 x0^2 x3", "--q", "4")
+    assert (code, out, err) == (0, "3/2", "")
+
+
 def test_char_spread_json(capsys):
     code, out, _ = run(capsys, "char", "spread", "1 - x0 x0", "--json")
     assert code == 0

@@ -425,3 +425,72 @@ def test_transposed_variant_runs():
     rec = WreathRecursion.transposed_variant(2)
     elem = rec.decompose(((0, 1),))
     assert elem.sections == (((0, 1),), ((1, 1),))
+
+
+# -- folding proper powers through their root ------------------------------------
+# The letter loop ``_fold_letters`` is the oracle: ``fold`` must agree with it
+# on every word, whichever path it takes.
+
+
+@given(st.sampled_from(ALL_PRESETS), st.integers(2, 5), st.data())
+@settings(max_examples=300, deadline=None)
+def test_fold_of_powers_matches_the_letter_loop(preset, q, data):
+    rec = preset(q)
+    # drawn roots are often not freely reduced, and may be powers themselves
+    root = data.draw(words(q, max_len=7).filter(bool))
+    m = data.draw(st.integers(1, 40))
+    tail = data.draw(words(q, max_len=4))
+    for word in (power(root, m), power(root, m) + tail, power(root, -m)):
+        assert rec.fold(word) == rec._fold_letters(word)
+
+
+@pytest.mark.parametrize("preset,q,root,m", [
+    (WreathRecursion.inverted_variant, 4,
+     ((0, -1), (1, 1), (0, -1), (3, -1), (0, 1)), 30),
+    (WreathRecursion.transposed_variant, 4,
+     ((0, -1), (2, 1), (2, -1), (1, 1), (3, -1), (0, 1), (1, 1)), 5),
+    (WreathRecursion.transposed_variant, 2,
+     ((0, -1), (0, -1), (0, -1), (1, -1), (0, 1), (1, -1), (0, 1)), 13),
+])
+def test_fold_of_powers_cancels_at_the_seam(preset, q, root, m):
+    # a cycle product t core t^-1 whose full laps end in t^-1 while the
+    # leftover factors begin with t: the two parts cancel where they meet
+    rec = preset(q)
+    word = root * m
+    assert rec.fold(word) == rec._fold_letters(word)
+
+
+@given(st.sampled_from(ALL_PRESETS), st.integers(2, 5), st.data())
+@settings(max_examples=200, deadline=None)
+def test_fold_of_other_words_matches_the_letter_loop(preset, q, data):
+    rec = preset(q)
+    word = data.draw(words(q, max_len=80))
+    assert rec.fold(word) == rec._fold_letters(word)
+
+
+def test_powers_are_read_letter_by_letter_only_in_their_root():
+    pi5 = tuple((i, 1) for i in range(5))
+    x0 = ((0, 1),)
+    cases = (
+        # Pi sends every strand home, so strand a's section is x_a^(5^7)
+        (WreathRecursion.thue_morse(5), pi5 * 5 ** 7, pi5,
+         tuple(((a, 1),) * 5 ** 7 for a in range(5))),
+        # x0 rotates the strands by -1: strand a collects x_a x_(a-1) x_(a-2)
+        (WreathRecursion.thue_morse(3), x0 * 3 ** 10, x0,
+         tuple(tuple(((a - j) % 3, 1) for j in range(3)) * 3 ** 9
+               for a in range(3))),
+    )
+    for rec, word, root, sections in cases:
+        with mock.patch.object(rec, "_fold_letters",
+                               wraps=rec._fold_letters) as spy:
+            images, folded = rec.fold(word)
+        assert sum(len(call.args[0]) for call in spy.call_args_list) <= len(root)
+        assert images == tuple(range(rec.q)) and folded == sections
+
+
+def test_short_words_take_the_letter_loop():
+    rec = WreathRecursion.thue_morse(3)
+    with mock.patch.object(rec, "_fold_letters",
+                           wraps=rec._fold_letters) as spy:
+        rec.fold(((0, 1),) * 11)
+    assert spy.call_args_list == [mock.call(((0, 1),) * 11)]
