@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cache
 
 from .closure import Closure
-from .group import WreathRecursion
+from .group import Permutation, WreathElement, WreathRecursion
 from .verdict import Verdict
 from .words import (
     Word,
@@ -158,31 +158,58 @@ class AlgebraElement:
 
     __slots__ = ("ring", "q", "mode", "terms")
 
-    def __init__(self, ring, q: int, mode: str, terms):
+    def __init__(self, ring, q: int, mode: str, terms, *, reduced: bool = False):
         """``terms`` is a dict from words to coefficients or an iterable of
-        ``(word, coefficient)`` pairs.  In mode B every word is freely
-        reduced; equal words are summed, each sum is reduced in ``ring`` and
-        zero sums are dropped."""
+        ``(word, coefficient)`` pairs.  Every letter is checked against the
+        alphabet and the mode, and in mode B every word is freely reduced;
+        equal words are summed, each sum is reduced in ``ring`` and zero
+        sums are dropped.
+
+        ``reduced`` promises that every word is already freely reduced and
+        valid for ``(q, mode)`` and every coefficient is a nonzero element
+        of ``ring``, as for the words ``WreathRecursion.fold`` hands to
+        ``_phi_cells``: no letter is checked or reduced, and only a word
+        that occurs more than once is summed, reduced in ``ring`` and
+        dropped when its sum is zero."""
         if mode not in ("A", "B"):
             raise ValueError("mode must be 'A' or 'B'")
         if q < 2:
             raise ValueError("alphabet size must be at least 2")
         if isinstance(terms, dict):
             terms = terms.items()
+        self.ring = ring
+        self.q = q
+        self.mode = mode
+        if reduced:
+            self.terms = out = {}
+            repeated = set()
+            for word, coeff in terms:
+                if word in out:
+                    out[word] += coeff
+                    repeated.add(word)
+                else:
+                    out[word] = coeff
+            for word in repeated:
+                if (coeff := ring.coerce(out[word])) != 0:
+                    out[word] = coeff
+                else:
+                    del out[word]
+            return
         sums: dict[Word, object] = {}
         for word, coeff in terms:
             for i, sign in word:
                 if not 0 <= i < q:
                     raise ValueError(f"letter x{i} is outside x0..x{q - 1}")
-                if mode == "A" and sign != 1:
-                    raise UnsupportedModeError(
-                        "mode A admits positive letters only")
+                if sign != 1:
+                    if sign != -1:
+                        raise ValueError(
+                            f"letter sign must be +1 or -1, got {sign}")
+                    if mode == "A":
+                        raise UnsupportedModeError(
+                            "mode A admits positive letters only")
             if mode == "B":
                 word = free_reduce(word)
             sums[word] = sums[word] + coeff if word in sums else coeff
-        self.ring = ring
-        self.q = q
-        self.mode = mode
         self.terms = {word: coeff for word, total in sums.items()
                       if (coeff := ring.coerce(total)) != 0}
 
@@ -221,7 +248,9 @@ class AlgebraElement:
                               {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-other)
+        self._compatible(other)
+        return AlgebraElement(self.ring, self.q, self.mode, itertools.chain(
+            self.terms.items(), ((w, -c) for w, c in other.terms.items())))
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._compatible(other)
@@ -313,22 +342,15 @@ class AlgebraElement:
         """One decomposition step as a q x q matrix.
 
         Each monomial is folded once by ``WreathRecursion.fold``, so the
-        cost is O(q * |root|) per monomial, plus the output; every empty
-        cell holds one shared zero element.
+        cost is O(q * |root|) per monomial, plus the output.  Each cell is
+        built once from the fold's reduced words (``_phi_cells``), and
+        every empty cell holds one shared zero element.
         """
         q = self.q
-        fold = _thue_morse(q).fold
-        grid: dict[tuple[int, int], list[tuple[Word, object]]] = {}
-        for word, coeff in self.terms.items():
-            perm, entries = fold(word)
-            for a, entry in enumerate(entries):
-                grid.setdefault((a, perm[a]), []).append((entry, coeff))
+        cells = _phi_cells(self, _thue_morse(q).fold)
         zero = AlgebraElement.zero(self.ring, q, self.mode)
-        return tuple(
-            tuple(AlgebraElement(self.ring, q, self.mode, grid[a, b])
-                  if (a, b) in grid else zero
-                  for b in range(q))
-            for a in range(q))
+        return tuple(tuple(cells.get((a, b), zero) for b in range(q))
+                     for a in range(q))
 
     # rendering
 
@@ -371,6 +393,49 @@ class AlgebraElement:
 def _thue_morse(q: int) -> WreathRecursion:
     """The wreath recursion that ``phi`` folds monomials with."""
     return WreathRecursion.thue_morse(q)
+
+
+@cache
+def _collapsed_thue_morse(q: int) -> WreathRecursion:
+    """The Thue-Morse recursion on the quotient x_i -> x_1 (i >= 2):
+    x_0 = <x_0, x_1, ..., x_1> rho and x_i = <1, ..., 1> rho.
+
+    The generators x_1, ..., x_{q-1} have one image under ``phi``, so the
+    letter map is compatible with the recursion, and folding a word here
+    gives the root permutation and the collapsed sections of its fold in
+    ``thue_morse``.  That x_i - x_1 is zero under ``phi`` is certified by
+    a zero test over the rationals, once per q.
+    """
+    for i in range(2, q):
+        diff = (AlgebraElement.generator(RATIONALS, q, i)
+                - AlgebraElement.generator(RATIONALS, q, 1))
+        assert is_zero(diff, cap_depth=2).is_zero, (
+            f"x{i} and x1 have different images")
+    rho = Permutation.rotation(q, -1)
+    images = {0: WreathElement(tuple(((min(a, 1), 1),) for a in range(q)), rho)}
+    for i in range(1, q):
+        images[i] = WreathElement(((),) * q, rho)
+    return WreathRecursion(q, images, name=f"G_{q}/(x_i = x_1)")
+
+
+def _phi_cells(elem: AlgebraElement, fold) -> dict[tuple[int, int], AlgebraElement]:
+    """The cells of one decomposition step of ``elem`` that some monomial
+    reaches, keyed by (row, column), with ``fold`` the wreath fold of a
+    recursion: monomial w with fold (perm, sections) puts section a at
+    (a, perm[a]).  A cell whose terms cancel is literally zero.
+
+    Each cell is built once, from the fold's reduced words, with the
+    constructor's ``reduced`` promise; ``fold`` must keep words valid for
+    ``(elem.q, elem.mode)``, as the wreath folds of this module do.
+    """
+    grid: dict[tuple[int, int], list[tuple[Word, object]]] = {}
+    for word, coeff in elem.terms.items():
+        perm, entries = fold(word)
+        for a, entry in enumerate(entries):
+            grid.setdefault((a, perm[a]), []).append((entry, coeff))
+    ring, q, mode = elem.ring, elem.q, elem.mode
+    return {cell: AlgebraElement(ring, q, mode, terms, reduced=True)
+            for cell, terms in grid.items()}
 
 
 # -- matrices ---------------------------------------------------------------

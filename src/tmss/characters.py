@@ -26,7 +26,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .algebra import RATIONALS, AlgebraElement, is_zero, omega_generator, sigma
+from .algebra import (
+    RATIONALS,
+    AlgebraElement,
+    _collapsed_thue_morse,
+    _phi_cells,
+    omega_generator,
+    sigma,
+)
 from .closure import Closure
 from .group import WreathRecursion
 from .verdict import ClassExplosionError, Verdict
@@ -225,25 +232,22 @@ def count_L(s: AlgebraElement, k: int, cap_classes: int = 10_000):
     The multiset of entry scaling classes is evolved k steps without
     materializing the q^k x q^k matrix; a class is expanded only once it
     is reached.  Generators above index 1 are collapsed to x_1
-    throughout; this identification is certified by a zero test on the
-    differences x_i - x_1, whose matrix images coincide.
+    throughout: ``s`` is collapsed once, and its entries are folded
+    through the Thue-Morse recursion on that quotient, so they come out
+    collapsed.  The identification is certified once per q by a zero
+    test on the differences x_i - x_1, whose matrix images coincide.
     """
     if k < 0:
         raise ValueError("depth must be nonnegative")
-    for i in range(2, s.q):
-        diff = (AlgebraElement.generator(s.ring, s.q, i, s.mode)
-                - AlgebraElement.generator(s.ring, s.q, 1, s.mode))
-        certificate = is_zero(diff, cap_depth=2)
-        assert certificate.is_zero, f"x{i} and x1 have different images"
-
+    fold = _collapsed_thue_morse(s.q).fold
     collapsed = s.collapse_high_letters()
     if collapsed.is_zero_literal:
         return 0
 
     def children(elem: AlgebraElement):
-        entries = (entry.collapse_high_letters() for row in elem.phi()
-                   for entry in row if not entry.is_zero_literal)
-        return [(entry.key(), entry, 1, None) for entry in entries]
+        return [(entry.key(), entry, 1, None)
+                for entry in _phi_cells(elem, fold).values()
+                if not entry.is_zero_literal]
 
     try:
         closure = Closure(collapsed.key(), collapsed, children, cap_classes)

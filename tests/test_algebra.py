@@ -1,6 +1,7 @@
 """Matrix recursion on the group algebra: phi, zero testing, sigma, omega."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,9 @@ from tmss.algebra import (
     AlgebraElement,
     PrimeField,
     UnsupportedModeError,
+    _collapsed_thue_morse,
+    _phi_cells,
+    _thue_morse,
     big_product_word,
     contraction_depth,
     is_zero,
@@ -79,6 +83,13 @@ def test_positive_mode_rejects_inverse_letters():
         AlgebraElement.monomial(RATIONALS, 2, ((0, -1),), mode="A")
     with pytest.raises(UnsupportedModeError):
         gen(2, 0, mode="A").star()
+
+
+@pytest.mark.parametrize("mode", ["A", "B"])
+@pytest.mark.parametrize("word", [((0, 2),), ((1, 0),), ((0, 1), (1, -2))])
+def test_constructor_rejects_letter_signs_other_than_plus_minus_one(mode, word):
+    with pytest.raises(ValueError, match="letter sign must be"):
+        AlgebraElement.monomial(RATIONALS, 2, word, mode=mode)
 
 
 def test_involutive_mode_free_reduces_words():
@@ -622,3 +633,94 @@ def test_empty_phi_cells_are_the_zero_element(q, mode, ring, data):
         for b, cell in enumerate(row):
             if (a, b) not in filled:
                 assert cell.is_zero_literal and cell == zero
+
+
+@given(colliding_terms(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_sub_matches_adding_the_negation(case, data):
+    ring, q, mode, terms = case
+    a = AlgebraElement(ring, q, mode, terms)
+    b = AlgebraElement(ring, q, mode, data.draw(st.lists(
+        st.sampled_from(terms), max_size=6)) if terms else [])
+    for left, right in ((a, b), (b, a), (a, a)):
+        assert (_typed((left - right).terms.items())
+                == _typed((left + (-right)).terms.items()))
+
+
+# -- phi's cells against the validating constructor --------------------------------
+
+
+@st.composite
+def fold_cases(draw):
+    """Elements over a small pool of words in which x_1, ..., x_{q-1} are
+    common: those letters share one image, so distinct words often land in
+    one cell with one section, where they sum or cancel."""
+    q = draw(st.integers(2, 5))
+    ring = draw(st.sampled_from((RATIONALS, INTEGERS, PrimeField(5))))
+    mode = draw(st.sampled_from(("A", "B")))
+    sign = (1, -1) if mode == "B" else (1,)
+    letter = st.tuples(st.sampled_from((0, 1, q - 1)), st.sampled_from(sign))
+    pool = draw(st.lists(st.lists(letter, max_size=4).map(tuple),
+                         min_size=1, max_size=5))
+    coeff = st.integers(-3, 3)
+    if ring == RATIONALS:
+        coeff = st.one_of(coeff, st.fractions(max_denominator=3))
+    terms = draw(st.lists(st.tuples(st.sampled_from(pool), coeff), max_size=6))
+    return AlgebraElement(ring, q, mode, terms)
+
+
+def _validated_cells(elem, fold):
+    """The oracle: the fold's (section, coefficient) pairs of each cell fed
+    to the validating constructor."""
+    grid = {}
+    for word, coeff in elem.terms.items():
+        perm, sections = fold(word)
+        for a, section in enumerate(sections):
+            grid.setdefault((a, perm[a]), []).append((section, coeff))
+    return {cell: AlgebraElement(elem.ring, elem.q, elem.mode, pairs)
+            for cell, pairs in grid.items()}
+
+
+@given(fold_cases())
+@settings(max_examples=400, deadline=None)
+def test_phi_cells_match_the_validating_constructor(elem):
+    for rec in (_thue_morse(elem.q), _collapsed_thue_morse(elem.q)):
+        cells = _phi_cells(elem, rec.fold)
+        oracle = _validated_cells(elem, rec.fold)
+        assert list(cells) == list(oracle)
+        for cell, entry in cells.items():
+            assert (_typed(entry.terms.items())
+                    == _typed(oracle[cell].terms.items()))
+            for scale in (True, False):
+                assert _typed(entry.key(scale)) == _typed(oracle[cell].key(scale))
+
+
+@pytest.mark.parametrize("ring", [RATIONALS, INTEGERS, PrimeField(5)])
+def test_phi_cells_sum_and_cancel_colliding_words(ring):
+    q = 3
+    x0, x1, x2 = ((0, 1),), ((1, 1),), ((2, 1),)
+    # x1 and x2 have one image, so every cell of x1 - x2 cancels
+    cells = _phi_cells(AlgebraElement(ring, q, "B", {x1: 1, x2: -1}),
+                       _thue_morse(q).fold)
+    assert len(cells) == q and all(e.is_zero_literal for e in cells.values())
+    # x0 x1 and x0 x2 share every cell, where their coefficients sum
+    elem = AlgebraElement(ring, q, "B", {x0 + x1: 2, x0 + x2: 4})
+    cells = _phi_cells(elem, _thue_morse(q).fold)
+    assert {cell: entry.terms for cell, entry in cells.items()} == {
+        (a, (a - 2) % q): {((a, 1),): ring.coerce(6)} for a in range(q)}
+    # the collapsed recursion also merges x0 x1 x2^-1 with x0
+    elem = AlgebraElement(ring, q, "B", {x0 + x1 + ((2, -1),): 1, x0: -1})
+    cells = _phi_cells(elem, _collapsed_thue_morse(q).fold)
+    assert all(e.is_zero_literal for e in cells.values())
+
+
+def test_phi_reduces_no_word_again():
+    elem = parse_element("x0 x1 x0^-1 - 2*x2^-1 x0 + 3", RATIONALS, 3)
+    with mock.patch("tmss.algebra.free_reduce") as spy:
+        block = elem.phi()
+    spy.assert_not_called()
+    assert [[cell.render() for cell in row] for row in block] == [
+        ["3 - 2*x1", "0", "x0 x2^-1"],
+        ["x1 x0^-1", "3 - 2*x2", "0"],
+        ["0", "x2 x1^-1", "3 - 2*x0"],
+    ]
