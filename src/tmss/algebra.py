@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
 from .closure import Closure
 from .group import Permutation, WreathElement, WreathRecursion
@@ -344,7 +344,9 @@ class AlgebraElement:
         Each monomial is folded once by ``WreathRecursion.fold``, so the
         cost is O(q * |root|) per monomial, plus the output.  Each cell is
         built once from the fold's reduced words (``_phi_cells``), and
-        every empty cell holds one shared zero element.
+        every empty cell holds one shared zero element.  This is the
+        public matrix view; the closures read the sparse cells through
+        ``_cell_children`` instead.
         """
         q = self.q
         cells = _phi_cells(self, _thue_morse(q).fold)
@@ -438,6 +440,26 @@ def _phi_cells(elem: AlgebraElement, fold) -> dict[tuple[int, int], AlgebraEleme
             for cell, terms in grid.items()}
 
 
+def _cell_children(elem: AlgebraElement, fold, weights=None) -> list:
+    """The closure children of ``elem`` under one decomposition step: a
+    (key, entry, weight, (row, column)) quadruple for every cell of
+    ``_phi_cells(elem, fold)`` that is not literally zero, in row-major
+    order, with ``weights[row][column]`` as its weight (1 without
+    ``weights``) and cells of weight 0 left out.
+
+    Every closure over the algebra reads its children here: the zero test,
+    the contraction depth, the characters and the counting of ``L``.  The
+    order is that of the dense matrix ``phi``, which the zero test's
+    witness and the class indices depend on.
+    """
+    out = []
+    for (i, j), entry in sorted(_phi_cells(elem, fold).items()):
+        weight = 1 if weights is None else weights[i][j]
+        if weight and not entry.is_zero_literal:
+            out.append((entry.key(), entry, weight, (i, j)))
+    return out
+
+
 # -- matrices ---------------------------------------------------------------
 
 
@@ -494,13 +516,6 @@ def phi_iterate(s: AlgebraElement, n: int) -> dict[tuple[int, int], AlgebraEleme
 # -- zero testing -----------------------------------------------------------
 
 
-def _entries(rep: AlgebraElement) -> list:
-    """The nonzero entries of ``phi(rep)`` as closure children."""
-    return [(entry.key(), entry, 1, (i, j))
-            for i, row in enumerate(rep.phi()) for j, entry in enumerate(row)
-            if not entry.is_zero_literal]
-
-
 def is_zero(s: AlgebraElement, cap_depth: int = 60) -> Verdict:
     """Decide whether some phi-iterate of ``s`` is the zero matrix.
 
@@ -514,7 +529,8 @@ def is_zero(s: AlgebraElement, cap_depth: int = 60) -> Verdict:
         return Verdict("zero", depth=0)
     # the root is keyed None, so no entry joins its class: a scalar entry
     # always gets a class, and a route, of its own
-    closure = Closure(None, s, _entries)
+    closure = Closure(None, s, partial(_cell_children,
+                                       fold=_thue_morse(s.q).fold))
     level = {0: 1}
     for depth in range(1, cap_depth + 1):
         for idx in level:
@@ -592,7 +608,8 @@ def omega_enumerate(ring, q: int, n: int, k_max: int, size_cap: int = 512,
 def contraction_depth(s: AlgebraElement, cap_depth: int = 12):
     """Least n with every entry of phi^n(s) in the span of 1 and single
     generators, or an unknown Verdict past the cap."""
-    closure = Closure(s.key(), s, _entries)
+    closure = Closure(s.key(), s, partial(_cell_children,
+                                          fold=_thue_morse(s.q).fold))
     level = {0: 1}
     for depth in range(cap_depth + 1):
         if all(closure.reps[idx].max_monomial_length() <= 1 for idx in level):

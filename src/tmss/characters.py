@@ -18,19 +18,22 @@ wreath recursion with
 
 The class graph and its solve live in ``closure.Closure``, which serves
 both; ``count_L`` walks the same class graph level by level with unit
-weights.  No floating point is used anywhere in this module.
+weights.  The algebra closures read their children from the sparse cells
+of one decomposition step, through ``algebra._cell_children``.  No floating point is used anywhere in this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache, partial
 from math import gcd
 
 from .algebra import (
     RATIONALS,
     AlgebraElement,
+    _cell_children,
     _collapsed_thue_morse,
-    _phi_cells,
+    _thue_morse,
     omega_generator,
     sigma,
 )
@@ -81,11 +84,22 @@ class Kernel:
     """q x q weight matrix for the self-similarity recursion."""
 
     def __init__(self, entries):
-        rows = tuple(tuple(Fraction(e) for e in row) for row in entries)
+        """``entries`` is a list of rows, each a list of rationals (ints,
+        Fractions, floats or rational strings such as ``"1/2"``).
+
+        ``weights`` holds the same matrix with every integral entry as an
+        ``int``, so that the closures sum integer edge weights."""
+        if not isinstance(entries, (list, tuple)) or not all(
+                isinstance(row, (list, tuple)) for row in entries):
+            raise ValueError("kernel must be a list of rows of numbers")
+        rows = tuple(tuple(_rational(e) for e in row) for row in entries)
         q = len(rows)
         if any(len(row) != q for row in rows):
             raise ValueError("kernel must be square")
         self.entries = rows
+        self.weights = tuple(
+            tuple(e.numerator if e.denominator == 1 else e for e in row)
+            for row in rows)
         self.q = q
 
     @classmethod
@@ -106,6 +120,23 @@ class Kernel:
         s = [[(self.entries[i][j] + self.entries[j][i]) / 2 for j in range(q)]
              for i in range(q)]
         return {"symmetric": sym, "psd": _is_psd(s)}
+
+
+def _rational(entry) -> Fraction:
+    """A kernel entry as a Fraction; ValueError for anything that is not a
+    rational number (None, a bool, a list, an infinity)."""
+    if not isinstance(entry, bool):
+        try:
+            return Fraction(entry)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"kernel entry {entry!r} is not a rational number")
+
+
+@cache
+def _ones_kernel(q: int) -> Kernel:
+    """The all-ones kernel of ``spread_char``, built once per q."""
+    return Kernel.ones(q)
 
 
 def _is_psd(m: list[list[Fraction]]) -> bool:
@@ -156,13 +187,12 @@ def algebra_char(s: AlgebraElement, kernel: Kernel, cap_classes: int = 10_000,
         info = {"classes_used": 0, "depth": 0, "largest_component": 0}
         return (Fraction(0), info) if with_info else Fraction(0)
 
+    fold, weights = _thue_morse(s.q).fold, kernel.weights
+
     def children(elem: AlgebraElement):
         if elem.is_scalar or (monomial_base and elem.is_single_term):
             return None
-        return [(entry.key(), entry, kernel[i, j], (i, j))
-                for i, row in enumerate(elem.phi())
-                for j, entry in enumerate(row)
-                if kernel[i, j] != 0 and not entry.is_zero_literal]
+        return _cell_children(elem, fold, weights)
 
     return _closure_value(s.key(), s, children, cap_classes, s.q, with_info)
 
@@ -172,7 +202,7 @@ def spread_char(s: AlgebraElement, cap_classes: int = 10_000,
     """All-ones kernel character; every single monomial is a base case
     with value 1 unless ``expand_monomials`` forces one more recursion
     level through them."""
-    value, info = algebra_char(s, Kernel.ones(s.q), cap_classes=cap_classes,
+    value, info = algebra_char(s, _ones_kernel(s.q), cap_classes=cap_classes,
                                monomial_base=not expand_monomials,
                                with_info=True)
     if not isinstance(value, Verdict):
@@ -202,12 +232,14 @@ def group_char(rec: WreathRecursion, word: Word, kernel: Kernel | None = None,
     if kernel.q != q:
         raise ValueError("kernel size does not match the alphabet")
 
+    weights = kernel.weights
+
     def children(w: Word):
         if not w:
             return None
         images, sections = rec.fold(w)
-        return [(sections[a], sections[a], kernel[a, images[a]], a)
-                for a in range(q) if kernel[a, images[a]] != 0]
+        return [(sections[a], sections[a], weights[a][images[a]], a)
+                for a in range(q) if weights[a][images[a]] != 0]
 
     w = free_reduce(word)
     return _closure_value(w, w, children, cap_classes, q, with_info)
@@ -244,13 +276,9 @@ def count_L(s: AlgebraElement, k: int, cap_classes: int = 10_000):
     if collapsed.is_zero_literal:
         return 0
 
-    def children(elem: AlgebraElement):
-        return [(entry.key(), entry, 1, None)
-                for entry in _phi_cells(elem, fold).values()
-                if not entry.is_zero_literal]
-
     try:
-        closure = Closure(collapsed.key(), collapsed, children, cap_classes)
+        closure = Closure(collapsed.key(), collapsed,
+                          partial(_cell_children, fold=fold), cap_classes)
         counts: dict[int, int] = {0: 1}
         for _ in range(k):
             counts = closure.step(counts)

@@ -8,13 +8,17 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tmss import algebra, characters
 from tmss.algebra import (
     INTEGERS,
     RATIONALS,
     AlgebraElement,
     PrimeField,
+    _cell_children,
     _collapsed_thue_morse,
+    _thue_morse,
     big_product_word,
+    contraction_depth,
     is_zero,
     omega_enumerate,
     omega_generator,
@@ -368,6 +372,24 @@ def test_kernel_validation():
         group_char(rec, ((0, 1),), Kernel.ones(3))
 
 
+@pytest.mark.parametrize("entries", [
+    5, [1, 2], [[1, 2], "ab"], [[1, None], [1, 1]], [[1, True], [1, 1]],
+    [[1, [1]], [1, 1]], [[1, float("inf")], [1, 1]], [[1, "x"], [1, 1]],
+])
+def test_kernel_rejects_malformed_entries(entries):
+    with pytest.raises(ValueError, match="kernel"):
+        Kernel(entries)
+
+
+def test_kernel_keeps_integral_weights_as_ints():
+    kernel = Kernel([[1, "1/2"], [Fraction(4, 2), -1.0]])
+    assert kernel.weights == ((1, Fraction(1, 2)), (2, -1))
+    assert [type(w) for row in kernel.weights for w in row] == [
+        int, Fraction, int, int]
+    assert all(type(e) is Fraction for row in kernel.entries for e in row)
+    assert type(kernel[0, 0]) is Fraction and kernel[1, 0] == 2
+
+
 def test_psd_report():
     assert Kernel.ones(3).psd_report() == {"symmetric": True, "psd": True}
     assert Kernel.identity(3).psd_report() == {"symmetric": True, "psd": True}
@@ -697,3 +719,114 @@ def test_exact_json():
     payload = exact_json(Fraction(2, 9), 3, classes_used=7, depth=4)
     assert payload == {"value": "2/3^2", "num": 2, "den": 9,
                        "classes_used": 7, "depth": 4}
+
+
+# -- the sparse children of every algebra closure against the dense grid ----------
+
+
+def _dense_children(elem, fold, weights=None):
+    """The oracle: every cell of the dense q x q matrix ``phi(elem)`` tested
+    in row-major order, with the kernel weight as a Fraction.  ``fold`` is
+    ignored; ``phi`` folds through the Thue-Morse recursion."""
+    out = []
+    for i, row in enumerate(elem.phi()):
+        for j, entry in enumerate(row):
+            weight = 1 if weights is None else Fraction(weights[i][j])
+            if weight != 0 and not entry.is_zero_literal:
+                out.append((entry.key(), entry, weight, (i, j)))
+    return out
+
+
+@contextmanager
+def _dense_grid():
+    """Run the zero test, the contraction depth and the characters on the
+    dense-grid children."""
+    with mock.patch.object(algebra, "_cell_children", _dense_children), \
+            mock.patch.object(characters, "_cell_children", _dense_children):
+        yield
+
+
+@st.composite
+def children_cases(draw):
+    """An element over Q, Z, F2 or F3 in mode A or B at q = 2..5, half of
+    them shifted to coefficient sum zero, and a kernel with zero, negative
+    and non-integral entries."""
+    q = draw(st.integers(2, 5))
+    ring = draw(st.sampled_from((RATIONALS, INTEGERS, PrimeField(2),
+                                 PrimeField(3))))
+    mode = draw(st.sampled_from(("A", "B")))
+    sign = (1,) if mode == "A" else (1, -1)
+    letter = st.tuples(st.integers(0, q - 1), st.sampled_from(sign))
+    word = st.lists(letter, max_size=4).map(tuple)
+    terms = draw(st.lists(st.tuples(word, st.integers(-3, 3)), max_size=4))
+    s = AlgebraElement(ring, q, mode, terms)
+    if draw(st.booleans()):
+        s = s - AlgebraElement.one(ring, q, mode).scale(sum(s.terms.values()))
+    entry = st.sampled_from((0, 0, 1, 1, -1, 2, Fraction(1, 2)))
+    kernel = Kernel(draw(st.lists(st.lists(entry, min_size=q, max_size=q),
+                                  min_size=q, max_size=q)))
+    return s, kernel
+
+
+@given(children_cases())
+@settings(max_examples=150, deadline=None)
+def test_cell_children_match_the_dense_grid(case):
+    s, kernel = case
+    fold = _thue_morse(s.q).fold
+    for weights in (None, kernel.weights):
+        sparse = _cell_children(s, fold, weights)
+        assert sparse == _dense_children(s, fold, weights)
+        assert all(type(w) is int for _, _, w, _ in sparse
+                   if Fraction(w).denominator == 1)
+
+
+@given(children_cases(), st.integers(1, 30), st.integers(0, 6))
+@settings(max_examples=150, deadline=None)
+def test_zero_test_and_contraction_depth_match_the_dense_grid(
+        case, cap_depth, depth_cap):
+    s, _ = case
+    with _dense_grid():
+        verdict = is_zero(s, cap_depth)
+        depth = contraction_depth(s, depth_cap)
+    assert is_zero(s, cap_depth) == verdict  # the witness included
+    assert contraction_depth(s, depth_cap) == depth
+
+
+@given(children_cases(), st.booleans(), st.integers(1, 200))
+@settings(max_examples=150, deadline=None)
+def test_algebra_char_matches_the_dense_grid(case, monomial_base, cap_classes):
+    s, kernel = case
+    s = AlgebraElement(RATIONALS, s.q, s.mode, s.terms)
+
+    def compute():
+        return algebra_char(s, kernel, cap_classes=cap_classes,
+                            monomial_base=monomial_base, with_info=True)
+
+    with _dense_grid():
+        expected = _value_or_singular(compute)
+    assert _value_or_singular(compute) == expected
+
+
+def test_closures_do_not_call_phi():
+    s = parse_element("1 - x0^9 + x1 x2^-1 - 2*x2", RATIONALS, 3)
+    with mock.patch.object(AlgebraElement, "phi") as spy:
+        algebra_char(s, Kernel([[1, 0, 2], [-1, 1, 0], [0, "1/2", 1]]))
+        spread_char(s)
+        is_zero(s)
+        contraction_depth(s)
+        count_L(s, 4)
+    assert spy.call_count == 0
+
+
+def test_integral_kernels_give_int_edge_weights():
+    s = parse_element("1 - x0^9 + x1 x2^-1 - 2*x2", RATIONALS, 3)
+    kernels = (Kernel.ones(3), Kernel([[1, 0, 2], [-1, 1, 0], [0, 3, 1]]),
+               Kernel([[1, 0, 2], [-1, 1, 0], [0, "1/2", 1]]))
+    with _recorded_closures() as seen:
+        for kernel in kernels:
+            algebra_char(s, kernel)
+    weights = [[w for edges in closure.edges.values() if edges
+                for w in edges.values()] for closure, _ in seen]
+    assert len(weights) == 3 and all(weights)
+    assert all(type(w) is int for w in weights[0] + weights[1])
+    assert any(type(w) is Fraction for w in weights[2])

@@ -192,6 +192,22 @@ def test_char_kernel_reports_psd(capsys):
     assert payload["kernel_psd"] == {"symmetric": True, "psd": True}
 
 
+@pytest.mark.parametrize("argv", [
+    ["char", "kernel", "x0", "--kernel", "5"],
+    ["char", "kernel", "x0", "--kernel", "[[1,null],[1,1]]"],
+    ["char", "kernel", "x0", "--kernel", "[[1,true],[1,1]]"],
+    ["char", "kernel", "x0", "--kernel", "[1, 2]"],
+    ["char", "kernel", "x0", "--kernel", "[[1,Infinity],[1,1]]"],
+    ["char", "group", "x0", "--kernel", "5"],
+    ["char", "group", "x0", "--kernel", "[[1,null],[1,1]]"],
+    ["char", "group", "x0", "--kernel", "[[1,[1]],[1,1]]"],
+])
+def test_malformed_kernel_exits_1_without_a_traceback(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: kernel") and "Traceback" not in err
+
+
 def test_char_group(capsys):
     code, out, _ = run(capsys, "char", "group", "x0")
     assert code == 0 and out == "0"
