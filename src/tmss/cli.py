@@ -34,6 +34,17 @@ def _ring_from_flag(text: str):
     raise argparse.ArgumentTypeError(f"unknown ring {text!r}; use Q, Z or Fp:<p>")
 
 
+def _cap_from_flag(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"a cap must be an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"a cap must be at least 1, got {value}")
+    return value
+
+
 def _make_rec(args) -> WreathRecursion:
     preset = getattr(args, "preset", "tm")
     if preset == "tm":
@@ -333,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="coefficient ring: Q, Z or Fp:<p>")
     common.add_argument("--mode", choices=("A", "B"), default="B",
                         help="positive-letter or group-algebra monomials")
-    common.add_argument("--cap-classes", type=int, default=10_000)
-    common.add_argument("--cap-states", type=int, default=100_000)
+    common.add_argument("--cap-classes", type=_cap_from_flag, default=10_000)
+    common.add_argument("--cap-states", type=_cap_from_flag, default=100_000)
     common.add_argument("--depth", type=int, default=None)
     common.add_argument("--json", action="store_true")
     common.add_argument("--seed", type=int, default=0)

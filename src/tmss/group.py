@@ -13,9 +13,12 @@ decomposition in one pass (``fold``, also the engine behind the algebra's
 closure with a state budget), element comparison, orders, the nucleus
 (its limit classes walk the section graph as a ``closure.Closure``),
 boundedness counters and portraits.
-Triviality certified by a closed section set is sound: a set of words with
-identity root permutations whose sections stay in the set acts trivially on
-every tree level, hence is trivial in the injective quotient.
+Triviality certified by a closed section set is sound: a set of elements
+with identity root permutations whose sections stay in the set acts
+trivially on every tree level, hence is trivial in the injective quotient.
+The word problem keeps its elements as states in the free-product normal
+form of section letters and rooted permutations (``_NormalForm``), where a
+generator with only empty sections is its root permutation.
 """
 
 from __future__ import annotations
@@ -75,6 +78,21 @@ def _root_length(word: Word) -> int:
     return d
 
 
+def _cycles(images: tuple[int, ...]) -> list[list[int]]:
+    """The cycles of a permutation, each from its least point."""
+    seen = [False] * len(images)
+    out = []
+    for start in range(len(images)):
+        if not seen[start]:
+            cycle = [start]
+            while (b := images[cycle[-1]]) != start:
+                cycle.append(b)
+            for b in cycle:
+                seen[b] = True
+            out.append(cycle)
+    return out
+
+
 def _product(sections: tuple[Word, ...], strands: list[int]) -> Word:
     """Free reduction of the concatenated sections along ``strands``."""
     return free_reduce(tuple(itertools.chain.from_iterable(
@@ -101,6 +119,200 @@ def _join(left: Word, right: Word) -> Word:
            and left[-1 - i][1] == -right[i][1]):
         i += 1
     return left[:len(left) - i] + right[i:]
+
+
+class _Perms(dict):
+    """Interned permutations of {0..q-1}: ``ids`` maps images to an id (0
+    is the identity) and ``images`` lists them by id.  Looking up the pair
+    ``(a, b)`` gives the id of a followed by b, composed on first use, so
+    the table only holds the products a computation asked for."""
+
+    def __init__(self, q: int):
+        super().__init__()
+        identity = tuple(range(q))
+        self.ids: dict[tuple[int, ...], int] = {identity: 0}
+        self.images: list[tuple[int, ...]] = [identity]
+
+    def id(self, images: tuple[int, ...]) -> int:
+        pid = self.ids.get(images)
+        if pid is None:
+            pid = self.ids[images] = len(self.images)
+            self.images.append(images)
+        return pid
+
+    def __missing__(self, key: tuple[int, int]) -> int:
+        first, second = self.images[key[0]], self.images[key[1]]
+        pid = self[key] = self.id(tuple(second[x] for x in first))
+        return pid
+
+
+class _NormalForm:
+    """The states of the word problem for one table of generator images:
+    normal forms in F(S) * P (see ``WreathRecursion.is_trivial``).
+
+    A state is a flat tuple (p0, s1, p1, ..., sk, pk) of perm ids p and
+    section letter codes s, the product p0 s1 p1 ... sk pk, in which no
+    s p s' has p the identity and s' the inverse of s.  The section letter
+    (i, sign) has the code ~(2i + (sign < 0)), so codes are negative and
+    code ^ 1 is the inverse letter.
+    """
+
+    def __init__(self, q: int,
+                 letters: dict[Letter, tuple[tuple[int, ...], tuple[Word, ...]]]):
+        self.q = q
+        self.perms = _Perms(q)
+        # per signed letter: its perm id if it is rooted, else its code
+        self.ops: dict[Letter, int] = {}
+        for (i, sign), (perm, sections) in letters.items():
+            self.ops[(i, sign)] = (~(2 * i + (sign < 0)) if any(sections)
+                                   else self.perms.id(perm))
+        # per code, indexed by code: its perm id, and per strand b the
+        # section at b as ops (see state) with the strand it moves b to
+        self.section_perm: list[int] = [0] * (2 * q)
+        self.sections: list[list[tuple[tuple[int, ...], int]]] = [[]] * (2 * q)
+        for letter, code in self.ops.items():
+            if code < 0:
+                perm, sections = letters[letter]
+                self.section_perm[code] = self.perms.id(perm)
+                self.sections[code] = [
+                    (tuple(op for op in self.word(sections[b]) if op), perm[b])
+                    for b in range(q)]
+
+    def state(self, ops) -> tuple[int, ...]:
+        """The state of the product of ``ops``: a perm id (>= 0) composes
+        into the top permutation, and a section letter code cancels its
+        inverse across an identity top or is pushed."""
+        perms = self.perms
+        # the state below the top permutation, over a bottom 0 that no
+        # letter code matches
+        stack, top = [0], 0
+        for op in ops:
+            if op < 0:
+                if top == 0 and stack[-1] == op ^ 1:
+                    stack.pop()
+                    top = stack.pop()
+                else:
+                    stack += (top, op)
+                    top = 0
+            elif op:
+                top = perms[top, op]
+        stack.append(top)
+        return tuple(stack[1:])
+
+    def word(self, word: Word) -> tuple[int, ...]:
+        """The state of ``word``."""
+        try:
+            return self.state(map(self.ops.__getitem__, word))
+        except KeyError:
+            check_word(word, self.q)  # raises, naming the fault
+            raise
+
+    def join(self, left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]:
+        """Product of two states, cancelling at the seam only."""
+        i, top = 0, self.perms[left[-1], right[0]]
+        while (top == 0 and 2 * i + 1 < min(len(left), len(right))
+               and left[-2 - 2 * i] == right[2 * i + 1] ^ 1):
+            i += 1
+            top = self.perms[left[-1 - 2 * i], right[2 * i]]
+        return left[:len(left) - 1 - 2 * i] + (top,) + right[2 * i + 1:]
+
+    def conjugated(self, state: tuple[int, ...]) -> tuple[int, ...]:
+        """``p0^-1 state p0``, which starts with the identity."""
+        if not state[0] or len(state) == 1:
+            return state
+        return (0,) + state[1:-1] + (self.perms[state[-1], state[0]],)
+
+    def power(self, state: tuple[int, ...], r: int) -> tuple[tuple[int, ...], int]:
+        """``state^r`` for r >= 1, conjugated to start with the identity,
+        and the length of a period of its body.  The power is
+        ``t core^r t^-1``, where t is the part that cancels where two
+        copies of ``state`` meet; with t empty the conjugated power is the
+        identity followed by r copies of the conjugated state's body."""
+        perms = self.perms
+        k, t = len(state) // 2, 0
+        while (2 * t + 1 < k
+               and perms[state[2 * (k - t)], state[2 * t]] == 0
+               and state[2 * (k - t) - 1] == state[2 * t + 1] ^ 1):
+            t += 1
+        if k == 2 * t:  # state = t p t^-1
+            rooted = [0] * self.q
+            for cycle in _cycles(perms.images[state[2 * t]]):
+                for i, a in enumerate(cycle):
+                    rooted[a] = cycle[(i + r) % len(cycle)]
+            middle = perms.id(tuple(rooted))
+            if middle == 0:
+                return (0,), 0
+            out = state[:2 * t] + (middle,) + state[2 * t + 1:]
+        elif t == 0:
+            unit = state[1:-1] + (perms[state[-1], state[0]],)
+            return (0,) + unit * r, len(unit)
+        else:
+            body = state[2 * t + 1:2 * (k - t)]
+            seam = perms[state[2 * (k - t)], state[2 * t]]
+            out = (state[:2 * t + 1] + (body + (seam,)) * (r - 1) + body
+                   + state[2 * (k - t):])
+        out = self.conjugated(out)
+        return out, len(out) - 1
+
+    def perm(self, state: tuple[int, ...]) -> int:
+        """The id of the root permutation of ``state``."""
+        perms, section_perm = self.perms, self.section_perm
+        pid = state[0]
+        for j in range(1, len(state), 2):
+            pid = perms[perms[pid, section_perm[state[j]]], state[j + 1]]
+        return pid
+
+    def strands(self, state: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """Strand a's section of ``state`` for every a, each a state."""
+        images, sections = self.perms.images, self.sections
+        out = []
+        for a in range(self.q):
+            b = images[state[0]][a]
+            ops: list[int] = []
+            for j in range(1, len(state), 2):
+                section, b = sections[state[j]][b]
+                ops += section
+                p = state[j + 1]
+                if p:
+                    b = images[p][b]
+            out.append(self.state(ops))
+        return out
+
+    def fold(self, state: tuple[int, ...], period: int
+             ) -> list[tuple[tuple[int, ...], int]] | None:
+        """The sections of a state that starts with the identity, each
+        conjugated to start with the identity and paired with a period of
+        its body, or None if the root permutation is not the identity.
+        ``period`` is the length of a period of the body of ``state``.
+
+        A body ``(s1, p1, ..., sk, pk)`` that is a proper power ``u^m``
+        folds ``u`` once and builds each section from the cycle of
+        ``perm(u)`` through its strand, as ``WreathRecursion.fold`` does
+        for words.  Its root is searched for in the given period, and in a
+        body without a shorter period only from ``_POWER_MIN // 2``
+        section letters on."""
+        k = len(state) // 2
+        d = k
+        if period < 2 * k or k >= _POWER_MIN // 2:
+            d = _root_length(state[1:period + 1]) // 2
+        if d == k:
+            if self.perm(state) != 0:
+                return None
+            return [(s, len(s) - 1)
+                    for s in map(self.conjugated, self.strands(state))]
+        unit, m = state[:2 * d + 1], k // d
+        cycles = _cycles(self.perms.images[self.perm(unit)])
+        if any(m % len(cycle) for cycle in cycles):
+            return None
+        sections = self.strands(unit)
+        out = [((0,), 0)] * self.q
+        for cycle in cycles:
+            for i, a in enumerate(cycle):
+                lap = sections[a]
+                for b in cycle[i + 1:] + cycle[:i]:
+                    lap = self.join(lap, sections[b])
+                out[a] = self.power(lap, m // len(cycle))
+        return out
 
 
 @dataclass(frozen=True)
@@ -188,6 +400,22 @@ class WreathElement:
         }
 
 
+@lru_cache(maxsize=64)
+def _letter_tables(q: int, images: tuple) -> tuple[
+        dict[Letter, tuple[tuple[int, ...], tuple[Word, ...]]], _NormalForm]:
+    """Root permutation images and sections per signed letter, and the
+    word problem's normal form, for generator images given as
+    ``(i, perm images, sections)`` triples.  Every recursion built from the
+    same images shares them; they hold no word and no verdict, only the
+    letter tables and the permutation products asked for so far."""
+    letters = {}
+    for i, perm, sections in images:
+        inv = WreathElement(sections, Permutation(perm)).inverse()
+        letters[(i, 1)] = (perm, sections)
+        letters[(i, -1)] = (inv.perm.images, inv.sections)
+    return letters, _NormalForm(q, letters)
+
+
 @dataclass(frozen=True)
 class NucleusResult:
     """Nucleus representatives modulo equality, and whether closure finished."""
@@ -214,12 +442,10 @@ class WreathRecursion:
                 check_word(s, q)
         self.q = q
         self.name = name
-        # per signed letter: root permutation images and sections
-        self._letters: dict[Letter, tuple[tuple[int, ...], tuple[Word, ...]]] = {}
-        for i, el in images.items():
-            inv = el.inverse()
-            self._letters[(i, 1)] = (el.perm.images, el.sections)
-            self._letters[(i, -1)] = (inv.perm.images, inv.sections)
+        # per signed letter: root permutation images and sections; and the
+        # word problem's normal form
+        self._letters, self._nf = _letter_tables(q, tuple(
+            (i, el.perm.images, el.sections) for i, el in sorted(images.items())))
         # always empty (is_trivial keeps no state); perfbench/tracer.py reads its size
         self._trivial_cache: dict[Word, bool] = {}
 
@@ -354,23 +580,41 @@ class WreathRecursion:
     def is_trivial(self, word: Word, cap_states: int = 100_000) -> Verdict:
         """Word problem in the injective quotient by coinductive closure.
 
-        Maintains a set of words assumed trivial; a nontrivial root
+        Maintains a set of states assumed trivial; a nontrivial root
         permutation anywhere refutes the root, while a section-closed set
         with identity permutations certifies triviality of all its members.
+
+        A state is the normal form of an element of F(S) * P, where a
+        generator whose image has only empty sections is *rooted*, P is the
+        group of the rooted generators' permutations and S holds the other
+        generators: a rooted letter composes into the adjacent permutation,
+        and a section letter cancels its inverse across an identity run, so
+        x_1^q or x_i x_j^-1 in ``thue_morse`` vanish without a fold.
+        Soundness: a rooted generator *is* its root permutation (its
+        sections are trivial), so a state acts on the tree as its word
+        does, and its sections are the states of the word's sections,
+        permuted by the leading permutation conjugated off.  The states
+        are thus the images of the words a closure on freely reduced words
+        reaches: a decided verdict is the one that closure gives, and
+        ``cap_states``, which counts states, is never reached sooner than
+        there, where it counted words.
         """
-        root = free_reduce(word)
-        closure: set[Word] = {root}
-        stack: list[Word] = [root]
+        nf = self._nf
+        n = len(word)
+        d = _root_length(word) if n >= _POWER_MIN else n
+        state, period = nf.power(nf.word(word[:d]), n // d if d else 1)
+        closure = {state}
+        stack = [(state, period)]
         while stack:
             if len(closure) > cap_states:
                 return Verdict.unknown(cap_states, "cap_states")
-            el = self.decompose(stack.pop())
-            if not el.perm.is_identity:
+            sections = nf.fold(*stack.pop())
+            if sections is None:
                 return Verdict.no()
-            for s in el.sections:
-                if s and s not in closure:
+            for s, period in sections:
+                if s != (0,) and s not in closure:
                     closure.add(s)
-                    stack.append(s)
+                    stack.append((s, period))
         return Verdict.yes()
 
     def equal(self, left: Word, right: Word, cap_states: int = 100_000) -> Verdict:

@@ -33,11 +33,11 @@ class Verdict:
 
     @staticmethod
     def yes() -> "Verdict":
-        return Verdict("true")
+        return _YES
 
     @staticmethod
     def no() -> "Verdict":
-        return Verdict("false")
+        return _NO
 
     @staticmethod
     def unknown(cap: int | None, limit: str) -> "Verdict":
@@ -71,6 +71,11 @@ class Verdict:
             return (f"unknown(cap={self.cap})" if self.cap is not None
                     else f"unknown({self.limit})")
         return self.state
+
+
+# the verdict is frozen, so every plain yes and no can be one shared object
+_YES = Verdict("true")
+_NO = Verdict("false")
 
 
 class ClassExplosionError(RuntimeError):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from tmss.cli import build_parser, main
+from tmss.group import NucleusResult, WreathRecursion
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -246,10 +247,9 @@ def test_char_count_class_cap_exits_2(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("group", "trivial", "x0 x1", "--cap-states", "0"),
-    ("group", "equal", "x1", "x1^-1", "--cap-states", "0"),
-    ("group", "order", "x0", "--cap-states", "0"),
-    ("group", "nucleus", "--cap-states", "0"),
+    ("group", "trivial", "x0 x1", "--cap-states", "1"),
+    ("group", "equal", "x0 x1", "x1 x0", "--cap-states", "1"),
+    ("group", "order", "x0", "--cap-states", "1"),
     ("algebra", "zero", "1 - x0 x0", "--depth", "0"),
     ("algebra", "cdepth", "1 - x0 x0 x0 x0", "--depth", "0"),
     ("char", "spread", "1 - x0 x0", "--cap-classes", "1"),
@@ -262,11 +262,30 @@ def test_char_count_class_cap_exits_2(capsys):
 ], ids=lambda argv: " ".join(argv[:2]))
 def test_capped_subcommands_exit_2_with_an_unknown_answer(capsys, argv):
     code, out, err = run(capsys, *argv)
-    assert code == 2 and err == ""
-    if argv[1] == "nucleus":
-        assert out.endswith("(cap reached)")
-    else:
-        assert out.startswith("unknown")
+    assert code == 2 and err == "" and out.startswith("unknown")
+
+
+def test_group_nucleus_cap_reached_exits_2(capsys, monkeypatch):
+    # no cap of 1 or more stops the nucleus of a preset, so the library
+    # answer is stubbed
+    monkeypatch.setattr(WreathRecursion, "nucleus",
+                        lambda self, cap_states: NucleusResult(((),), False))
+    code, out, err = run(capsys, "group", "nucleus", "--cap-states", "1")
+    assert code == 2 and out == "1  (cap reached)" and err == ""
+
+
+@pytest.mark.parametrize("flag", ["--cap-states", "--cap-classes"])
+@pytest.mark.parametrize("argv", [
+    ("group", "trivial", "x1"),
+    ("group", "nucleus"),
+    ("char", "count", "1 - x0", "30"),
+], ids=lambda argv: " ".join(argv[:2]))
+@pytest.mark.parametrize("value", ["0", "-3", "many"])
+def test_cap_flags_below_1_are_usage_errors(capsys, flag, argv, value):
+    code, out, err = run(capsys, *argv, flag, value)
+    assert code == 1 and out == ""
+    assert f"error: argument {flag}: a cap must be" in err
+    assert "Traceback" not in err
 
 
 def test_algebra_cdepth_honours_depth(capsys):

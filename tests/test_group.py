@@ -494,3 +494,216 @@ def test_short_words_take_the_letter_loop():
                            wraps=rec._fold_letters) as spy:
         rec.fold(((0, 1),) * 11)
     assert spy.call_args_list == [mock.call(((0, 1),) * 11)]
+
+
+# -- word problem in the normal form of F(S) * P -----------------------------
+
+
+def _closure_on_words(rec, word, cap_states):
+    """The word problem as it was decided before the normal form: a
+    closure on freely reduced words, each folded by ``fold``."""
+    root = free_reduce(word)
+    closure = {root}
+    stack = [root]
+    while stack:
+        if len(closure) > cap_states:
+            return Verdict.unknown(cap_states, "cap_states")
+        images, sections = rec.fold(stack.pop())
+        if images != tuple(range(rec.q)):
+            return Verdict.no()
+        for s in sections:
+            if s and s not in closure:
+                closure.add(s)
+                stack.append(s)
+    return Verdict.yes()
+
+
+def _relators(q):
+    """Relators of G_q: x1^q, x_i x_j^-1 and the commutator of
+    (x0 x1^-1)^q and (x1^-1 x0)^q."""
+    rels = [((1, 1),) * q]
+    rels += [((i, 1), (j, -1)) for i in range(1, q) for j in range(1, q)
+             if i != j]
+    left = power(((0, 1), (1, -1)), q)
+    right = power(((1, -1), (0, 1)), q)
+    return rels + [commutator(left, right)]
+
+
+def relator_products(q: int):
+    """Products of conjugates g r^(+-1) g^-1 of relators of G_q."""
+    factor = st.tuples(words(q, max_len=6), st.sampled_from(_relators(q)),
+                       st.sampled_from((1, -1)))
+    return st.lists(factor, min_size=1, max_size=5).map(
+        lambda factors: sum((g + power(r, e) + inverse(g)
+                             for g, r, e in factors), ()))
+
+
+def powers(q: int):
+    """u^m, sometimes followed by a short tail."""
+    return st.tuples(words(q, max_len=6).filter(bool), st.integers(1, 60),
+                     words(q, max_len=3)).map(
+        lambda t: power(t[0], t[1]) + t[2])
+
+
+@given(st.sampled_from(ALL_PRESETS), st.integers(2, 5),
+       st.sampled_from((2, 50, 2000)), st.data())
+@settings(max_examples=400, deadline=None)
+def test_is_trivial_matches_the_closure_on_words(preset, q, cap, data):
+    rec = preset(q)
+    word = data.draw(st.one_of(words(q, max_len=60), relator_products(q),
+                               powers(q)))
+    expected = _closure_on_words(rec, word, cap)
+    verdict = rec.is_trivial(word, cap)
+    if verdict.is_unknown:
+        assert verdict == expected
+    elif not expected.is_unknown:
+        assert verdict == expected
+
+
+def _fold_directly(nf, state):
+    """``nf.fold`` without the power path: every strand walks the whole
+    state."""
+    if nf.perm(state) != 0:
+        return None
+    return [nf.conjugated(s) for s in nf.strands(state)]
+
+
+def _states(folded):
+    return folded if folded is None else [s for s, _ in folded]
+
+
+def _assert_period(state, period):
+    body = state[1:]
+    assert period == len(body) or (period and len(body) % period == 0
+                                   and body == body[:period] * (len(body) // period))
+
+
+def _check_state_fold(rec, root, m):
+    nf, q = rec._nf, rec.q
+    word = power(root, m)
+    direct = nf.word(word)
+    state, period = nf.power(nf.word(root), m)
+    assert state == nf.conjugated(direct)
+    _assert_period(state, period)
+    if direct[0] == 0:  # then the state's strands are the word's strands
+        images, sections = rec.fold(word)
+        expected = (None if images != tuple(range(q))
+                    else [nf.conjugated(nf.word(s)) for s in sections])
+        assert _states(nf.fold(state, period)) == expected
+    # through the power path or not, three levels of sections agree
+    level = [(state, period)]
+    for _ in range(3):
+        following = []
+        for s, p in level:
+            folded = nf.fold(s, p)
+            assert _states(folded) == _fold_directly(nf, s)
+            for t, period in folded or ():
+                _assert_period(t, period)
+                following.append((t, period))
+        level = following[:8]
+
+
+@given(st.sampled_from(ALL_PRESETS), st.integers(2, 5), st.data())
+@settings(max_examples=300, deadline=None)
+def test_state_fold_matches_the_word_fold(preset, q, data):
+    root = data.draw(words(q, max_len=6).filter(bool))
+    _check_state_fold(preset(q), root, data.draw(st.integers(1, 60)))
+
+
+@pytest.mark.parametrize("preset,root,m", [
+    # cycle products whose factors cancel where they are joined
+    (WreathRecursion.transposed_variant,
+     ((0, -1), (2, -1), (3, 1), (0, 1), (0, 1), (2, -1)), 24),
+    (WreathRecursion.inverted_variant,
+     ((2, -1), (0, -1), (2, 1), (0, 1), (2, 1), (0, 1)), 12),
+    # laps t core t^-1 whose seam permutation is a product of two
+    # permutations that do not commute
+    (WreathRecursion.inverted_variant,
+     ((0, 1), (1, -1), (0, -1), (3, 1), (0, -1)), 17),
+    (WreathRecursion.transposed_variant,
+     ((0, -1), (2, -1), (2, 1), (1, 1), (0, -1), (2, 1), (0, 1)), 13),
+])
+def test_state_fold_of_powers_that_cancel_at_the_seam(preset, root, m):
+    _check_state_fold(preset(4), root, m)
+
+
+def test_states_compose_permutations_as_then_does():
+    # in S_3 the order matters: the conjugated state ends with r then p
+    nf = WreathRecursion.transposed_variant(3)._nf
+    p_images, r_images = (1, 0, 2), (0, 2, 1)
+    p, r = nf.perms.id(p_images), nf.perms.id(r_images)
+    then = Permutation(r_images).then(Permutation(p_images)).images
+    assert nf.perms[r, p] == nf.perms.id(then) != nf.perms[p, r]
+    x0 = nf.ops[(0, 1)]
+    assert nf.conjugated((p, x0, r)) == (0, x0, nf.perms.id(then))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_relators_vanish_in_the_normal_form(q):
+    # x1^q, x_i x_j^-1 and their conjugates by rooted letters reduce to
+    # the identity state, so is_trivial folds nothing
+    rec = WreathRecursion.thue_morse(q)
+    g = ((1, 1), (2 % q, -1), (1, 1))
+    for rel in _relators(q)[:-1]:
+        for word in (rel, g + rel + inverse(g), inverse(rel)):
+            assert rec._nf.word(word) == (0,)
+            with mock.patch.object(rec._nf, "fold",
+                                   wraps=rec._nf.fold) as spy:
+                assert rec.is_trivial(word).is_true
+            assert spy.call_count == 1 and spy.call_args.args[0] == (0,)
+
+
+def test_is_trivial_reads_no_word_letter_by_letter():
+    rec = WreathRecursion.thue_morse(3)
+    left = power(((0, 1), (1, -1)), 3)
+    right = power(((1, -1), (0, 1)), 3)
+    with mock.patch.object(rec, "_fold_letters") as letters, \
+            mock.patch.object(rec, "fold") as fold:
+        assert rec.is_trivial(commutator(left, right)).is_true
+        assert rec.is_trivial(((0, 1), (1, 1))).is_false
+    assert letters.call_count == fold.call_count == 0
+
+
+def test_is_trivial_counts_normal_form_states():
+    # x0^4 at q = 2 reaches the six states x0^4, (x0 x1)^2 (both of its
+    # strands), x0^2, x0 x1, x0 and x1; the closure on words needs nine
+    rec = WreathRecursion.thue_morse(2)
+    x0 = ((0, 1),)
+    assert rec.is_trivial(x0 * 4, cap_states=5) == Verdict.unknown(5, "cap_states")
+    assert rec.is_trivial(x0 * 4, cap_states=6).is_false
+    assert _closure_on_words(rec, x0 * 4, 8).is_unknown
+    assert _closure_on_words(rec, x0 * 4, 9).is_false
+
+
+def test_is_trivial_rejects_bad_letters():
+    rec = WreathRecursion.thue_morse(3)
+    for letter in ((0, 0), (3, 1), (-1, 1)):
+        with pytest.raises(ValueError):
+            rec.is_trivial(((1, 1), letter))
+
+
+@pytest.mark.parametrize("q,root,m", [
+    (2, ((0, 1),), 2 ** 16),
+    (3, ((0, 1), (1, 1), (2, 1)), 3 ** 9),
+    (5, tuple((i, 1) for i in range(5)), 5 ** 7),
+])
+def test_long_powers_are_nontrivial_through_their_roots(q, root, m):
+    # x0^(2^16), Pi^(3^9) and Pi^(5^7): every level is a proper power of a
+    # short root, so no strand is built from more than a few root letters
+    rec = WreathRecursion.thue_morse(q)
+    with mock.patch.object(rec._nf, "strands", wraps=rec._nf.strands) as spy:
+        assert rec.is_trivial(root * m).is_false
+    assert max(len(call.args[0]) for call in spy.call_args_list) <= 4 * q + 1
+
+
+def test_recursions_with_equal_images_share_their_letter_tables():
+    assert WreathRecursion.thue_morse(3)._nf is WreathRecursion.thue_morse(3)._nf
+    assert WreathRecursion.thue_morse(3)._nf is not WreathRecursion.inverted_variant(3)._nf
+
+
+def test_plain_verdicts_are_shared_and_unchanged():
+    assert Verdict.yes() is Verdict.yes() and Verdict.no() is Verdict.no()
+    assert Verdict.yes() == Verdict("true") and Verdict.no() == Verdict("false")
+    assert Verdict.yes() != Verdict.no()
+    assert str(Verdict.yes()) == "true" and str(Verdict.no()) == "false"
+    assert Verdict.yes().is_true and Verdict.no().is_false
