@@ -499,17 +499,12 @@ def phi_iterate(s: AlgebraElement, n: int) -> dict[tuple[int, int], AlgebraEleme
     Explicit materialization; use only for small n.
     """
     current = {(0, 0): s}
-    q = s.q
+    q, fold = s.q, _thue_morse(s.q).fold
     for _ in range(n):
-        grown: dict[tuple[int, int], AlgebraElement] = {}
-        for (u, v), entry in current.items():
-            block = entry.phi()
-            for i in range(q):
-                for j in range(q):
-                    cell = block[i][j]
-                    if not cell.is_zero_literal:
-                        grown[(u * q + i, v * q + j)] = cell
-        current = grown
+        current = {(u * q + i, v * q + j): cell
+                   for (u, v), entry in current.items()
+                   for (i, j), cell in sorted(_phi_cells(entry, fold).items())
+                   if not cell.is_zero_literal}
     return current
 
 
@@ -583,6 +578,8 @@ def omega_enumerate(ring, q: int, n: int, k_max: int, size_cap: int = 512,
     """
     if n < 0:
         raise ValueError("level must be nonnegative")
+    if size_cap < 1:
+        raise ValueError(f"size_cap must be at least 1, got {size_cap}")
     level: list[AlgebraElement] = [AlgebraElement.zero(ring, q, mode)]
     for k in range(k_max + 1):
         for i in range(q):

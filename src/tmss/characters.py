@@ -198,13 +198,11 @@ def algebra_char(s: AlgebraElement, kernel: Kernel, cap_classes: int = 10_000,
 
 
 def spread_char(s: AlgebraElement, cap_classes: int = 10_000,
-                expand_monomials: bool = False, with_info: bool = False):
+                with_info: bool = False):
     """All-ones kernel character; every single monomial is a base case
-    with value 1 unless ``expand_monomials`` forces one more recursion
-    level through them."""
+    with value 1."""
     value, info = algebra_char(s, _ones_kernel(s.q), cap_classes=cap_classes,
-                               monomial_base=not expand_monomials,
-                               with_info=True)
+                               monomial_base=True, with_info=True)
     if not isinstance(value, Verdict):
         # the value lies in Z[1/q]: its denominator divides a power of q,
         # which at composite q need not be a power of q itself (6/4 = 3/2)

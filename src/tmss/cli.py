@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import algebra as alg
 from . import characters as chars
@@ -30,30 +31,38 @@ def _ring_from_flag(text: str):
     if text == "Z":
         return alg.INTEGERS
     if text.startswith("Fp:"):
-        return alg.PrimeField(int(text.split(":", 1)[1]))
+        try:
+            return alg.PrimeField(int(text[3:]))
+        except ValueError as exc:  # not an integer, or not prime
+            raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
     raise argparse.ArgumentTypeError(f"unknown ring {text!r}; use Q, Z or Fp:<p>")
 
 
-def _cap_from_flag(text: str) -> int:
+def _int_from_flag(text: str, least: int, what: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"a cap must be an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"a cap must be at least 1, got {value}")
+            f"{what} must be an integer, got {text!r}") from None
+    if value < least:
+        raise argparse.ArgumentTypeError(
+            f"{what} must be at least {least}, got {value}")
     return value
 
 
+_cap_from_flag = partial(_int_from_flag, least=1, what="a cap")
+_depth_from_flag = partial(_int_from_flag, least=0, what="a depth")
+
+
+_PRESETS = {
+    "tm": WreathRecursion.thue_morse,
+    "inverted": WreathRecursion.inverted_variant,
+    "transposed": WreathRecursion.transposed_variant,
+}
+
+
 def _make_rec(args) -> WreathRecursion:
-    preset = getattr(args, "preset", "tm")
-    if preset == "tm":
-        return WreathRecursion.thue_morse(args.q)
-    if preset == "inverted":
-        return WreathRecursion.inverted_variant(args.q)
-    if preset == "transposed":
-        return WreathRecursion.transposed_variant(args.q)
-    raise ValueError(f"unknown preset {preset!r}")
+    return _PRESETS[args.preset](args.q)
 
 
 def _parse_elem(args, text: str) -> alg.AlgebraElement:
@@ -150,13 +159,11 @@ def _cmd_group(args) -> int:
               ", ".join(reps) + ("" if result.closed else "  (cap reached)"))
         return 0 if result.closed else 2
     elif args.action == "bounded":
-        depth = args.depth if args.depth is not None else 10
-        profile = rec.boundedness_profile(parse_word(args.word, args.q), depth,
+        profile = rec.boundedness_profile(parse_word(args.word, args.q), args.depth,
                                           cap_states=args.cap_states)
         _emit(args, {"profile": profile}, " ".join(str(c) for c in profile))
     elif args.action == "portrait":
-        depth = args.depth if args.depth is not None else 3
-        data = rec.portrait(parse_word(args.word, args.q), depth)
+        data = rec.portrait(parse_word(args.word, args.q), args.depth)
         _emit(args, data, json.dumps(data))
     elif args.action == "moved":
         vertex = rec.moved_vertex(parse_word(args.word, args.q),
@@ -179,9 +186,8 @@ def _cmd_algebra(args) -> int:
         _emit(args, {"matrix": data},
               "\n".join("[" + ", ".join(row) + "]" for row in data))
     elif args.action == "zero":
-        return _emit_verdict(args, alg.is_zero(
-            _parse_elem(args, args.elem),
-            cap_depth=args.depth if args.depth is not None else 60))
+        return _emit_verdict(args, alg.is_zero(_parse_elem(args, args.elem),
+                                               cap_depth=args.depth))
     elif args.action == "star":
         elem = _parse_elem(args, args.elem).star()
         _emit(args, elem.to_json(), elem.render())
@@ -195,14 +201,13 @@ def _cmd_algebra(args) -> int:
         rendered = [e.render() for e in items]
         _emit(args, {"elements": rendered}, "\n".join(rendered))
     elif args.action == "cdepth":
-        result = alg.contraction_depth(
-            _parse_elem(args, args.elem),
-            cap_depth=args.depth if args.depth is not None else 12)
+        result = alg.contraction_depth(_parse_elem(args, args.elem),
+                                       cap_depth=args.depth)
         _emit(args, {"depth": str(result)}, str(result))
         return _verdict_exit(result)
     elif args.action == "rcbound":
-        depth = args.depth if args.depth is not None else 4
-        profile = alg.row_col_bound_profile(_parse_elem(args, args.elem), depth)
+        profile = alg.row_col_bound_profile(_parse_elem(args, args.elem),
+                                            args.depth)
         _emit(args, {"profile": profile},
               " ".join(f"{r}/{c}" for r, c in profile))
     return 0
@@ -322,7 +327,7 @@ def _cmd_verify(args) -> int:
     if args.suite == "lemma-tm":
         return _report([verification.check_substitution_diagonal()])
     if args.suite == "lemma-infinitesimal":
-        qs = (args.q,) if args.q_explicit else (2, 3, 5)
+        qs = (args.q,) if args.q is not None else (2, 3, 5)
         return _report([verification.check_tower_values(qs=qs, k_max=args.kmax),
                         verification.check_base_values()])
     if args.suite == "lemma-additive":
@@ -337,20 +342,32 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--q", type=int, default=2,
-                        help="alphabet size (default 2)")
-    common.add_argument("--ring", type=_ring_from_flag, default=alg.RATIONALS,
-                        help="coefficient ring: Q, Z or Fp:<p>")
-    common.add_argument("--mode", choices=("A", "B"), default="B",
-                        help="positive-letter or group-algebra monomials")
-    common.add_argument("--cap-classes", type=_cap_from_flag, default=10_000)
-    common.add_argument("--cap-states", type=_cap_from_flag, default=100_000)
-    common.add_argument("--depth", type=int, default=None)
-    common.add_argument("--json", action="store_true")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--preset", choices=("tm", "inverted", "transposed"),
-                        default="tm", help="wreath recursion preset")
+    """The ``tmss`` parser; each subcommand takes only the flags it reads."""
+    base = argparse.ArgumentParser(add_help=False)
+    base.add_argument("--q", type=int, default=2,
+                      help="alphabet size (default 2)")
+    base.add_argument("--json", action="store_true")
+    ring = argparse.ArgumentParser(add_help=False)
+    ring.add_argument("--ring", type=_ring_from_flag, default=alg.RATIONALS,
+                      help="coefficient ring: Q, Z or Fp:<p>")
+    ring.add_argument("--mode", choices=("A", "B"), default="B",
+                      help="positive-letter or group-algebra monomials")
+    preset = argparse.ArgumentParser(add_help=False)
+    preset.add_argument("--preset", choices=tuple(_PRESETS), default="tm",
+                        help="wreath recursion preset")
+    states = argparse.ArgumentParser(add_help=False)
+    states.add_argument("--cap-states", type=_cap_from_flag, default=100_000)
+    classes = argparse.ArgumentParser(add_help=False)
+    classes.add_argument("--cap-classes", type=_cap_from_flag, default=10_000)
+
+    def command(subs, name: str, parents, *positionals: str, depth=None):
+        p = subs.add_parser(name, parents=parents)
+        for positional in positionals:
+            p.add_argument(positional)
+        if depth is not None:
+            p.add_argument("--depth", type=_depth_from_flag, default=depth,
+                           help="default %(default)s")
+        return p
 
     parser = argparse.ArgumentParser(
         prog="tmss",
@@ -360,79 +377,65 @@ def build_parser() -> argparse.ArgumentParser:
 
     word = sub.add_parser("word", help="substitution word utilities")
     ws = word.add_subparsers(dest="action", required=True)
-    p = ws.add_parser("prefix", parents=[common])
-    p.add_argument("n", type=int)
-    p = ws.add_parser("subst", parents=[common])
-    p.add_argument("word")
-    p.add_argument("--iters", type=int, default=1)
-    p = ws.add_parser("gamma", parents=[common])
-    p.add_argument("word")
-    p.add_argument("--shift", type=int, default=1)
+    command(ws, "prefix", [base]).add_argument("n", type=int)
+    command(ws, "subst", [base], "word").add_argument("--iters", type=int, default=1)
+    command(ws, "gamma", [base], "word").add_argument("--shift", type=int, default=1)
 
     group = sub.add_parser("group", help="wreath recursion operations")
     gs = group.add_subparsers(dest="action", required=True)
-    for name in ("decompose", "trivial", "order", "moved", "bounded", "portrait"):
-        p = gs.add_parser(name, parents=[common])
-        p.add_argument("word")
+    wreath, capped = [base, preset], [base, preset, states]
+    command(gs, "decompose", wreath, "word")
+    for name in ("trivial", "order", "moved"):
+        command(gs, name, capped, "word")
+    command(gs, "bounded", capped, "word", depth=10)
+    command(gs, "portrait", wreath, "word", depth=3)
     for name in ("act", "section"):
-        p = gs.add_parser(name, parents=[common])
-        p.add_argument("word")
-        p.add_argument("vertex")
-    p = gs.add_parser("equal", parents=[common])
-    p.add_argument("left")
-    p.add_argument("right")
-    gs.add_parser("nucleus", parents=[common])
+        command(gs, name, wreath, "word", "vertex")
+    command(gs, "equal", capped, "left", "right")
+    command(gs, "nucleus", capped)
 
     algebra = sub.add_parser("algebra", help="matrix decomposition arithmetic")
     as_ = algebra.add_subparsers(dest="action", required=True)
-    for name in ("phi", "zero", "star", "cdepth", "rcbound"):
-        p = as_.add_parser(name, parents=[common])
-        p.add_argument("elem")
-    p = as_.add_parser("sigma", parents=[common])
-    p.add_argument("elems", nargs="+")
-    p = as_.add_parser("omega", parents=[common])
+    for name, depth in (("phi", None), ("zero", 60), ("star", None),
+                        ("cdepth", 12), ("rcbound", 4)):
+        command(as_, name, [base, ring], "elem", depth=depth)
+    command(as_, "sigma", [base, ring]).add_argument("elems", nargs="+")
+    p = command(as_, "omega", [base, ring])
     p.add_argument("--level", type=int, default=0)
     p.add_argument("--kmax", type=int, default=1)
-    p.add_argument("--cap", type=int, default=64)
+    p.add_argument("--cap", type=_cap_from_flag, default=64)
 
     char = sub.add_parser("char", help="exact character evaluation")
     cs = char.add_subparsers(dest="action", required=True)
-    p = cs.add_parser("spread", parents=[common])
-    p.add_argument("elem")
-    p = cs.add_parser("kernel", parents=[common])
-    p.add_argument("elem")
-    p.add_argument("--kernel", default="ones",
-                   help="id, ones, or a JSON matrix")
-    p = cs.add_parser("group", parents=[common])
-    p.add_argument("word")
-    p.add_argument("--kernel", default="id")
-    p = cs.add_parser("count", parents=[common])
-    p.add_argument("elem")
-    p.add_argument("k", type=int)
-    p = cs.add_parser("growth", parents=[common])
-    p.add_argument("elem")
+    exact = [base, ring, classes]
+    command(cs, "spread", exact, "elem")
+    command(cs, "kernel", exact, "elem").add_argument(
+        "--kernel", default="ones", help="id, ones, or a JSON matrix")
+    command(cs, "group", [base, preset, classes], "word").add_argument(
+        "--kernel", default="id")
+    command(cs, "count", exact, "elem").add_argument("k", type=int)
+    p = command(cs, "growth", exact, "elem")
     p.add_argument("--kmin", type=int, default=3)
     p.add_argument("--kmax", type=int, default=6)
-    p = cs.add_parser("additivity", parents=[common])
-    p.add_argument("elems", nargs="+")
-    p = cs.add_parser("witness", parents=[common])
-    p.add_argument("target")
+    command(cs, "additivity", exact).add_argument("elems", nargs="+")
+    command(cs, "witness", exact, "target")
 
     julia = sub.add_parser("julia", help="Julia set rendering")
     js = julia.add_subparsers(dest="action", required=True)
-    p = js.add_parser("render", parents=[common])
+    p = js.add_parser("render")
     p.add_argument("--map", default="f2")
     p.add_argument("--out", default="julia.pgm")
     p.add_argument("--points", type=int, default=100_000)
     p.add_argument("--viewport", default="0,0,4")
     p.add_argument("--pixels", default="400,400")
     p.add_argument("--burn-in", type=int, default=100, dest="burn_in")
+    p.add_argument("--seed", type=int, default=0)
 
     verify = sub.add_parser("verify", help="replay the verification suite")
     verify.add_argument("suite", choices=(
         "all", "lemma-tm", "lemma-infinitesimal", "lemma-additive",
         "presentation", "counting"))
-    verify.add_argument("--q", type=int, default=None, dest="q_flag")
+    verify.add_argument("--q", type=int, default=None)
     verify.add_argument("--kmax", type=int, default=5)
 
     return parser
@@ -443,9 +446,6 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # usage and error already printed
         return 0 if exc.code == 0 else 1  # exit 2 means an exhausted budget
-    if args.command == "verify":
-        args.q_explicit = args.q_flag is not None
-        args.q = args.q_flag if args.q_flag is not None else 2
     handlers = {
         "word": _cmd_word,
         "group": _cmd_group,

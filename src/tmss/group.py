@@ -538,12 +538,7 @@ class WreathRecursion:
         q = self.q
         perm: list[int] = [-1] * q
         out: list[Word] = [()] * q
-        for start in range(q):
-            if perm[start] >= 0:
-                continue
-            cycle = [start]
-            while (b := images[cycle[-1]]) != start:
-                cycle.append(b)
+        for cycle in _cycles(images):
             laps, rest = divmod(m, len(cycle))
             for i, a in enumerate(cycle):
                 perm[a] = cycle[(i + m) % len(cycle)]
@@ -556,26 +551,25 @@ class WreathRecursion:
         images, sections = self.fold(word)
         return WreathElement(sections, Permutation(images))
 
-    def act(self, word: Word, vertex: tuple[int, ...]) -> tuple[int, ...]:
-        """Image of a tree vertex under the element given by ``word``."""
+    def _walk(self, word: Word, vertex: tuple[int, ...]):
+        """The image of ``vertex`` under ``word`` and the section of
+        ``word`` at ``vertex``, one fold per vertex letter."""
         out: list[int] = []
-        current = word
         for a in vertex:
             if not 0 <= a < self.q:
                 raise ValueError(f"vertex letter {a} is outside 0..{self.q - 1}")
-            el = self.decompose(current)
-            out.append(el.perm(a))
-            current = el.sections[a]
-        return tuple(out)
+            images, sections = self.fold(word)
+            out.append(images[a])
+            word = sections[a]
+        return tuple(out), word
+
+    def act(self, word: Word, vertex: tuple[int, ...]) -> tuple[int, ...]:
+        """Image of a tree vertex under the element given by ``word``."""
+        return self._walk(word, vertex)[0]
 
     def section(self, word: Word, vertex: tuple[int, ...]) -> Word:
         """Iterated section of ``word`` along the vertex path."""
-        current = free_reduce(word)
-        for a in vertex:
-            if not 0 <= a < self.q:
-                raise ValueError(f"vertex letter {a} is outside 0..{self.q - 1}")
-            current = self.decompose(current).sections[a]
-        return current
+        return self._walk(free_reduce(word), vertex)[1]
 
     def is_trivial(self, word: Word, cap_states: int = 100_000) -> Verdict:
         """Word problem in the injective quotient by coinductive closure.

@@ -341,7 +341,7 @@ def test_phi_iterate_matches_blockwise_expansion():
                         if not block[i][j].is_zero_literal:
                             grown[(u * q + i, v * q + j)] = block[i][j]
             oracle = grown
-        assert sparse == oracle
+        assert sparse == oracle and list(sparse) == list(oracle)
 
 
 def test_contraction_depth_of_tower_element():
@@ -390,6 +390,12 @@ def test_omega_enumerate_is_deterministic():
     second = omega_enumerate(RATIONALS, 2, 1, k_max=1, size_cap=64)
     assert first == second
     assert len(first) <= 64
+
+
+@pytest.mark.parametrize("size_cap", [0, -1])
+def test_omega_enumerate_rejects_a_cap_below_1(size_cap):
+    with pytest.raises(ValueError, match="size_cap must be at least 1"):
+        omega_enumerate(RATIONALS, 2, 0, k_max=1, size_cap=size_cap)
 
 
 def test_omega_level_one_contains_sigma_images():

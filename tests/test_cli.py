@@ -1,11 +1,13 @@
 """Command line round trips through tmss.cli.main."""
 
+import argparse
 import importlib.metadata as md
 import json
 from pathlib import Path
 
 import pytest
 
+from tmss.algebra import INTEGERS
 from tmss.cli import build_parser, main
 from tmss.group import NucleusResult, WreathRecursion
 
@@ -274,17 +276,59 @@ def test_group_nucleus_cap_reached_exits_2(capsys, monkeypatch):
     assert code == 2 and out == "1  (cap reached)" and err == ""
 
 
-@pytest.mark.parametrize("flag", ["--cap-states", "--cap-classes"])
-@pytest.mark.parametrize("argv", [
-    ("group", "trivial", "x1"),
-    ("group", "nucleus"),
-    ("char", "count", "1 - x0", "30"),
-], ids=lambda argv: " ".join(argv[:2]))
+@pytest.mark.parametrize("argv, flag", [
+    (("group", "trivial", "x1"), "--cap-states"),
+    (("group", "nucleus"), "--cap-states"),
+    (("group", "order", "x1"), "--cap-states"),
+    (("char", "count", "1 - x0", "30"), "--cap-classes"),
+    (("char", "spread", "1 - x0"), "--cap-classes"),
+    (("char", "group", "x0"), "--cap-classes"),
+], ids=lambda param: " ".join(param[:2]) if isinstance(param, tuple) else param)
 @pytest.mark.parametrize("value", ["0", "-3", "many"])
 def test_cap_flags_below_1_are_usage_errors(capsys, flag, argv, value):
     code, out, err = run(capsys, *argv, flag, value)
     assert code == 1 and out == ""
     assert f"error: argument {flag}: a cap must be" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("algebra", "zero", "x0"),
+    ("algebra", "cdepth", "x0"),
+    ("algebra", "rcbound", "x0"),
+    ("group", "bounded", "x0"),
+    ("group", "portrait", "x0"),
+], ids=lambda argv: " ".join(argv[:2]))
+@pytest.mark.parametrize("value", ["-1", "-2", "deep"])
+def test_depth_below_0_is_a_usage_error(capsys, argv, value):
+    code, out, err = run(capsys, *argv, "--depth", value)
+    assert code == 1 and out == ""
+    assert "error: argument --depth: a depth must be" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "x"])
+def test_omega_cap_below_1_is_a_usage_error(capsys, value):
+    code, out, err = run(capsys, "algebra", "omega", "--cap", value)
+    assert code == 1 and out == ""
+    assert "error: argument --cap: a cap must be" in err
+    assert "Traceback" not in err
+
+
+def test_omega_cap_of_1_keeps_the_first_element(capsys):
+    code, out, _ = run(capsys, "algebra", "omega", "--cap", "1")
+    assert code == 0 and out == "0"
+
+
+@pytest.mark.parametrize("ring, reason", [
+    ("Fp:4", "4 is not prime"),
+    ("Fp:1", "1 is not prime"),
+    ("Fp:x", "invalid literal for int()"),
+])
+def test_bad_prime_field_reports_its_reason(capsys, ring, reason):
+    code, out, err = run(capsys, "char", "spread", "x0", "--ring", ring)
+    assert code == 1 and out == ""
+    assert f"error: argument --ring: {ring!r}: {reason}" in err
     assert "Traceback" not in err
 
 
@@ -366,6 +410,100 @@ def test_usage_errors_exit_1_with_usage_and_no_traceback(capsys, argv):
 def test_help_exits_0(capsys):
     code, out, _ = run(capsys, "char", "spread", "--help")
     assert code == 0 and out.startswith("usage: tmss char spread")
+
+
+# Positional arguments that let each subcommand parse, and the flags it
+# takes of the nine that every subcommand but ``verify`` once shared.
+BASE = {"--q", "--json"}
+ALGEBRA = BASE | {"--ring", "--mode"}
+GROUP = BASE | {"--preset"}
+CAPPED = GROUP | {"--cap-states"}
+EXACT = ALGEBRA | {"--cap-classes"}
+SUBCOMMANDS = {
+    ("word", "prefix"): (["4"], BASE),
+    ("word", "subst"): (["x0"], BASE),
+    ("word", "gamma"): (["x0"], BASE),
+    ("group", "decompose"): (["x0"], GROUP),
+    ("group", "act"): (["x0", "0"], GROUP),
+    ("group", "section"): (["x0", "0"], GROUP),
+    ("group", "portrait"): (["x0"], GROUP | {"--depth"}),
+    ("group", "trivial"): (["x0"], CAPPED),
+    ("group", "equal"): (["x0", "x0"], CAPPED),
+    ("group", "order"): (["x0"], CAPPED),
+    ("group", "moved"): (["x0"], CAPPED),
+    ("group", "nucleus"): ([], CAPPED),
+    ("group", "bounded"): (["x0"], CAPPED | {"--depth"}),
+    ("algebra", "phi"): (["x0"], ALGEBRA),
+    ("algebra", "star"): (["x0"], ALGEBRA),
+    ("algebra", "sigma"): (["x0", "x1"], ALGEBRA),
+    ("algebra", "omega"): ([], ALGEBRA),
+    ("algebra", "zero"): (["x0"], ALGEBRA | {"--depth"}),
+    ("algebra", "cdepth"): (["x0"], ALGEBRA | {"--depth"}),
+    ("algebra", "rcbound"): (["x0"], ALGEBRA | {"--depth"}),
+    ("char", "spread"): (["x0"], EXACT),
+    ("char", "kernel"): (["x0"], EXACT),
+    ("char", "count"): (["x0", "3"], EXACT),
+    ("char", "growth"): (["x0"], EXACT),
+    ("char", "additivity"): (["x0", "x1"], EXACT),
+    ("char", "witness"): (["2/9"], EXACT),
+    ("char", "group"): (["x0"], GROUP | {"--cap-classes"}),
+    ("julia", "render"): ([], {"--seed"}),
+    ("verify",): (["lemma-tm"], {"--q"}),
+}
+# a value for each flag and the attribute it parses to
+SHARED_FLAGS = {
+    "--q": (["3"], "q", 3),
+    "--json": ([], "json", True),
+    "--ring": (["Z"], "ring", INTEGERS),
+    "--mode": (["A"], "mode", "A"),
+    "--preset": (["inverted"], "preset", "inverted"),
+    "--cap-states": (["5"], "cap_states", 5),
+    "--cap-classes": (["5"], "cap_classes", 5),
+    "--depth": (["2"], "depth", 2),
+    "--seed": (["7"], "seed", 7),
+}
+
+
+def walk_subcommands(parser, path=()):
+    """Every leaf subcommand of ``parser``, as its path of names."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from walk_subcommands(child, path + (name,))
+
+
+def test_the_flag_table_lists_every_subcommand():
+    assert set(walk_subcommands(build_parser())) == set(SUBCOMMANDS)
+    # 110 slots on the 28 subcommands that once shared every flag
+    assert sum(len(flags) for path, (_, flags) in SUBCOMMANDS.items()
+               if path != ("verify",)) == 110
+
+
+@pytest.mark.parametrize("flag", sorted(SHARED_FLAGS))
+@pytest.mark.parametrize("path", sorted(SUBCOMMANDS),
+                         ids=lambda path: " ".join(path))
+def test_a_subcommand_takes_exactly_its_shared_flags(capsys, path, flag):
+    positionals, takes = SUBCOMMANDS[path]
+    value, dest, parsed = SHARED_FLAGS[flag]
+    argv = [*path, *positionals, flag, *value]
+    if flag in takes:
+        assert getattr(build_parser().parse_args(argv), dest) == parsed
+    else:
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "error: unrecognized arguments" in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("path", [(), *sorted(SUBCOMMANDS)],
+                         ids=lambda path: " ".join(path) or "tmss")
+def test_every_subcommand_help_exits_0(capsys, path):
+    code, out, err = run(capsys, *path, "--help")
+    assert code == 0 and err == ""
+    assert out.startswith(" ".join(("usage: tmss", *path)))
 
 
 def declared_scripts():
