@@ -23,6 +23,7 @@ permanent obstruction (nonzero), or at the depth cap (unknown).
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from functools import cache, partial
 
@@ -31,6 +32,8 @@ from .group import Permutation, WreathElement, WreathRecursion
 from .verdict import Verdict
 from .words import (
     Word,
+    check_alphabet,
+    check_word,
     free_reduce,
     gamma as word_gamma,
     inverse as word_inverse,
@@ -173,8 +176,7 @@ class AlgebraElement:
         dropped when its sum is zero."""
         if mode not in ("A", "B"):
             raise ValueError("mode must be 'A' or 'B'")
-        if q < 2:
-            raise ValueError("alphabet size must be at least 2")
+        check_alphabet(q)
         if isinstance(terms, dict):
             terms = terms.items()
         self.ring = ring
@@ -197,18 +199,11 @@ class AlgebraElement:
             return
         sums: dict[Word, object] = {}
         for word, coeff in terms:
-            for i, sign in word:
-                if not 0 <= i < q:
-                    raise ValueError(f"letter x{i} is outside x0..x{q - 1}")
-                if sign != 1:
-                    if sign != -1:
-                        raise ValueError(
-                            f"letter sign must be +1 or -1, got {sign}")
-                    if mode == "A":
-                        raise UnsupportedModeError(
-                            "mode A admits positive letters only")
+            check_word(word, q)
             if mode == "B":
                 word = free_reduce(word)
+            elif any(sign < 0 for _, sign in word):
+                raise UnsupportedModeError("mode A admits positive letters only")
             sums[word] = sums[word] + coeff if word in sums else coeff
         self.terms = {word: coeff for word, total in sums.items()
                       if (coeff := ring.coerce(total)) != 0}
@@ -578,6 +573,8 @@ def omega_enumerate(ring, q: int, n: int, k_max: int, size_cap: int = 512,
     """
     if n < 0:
         raise ValueError("level must be nonnegative")
+    if k_max < 0:
+        raise ValueError("k_max must be nonnegative")
     if size_cap < 1:
         raise ValueError(f"size_cap must be at least 1, got {size_cap}")
     level: list[AlgebraElement] = [AlgebraElement.zero(ring, q, mode)]
@@ -633,63 +630,39 @@ def row_col_bound_profile(s: AlgebraElement, depth: int) -> list[tuple[int, int]
 # -- parsing -----------------------------------------------------------------
 
 
+# a ``^`` and the sign of its exponent, with the spaces around that sign
+_EXPONENT = re.compile(r"\^\s*(-?)\s*")
+# a ``+`` or ``-`` that is not the sign of an exponent
+_TERM_SIGN = re.compile(r"(?<!\^)([+-])")
+
+
 def parse_element(text: str, ring, q: int, mode: str = "B") -> AlgebraElement:
-    """Parse ``"2*x0 x1 - 1 + x1^-1 x0"`` style input."""
-    stripped = text.strip()
-    if not stripped:
-        raise ValueError("empty element")
-    tokens = stripped.replace("*", " ").replace("+", " + ").replace("-", " - ").split()
-    # repair exponents that got split: "x1^", "-", "1" -> "x1^-1"
-    fixed: list[str] = []
-    idx = 0
-    while idx < len(tokens):
-        tok = tokens[idx]
-        if tok.endswith("^") and idx + 2 < len(tokens) and tokens[idx + 1] == "-":
-            fixed.append(tok + "-" + tokens[idx + 2])
-            idx += 3
-        elif tok.endswith("^") and idx + 1 < len(tokens):
-            fixed.append(tok + tokens[idx + 1])
-            idx += 2
-        else:
-            fixed.append(tok)
-            idx += 1
+    """Parse ``"2*x0 x1 - 1 + x1^-1 x0"`` style input.
 
-    # group tokens into signed terms
-    groups: list[tuple[int, list[str]]] = []
-    sign = 1
-    body: list[str] = []
-    seen_sign = False
-    for tok in fixed:
-        if tok in ("+", "-"):
-            if body:
-                groups.append((sign, body))
-                body = []
-                sign = 1
-                seen_sign = False
-            if tok == "-":
-                sign = -sign
-            seen_sign = True
-        else:
-            body.append(tok)
-    if body:
-        groups.append((sign, body))
-    elif seen_sign:
+    The text is a sum of terms, each led by any number of signs.  A term
+    is coefficients, which multiply, followed by ``parse_word`` tokens;
+    ``*`` reads as a space, and an exponent may stand apart from its
+    ``^``, as in ``x1^ -1``."""
+    check_alphabet(q)
+    pieces = _TERM_SIGN.split(_EXPONENT.sub(r"^\1", text.replace("*", " ")))
+    if len(pieces) > 1 and not pieces[-1].split():
         raise ValueError("trailing sign without a term")
-    if not groups:
-        raise ValueError("empty element")
-
     terms: list[tuple[Word, object]] = []
-    for sgn, toks in groups:
-        coeff = ring.coerce(1)
-        letters: list[tuple[int, int]] = []
-        for tok in toks:
-            if tok == "1":
-                continue
-            elif tok.startswith("x"):
-                letters.extend(parse_word(tok, q))
-            elif letters:
-                raise ValueError(f"coefficient {tok!r} after letters")
-            else:
-                coeff = coeff * ring.parse(tok)
-        terms.append((tuple(letters), coeff if sgn > 0 else -coeff))
+    sign = 1
+    for n, piece in enumerate(pieces):
+        if n % 2:  # a sign
+            sign = -sign if piece == "-" else sign
+        elif tokens := piece.split():
+            coeff, word = ring.coerce(sign), []
+            for tok in tokens:
+                if tok.startswith("x") or tok == "1":
+                    word += parse_word(tok, q)
+                elif word:
+                    raise ValueError(f"coefficient {tok!r} after letters")
+                else:
+                    coeff = coeff * ring.parse(tok)
+            terms.append((tuple(word), coeff))
+            sign = 1
+    if not terms:
+        raise ValueError("empty element")
     return AlgebraElement(ring, q, mode, terms)

@@ -50,6 +50,7 @@ def _int_from_flag(text: str, least: int, what: str) -> int:
     return value
 
 
+_q_from_flag = partial(_int_from_flag, least=2, what="an alphabet size")
 _cap_from_flag = partial(_int_from_flag, least=1, what="a cap")
 _depth_from_flag = partial(_int_from_flag, least=0, what="a depth")
 
@@ -114,13 +115,9 @@ def _cmd_word(args) -> int:
 # -- group commands -------------------------------------------------------------
 
 
-def _parse_vertex(text: str, q: int) -> tuple[int, ...]:
-    if text in ("", "e"):
-        return ()
-    vertex = tuple(int(c) for c in text)
-    if any(not 0 <= a < q for a in vertex):
-        raise ValueError(f"vertex {text!r} leaves the alphabet 0..{q - 1}")
-    return vertex
+def _parse_vertex(text: str) -> tuple[int, ...]:
+    """The digits of ``text``; the recursion checks them against q."""
+    return () if text in ("", "e") else tuple(int(c) for c in text)
 
 
 def _cmd_group(args) -> int:
@@ -133,12 +130,12 @@ def _cmd_group(args) -> int:
         _emit(args, data, text)
     elif args.action == "act":
         vertex = rec.act(parse_word(args.word, args.q),
-                         _parse_vertex(args.vertex, args.q))
+                         _parse_vertex(args.vertex))
         text = "".join(str(a) for a in vertex) or "e"
         _emit(args, {"vertex": list(vertex)}, text)
     elif args.action == "section":
         word = rec.section(parse_word(args.word, args.q),
-                           _parse_vertex(args.vertex, args.q))
+                           _parse_vertex(args.vertex))
         _emit(args, {"word": render_word(word)}, render_word(word))
     elif args.action == "trivial":
         return _emit_verdict(args, rec.is_trivial(parse_word(args.word, args.q),
@@ -292,10 +289,6 @@ def _cmd_char(args) -> int:
 
 
 def _cmd_julia(args) -> int:
-    if args.map not in dynamics.PRESETS:
-        print(f"unknown map {args.map!r}; presets: "
-              + ", ".join(sorted(dynamics.PRESETS)), file=sys.stderr)
-        return 1
     cx, cy, width = (float(x) for x in args.viewport.split(","))
     px, py = (int(x) for x in args.pixels.split(","))
     cfg = dynamics.RenderConfig(center=complex(cx, cy), width=width,
@@ -322,14 +315,19 @@ def _report(results) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # --q and --kmax are in ``args`` only when given
+    tower = {"qs": (args.q,)} if "q" in args else {}
+    if "kmax" in args:
+        tower["k_max"] = args.kmax
+    if args.suite == "lemma-infinitesimal":
+        return _report([verification.check_tower_values(**tower),
+                        verification.check_base_values()])
+    if tower:
+        raise ValueError("--q and --kmax are read only by lemma-infinitesimal")
     if args.suite == "all":
         return _report(verification.run_all())
     if args.suite == "lemma-tm":
         return _report([verification.check_substitution_diagonal()])
-    if args.suite == "lemma-infinitesimal":
-        qs = (args.q,) if args.q is not None else (2, 3, 5)
-        return _report([verification.check_tower_values(qs=qs, k_max=args.kmax),
-                        verification.check_base_values()])
     if args.suite == "lemma-additive":
         return _report([verification.check_sigma_additivity()])
     if args.suite == "presentation":
@@ -341,10 +339,21 @@ def _cmd_verify(args) -> int:
 # -- parser -------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that reports an argument it does not take itself, so that a
+    subcommand's stray flag is shown under that subcommand's usage line."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return args, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The ``tmss`` parser; each subcommand takes only the flags it reads."""
     base = argparse.ArgumentParser(add_help=False)
-    base.add_argument("--q", type=int, default=2,
+    base.add_argument("--q", type=_q_from_flag, default=2,
                       help="alphabet size (default 2)")
     base.add_argument("--json", action="store_true")
     ring = argparse.ArgumentParser(add_help=False)
@@ -369,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="default %(default)s")
         return p
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tmss",
         description="Exact tools for substitution self-similar groups, "
                     "algebras and their characters")
@@ -401,8 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
         command(as_, name, [base, ring], "elem", depth=depth)
     command(as_, "sigma", [base, ring]).add_argument("elems", nargs="+")
     p = command(as_, "omega", [base, ring])
-    p.add_argument("--level", type=int, default=0)
-    p.add_argument("--kmax", type=int, default=1)
+    p.add_argument("--level", default=0,
+                   type=partial(_int_from_flag, least=0, what="a level"))
+    p.add_argument("--kmax", default=1,
+                   type=partial(_int_from_flag, least=0, what="a tower exponent"))
     p.add_argument("--cap", type=_cap_from_flag, default=64)
 
     char = sub.add_parser("char", help="exact character evaluation")
@@ -423,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     julia = sub.add_parser("julia", help="Julia set rendering")
     js = julia.add_subparsers(dest="action", required=True)
     p = js.add_parser("render")
-    p.add_argument("--map", default="f2")
+    p.add_argument("--map", choices=sorted(dynamics.PRESETS), default="f2")
     p.add_argument("--out", default="julia.pgm")
     p.add_argument("--points", type=int, default=100_000)
     p.add_argument("--viewport", default="0,0,4")
@@ -435,8 +446,11 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("suite", choices=(
         "all", "lemma-tm", "lemma-infinitesimal", "lemma-additive",
         "presentation", "counting"))
-    verify.add_argument("--q", type=int, default=None)
-    verify.add_argument("--kmax", type=int, default=5)
+    verify.add_argument("--q", type=_q_from_flag, default=argparse.SUPPRESS,
+                        help="one alphabet size (default 2, 3 and 5)")
+    verify.add_argument("--kmax", default=argparse.SUPPRESS,
+                        type=partial(_int_from_flag, least=1, what="a tower exponent"),
+                        help="largest tower exponent (default 5)")
 
     return parser
 

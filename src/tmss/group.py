@@ -33,6 +33,7 @@ from .verdict import ClassExplosionError, Verdict
 from .words import (
     Letter,
     Word,
+    check_alphabet,
     check_word,
     free_reduce,
     inverse,
@@ -322,7 +323,8 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        assert sorted(self.images) == list(range(len(self.images)))
+        if sorted(self.images) != list(range(len(self.images))):
+            raise ValueError(f"images {self.images} are not a permutation")
 
     @staticmethod
     def identity(q: int) -> "Permutation":
@@ -365,7 +367,8 @@ class WreathElement:
     perm: Permutation
 
     def __post_init__(self):
-        assert len(self.sections) == len(self.perm.images)
+        if len(self.sections) != len(self.perm.images):
+            raise ValueError("need one section per point of the permutation")
 
     @staticmethod
     def identity(q: int) -> "WreathElement":
@@ -431,8 +434,7 @@ class WreathRecursion:
     """Generator images and every operation built on top of them."""
 
     def __init__(self, q: int, images: dict[int, WreathElement], name: str = "custom"):
-        if q < 2:
-            raise ValueError("alphabet size must be at least 2")
+        check_alphabet(q)
         if set(images) != set(range(q)):
             raise ValueError("need exactly one image per generator x0..x%d" % (q - 1))
         for el in images.values():

@@ -118,6 +118,8 @@ def check_tower_values(qs=(2, 3, 5), k_max=5) -> CheckResult:
                         return False, f"shifted tower q={q} k={k} i={i} gave {value}"
                     worst = max(worst, time.perf_counter() - t0)
                     checked += 1
+        if not checked:
+            return False, "no value checked"
         if worst > 1.0:
             return False, f"slowest of {checked} values took {worst:.2f}s"
         return True, f"{checked} exact values, slowest {worst:.3f}s"

@@ -22,8 +22,15 @@ class InvalidLetterError(ValueError):
     """Raised when a letter index falls outside 0 .. q-1."""
 
 
+def check_alphabet(q: int) -> None:
+    """Validate the alphabet size: the objects need letters x0 and x1."""
+    if q < 2:
+        raise ValueError(f"alphabet size must be at least 2, got {q}")
+
+
 def check_word(word: Word, q: int) -> Word:
-    """Validate every letter of ``word`` against the alphabet size ``q``."""
+    """Validate every letter of ``word`` against the alphabet size ``q``;
+    the one letter check of the package."""
     for i, sign in word:
         if not 0 <= i < q:
             raise InvalidLetterError(f"letter x{i} is outside x0..x{q - 1}")
@@ -89,8 +96,7 @@ def tm_prefix(q: int, n: int) -> tuple[int, ...]:
     letters each round; truncation is safe because the fixed word begins
     with theta^k(x_0) for every k, so memory stays linear in ``n``.
     """
-    if q < 2:
-        raise ValueError("alphabet size must be at least 2")
+    check_alphabet(q)
     if n < 0:
         raise ValueError("prefix length must be nonnegative")
     seq: list[int] = [0]
@@ -109,6 +115,7 @@ _TOKEN = re.compile(r"^x(\d+)(?:\^(-?\d+))?$")
 
 def parse_word(text: str, q: int) -> Word:
     """Parse ``"x0 x1^-1 x2"`` style input; ``"1"`` stands for the empty word."""
+    check_alphabet(q)
     out: list[Letter] = []
     for tok in text.split():
         if tok == "1":
@@ -116,12 +123,9 @@ def parse_word(text: str, q: int) -> Word:
         m = _TOKEN.match(tok)
         if m is None:
             raise ValueError(f"cannot parse word token {tok!r}")
-        i = int(m.group(1))
-        if not 0 <= i < q:
-            raise InvalidLetterError(f"letter x{i} is outside x0..x{q - 1}")
         exponent = int(m.group(2)) if m.group(2) is not None else 1
-        sign = 1 if exponent >= 0 else -1
-        out.extend(((i, sign),) * abs(exponent))
+        letter = (int(m.group(1)), 1 if exponent >= 0 else -1)
+        out.extend(check_word((letter,), q) * abs(exponent))
     return tuple(out)
 
 

@@ -8,7 +8,7 @@ budget.  The same suite is reachable from the command line via
 
 import pytest
 
-from tmss.verification import ALL_CHECKS
+from tmss.verification import ALL_CHECKS, check_tower_values
 
 CHECKS = dict(ALL_CHECKS)
 
@@ -74,3 +74,9 @@ def test_c13_julia_renderer():
 
 def test_registry_matches_criterion_count():
     assert len(ALL_CHECKS) == 13
+
+
+@pytest.mark.parametrize("qs, k_max", [((2, 3, 5), 0), ((), 5)])
+def test_tower_values_fails_when_it_checks_no_value(qs, k_max):
+    result = check_tower_values(qs=qs, k_max=k_max)
+    assert not result.passed and result.detail == "no value checked"

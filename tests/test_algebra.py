@@ -29,7 +29,7 @@ from tmss.algebra import (
 )
 from tmss.group import WreathElement, WreathRecursion
 from tmss.verdict import Verdict
-from tmss.words import free_reduce, gamma, theta
+from tmss.words import free_reduce, gamma, parse_word, theta
 
 
 def gen(q, i, ring=RATIONALS, mode="B"):
@@ -398,6 +398,12 @@ def test_omega_enumerate_rejects_a_cap_below_1(size_cap):
         omega_enumerate(RATIONALS, 2, 0, k_max=1, size_cap=size_cap)
 
 
+@pytest.mark.parametrize("k_max", [-1, -2])
+def test_omega_enumerate_rejects_a_negative_k_max(k_max):
+    with pytest.raises(ValueError, match="k_max must be nonnegative"):
+        omega_enumerate(RATIONALS, 2, 0, k_max=k_max)
+
+
 def test_omega_level_one_contains_sigma_images():
     base = omega_enumerate(RATIONALS, 2, 0, k_max=1)
     level = omega_enumerate(RATIONALS, 2, 1, k_max=1, size_cap=4096)
@@ -429,6 +435,92 @@ def test_parse_element_rejects_garbage():
         parse_element("", RATIONALS, 2)
     with pytest.raises(ValueError):
         parse_element("y0", RATIONALS, 2)
+
+
+def parse_element_by_split_and_repair(text, ring, q, mode="B"):
+    """The parser ``parse_element`` replaced, kept as its oracle: it splits
+    the text around every sign and then glues split exponents back."""
+    stripped = text.strip()
+    if not stripped:
+        raise ValueError("empty element")
+    tokens = stripped.replace("*", " ").replace("+", " + ").replace("-", " - ").split()
+    fixed = []
+    idx = 0
+    while idx < len(tokens):
+        tok = tokens[idx]
+        if tok.endswith("^") and idx + 2 < len(tokens) and tokens[idx + 1] == "-":
+            fixed.append(tok + "-" + tokens[idx + 2])
+            idx += 3
+        elif tok.endswith("^") and idx + 1 < len(tokens):
+            fixed.append(tok + tokens[idx + 1])
+            idx += 2
+        else:
+            fixed.append(tok)
+            idx += 1
+    groups = []
+    sign = 1
+    body = []
+    seen_sign = False
+    for tok in fixed:
+        if tok in ("+", "-"):
+            if body:
+                groups.append((sign, body))
+                body = []
+                sign = 1
+                seen_sign = False
+            if tok == "-":
+                sign = -sign
+            seen_sign = True
+        else:
+            body.append(tok)
+    if body:
+        groups.append((sign, body))
+    elif seen_sign:
+        raise ValueError("trailing sign without a term")
+    if not groups:
+        raise ValueError("empty element")
+    terms = []
+    for sgn, toks in groups:
+        coeff = ring.coerce(1)
+        letters = []
+        for tok in toks:
+            if tok == "1":
+                continue
+            elif tok.startswith("x"):
+                letters.extend(parse_word(tok, q))
+            elif letters:
+                raise ValueError(f"coefficient {tok!r} after letters")
+            else:
+                coeff = coeff * ring.parse(tok)
+        terms.append((tuple(letters), coeff if sgn > 0 else -coeff))
+    return AlgebraElement(ring, q, mode, terms)
+
+
+def element_texts():
+    """Texts of signed terms, coefficients and letters with exponents, in
+    any order, joined by spaces, ``*`` or nothing; x3 is outside q = 2, 3."""
+    letter = st.builds("x{}{}".format, st.sampled_from([0, 0, 1, 1, 2, 3]),
+                        st.sampled_from(["", "", "", "^2", "^-1", "^ -1", "^-2",
+                                         "^ 3", "^0", "^ - 1", "^", "^+1"]))
+    atom = st.one_of(letter, st.sampled_from(
+        ["+", "-", "- -", "1", "2", "1/2", "0", "-2"]))
+    gap = st.sampled_from([" ", " ", " ", "  ", "*", " * ", ""])
+    return st.lists(st.tuples(atom, gap), max_size=8).map(
+        lambda pairs: "".join(a + g for a, g in pairs))
+
+
+@given(st.sampled_from((2, 3)),
+       st.sampled_from((RATIONALS, INTEGERS, PrimeField(5))),
+       st.sampled_from("AB"), element_texts())
+@settings(max_examples=600, deadline=None)
+def test_parse_element_matches_the_split_and_repair_oracle(q, ring, mode, text):
+    try:
+        expected = parse_element_by_split_and_repair(text, ring, q, mode)
+    except ValueError:
+        with pytest.raises(ValueError):
+            parse_element(text, ring, q, mode)
+    else:
+        assert parse_element(text, ring, q, mode) == expected
 
 
 @given(st.sampled_from((2, 3)), st.data())

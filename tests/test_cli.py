@@ -3,6 +3,8 @@
 import argparse
 import importlib.metadata as md
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from tmss.cli import build_parser, main
 from tmss.group import NucleusResult, WreathRecursion
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+README = PYPROJECT.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -374,8 +377,36 @@ def test_julia_render(tmp_path, capsys):
 
 
 def test_julia_unknown_map(capsys):
-    code, _, err = run(capsys, "julia", "render", "--map", "nope")
-    assert code == 1 and "presets" in err
+    code, out, err = run(capsys, "julia", "render", "--map", "nope")
+    assert code == 1 and out == ""
+    assert err.startswith("usage: tmss julia render")
+    assert ("argument --map: invalid choice: 'nope' "
+            "(choose from 'f2', 'f3', 'f4', 'f5', 'z2')") in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, reason", [
+    ("word subst x0 --q 1", "argument --q: an alphabet size must be at least 2"),
+    ("word gamma x0 --q 1", "argument --q: an alphabet size must be at least 2"),
+    ("char spread x0 --q 0", "argument --q: an alphabet size must be at least 2"),
+    ("group trivial x0 --q -3", "argument --q: an alphabet size must be at least 2"),
+    ("algebra omega --kmax -1", "argument --kmax: a tower exponent must be at least 0"),
+    ("algebra omega --level -1", "argument --level: a level must be at least 0"),
+    ("algebra omega --level x", "argument --level: a level must be an integer"),
+    ("verify lemma-tm --q 7", "--q and --kmax are read only by lemma-infinitesimal"),
+    ("verify all --kmax 1", "--q and --kmax are read only by lemma-infinitesimal"),
+    ("verify lemma-infinitesimal --kmax 0",
+     "argument --kmax: a tower exponent must be at least 1"),
+    ("verify lemma-infinitesimal --q 0",
+     "argument --q: an alphabet size must be at least 2"),
+    ("julia render --map nope", "argument --map: invalid choice: 'nope'"),
+])
+def test_input_out_of_bounds_exits_1_naming_its_bound(capsys, argv, reason):
+    code, out, err = run(capsys, *shlex.split(argv))
+    assert code == 1 and out == ""
+    assert err.startswith(("usage: tmss", "error:"))
+    assert reason in err and "letter" not in err
+    assert "Traceback" not in err
 
 
 def test_verify_suite(capsys):
@@ -385,6 +416,42 @@ def test_verify_suite(capsys):
     lines = out.splitlines()
     assert all(line.startswith("PASS") for line in lines[:-1])
     assert lines[-1] == "2/2 checks passed"
+
+
+def tour_examples():
+    """Each ``$ tmss`` line of README's command-line tour, as its arguments
+    and the lines the README shows it printing."""
+    tour = README.read_text().split("## Command line tour")[1].split("\n## ")[0]
+    examples = []
+    for block in re.findall(r"```sh\n(.*?)```", tour, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("$ tmss "):
+                examples.append((shlex.split(line[len("$ tmss "):]), []))
+            else:
+                examples[-1][1].append(line)
+    # the julia render example is left out: it writes the image file it names
+    return [(argv, shown) for argv, shown in examples if argv[0] != "julia"]
+
+
+TOUR = tour_examples()
+
+
+def test_the_tour_test_reads_every_example():
+    assert len(TOUR) == 19
+
+
+@pytest.mark.parametrize("argv, shown", TOUR,
+                         ids=[" ".join(argv) for argv, _ in TOUR])
+def test_the_readme_tour_prints_what_it_shows(capsys, argv, shown):
+    main(argv)
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == len(shown)
+    for line, want in zip(printed, shown):
+        # a shown line that ends in "..." stands for any line it begins
+        if want.endswith("..."):
+            assert line.startswith(want[:-3])
+        else:
+            assert line == want
 
 
 def test_parser_requires_subcommand():
@@ -494,8 +561,18 @@ def test_a_subcommand_takes_exactly_its_shared_flags(capsys, path, flag):
     else:
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
+        # under the subcommand's own usage line, not the top-level one
+        assert err.startswith(" ".join(("usage: tmss", *path, "[-h]")))
         assert "error: unrecognized arguments" in err
         assert "Traceback" not in err
+
+
+def test_a_stray_flag_is_reported_under_its_subcommand(capsys):
+    code, out, err = run(capsys, "char", "spread", "x0", "--depth", "3")
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert lines[0].startswith("usage: tmss char spread [-h]")
+    assert lines[-1] == "tmss char spread: error: unrecognized arguments: --depth 3"
 
 
 @pytest.mark.parametrize("path", [(), *sorted(SUBCOMMANDS)],

@@ -30,6 +30,19 @@ def vertices(q: int, max_len: int = 6):
 # -- permutations -----------------------------------------------------------
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Permutation((0, 0)),
+    lambda: Permutation((1, 2)),
+    lambda: WreathElement(((), ()), Permutation.identity(3)),
+    lambda: WreathElement(((),) * 3, Permutation.identity(2)),
+], ids=["repeated-image", "image-out-of-range", "too-few-sections",
+        "too-many-sections"])
+def test_malformed_wreath_input_raises_value_error(build):
+    # a ValueError, not an assert, which python -O would strip
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_permutation_composition_order():
     # then() applies the receiver first
     rot = Permutation.rotation(3, 1)

@@ -8,8 +8,11 @@ were computed from that rule by hand before the implementation existed.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tmss.algebra import RATIONALS, AlgebraElement, parse_element
+from tmss.group import WreathRecursion
 from tmss.words import (
     InvalidLetterError,
+    check_alphabet,
     check_word,
     commutator,
     free_reduce,
@@ -92,6 +95,37 @@ def test_check_word_rejects_out_of_range():
         check_word(((2, 1),), 2)
     with pytest.raises(InvalidLetterError):
         theta(((3, 1),), 3)
+
+
+@pytest.mark.parametrize("enter", [
+    check_alphabet,
+    lambda q: tm_prefix(q, 3),
+    lambda q: parse_word("x0", q),
+    lambda q: parse_element("x0 -", RATIONALS, q),  # read after q is checked
+    lambda q: AlgebraElement.one(RATIONALS, q),
+    WreathRecursion.thue_morse,
+], ids=["check_alphabet", "tm_prefix", "parse_word", "parse_element",
+        "AlgebraElement", "WreathRecursion"])
+@pytest.mark.parametrize("q", [1, 0, -1])
+def test_every_entry_point_rejects_an_alphabet_below_2(enter, q):
+    # the alphabet is named before any letter is read against it
+    with pytest.raises(ValueError, match="alphabet size must be at least 2") as info:
+        enter(q)
+    assert not isinstance(info.value, InvalidLetterError)
+
+
+@pytest.mark.parametrize("enter", [
+    lambda: check_word(((2, 1),), 2),
+    lambda: parse_word("x0 x2^-1", 2),
+    lambda: parse_element("1 - x0 x2", RATIONALS, 2),
+    lambda: AlgebraElement.monomial(RATIONALS, 2, ((0, 1), (2, -1))),
+    lambda: AlgebraElement.monomial(RATIONALS, 2, ((2, 1),), mode="A"),
+    lambda: WreathRecursion.thue_morse(2).decompose(((2, 1),)),
+], ids=["check_word", "parse_word", "parse_element", "AlgebraElement",
+        "AlgebraElement-mode-A", "WreathRecursion"])
+def test_every_entry_point_names_a_letter_outside_the_alphabet(enter):
+    with pytest.raises(InvalidLetterError, match="letter x2 is outside x0..x1"):
+        enter()
 
 
 def test_power_and_inverse():
