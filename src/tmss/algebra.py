@@ -14,7 +14,8 @@ matrix carries section a at row a, column perm(a).  Under this assignment
 (i, j).
 
 Zero testing asks whether some iterate ``phi^n(s)`` is the literally zero
-matrix.  It walks the class graph of ``closure.Closure`` level by level and
+matrix.  It walks the class graph of ``closure.Closure``, whose classes are
+the normalized keys of the entries (``_class_key``), level by level and
 stops on an empty level (zero), on a nonzero scalar entry, which is a
 permanent obstruction (nonzero), or at the depth cap (unknown).
 ``contraction_depth`` walks the same graph.
@@ -67,6 +68,10 @@ class Rationals:
     def invert(self, x):
         return Fraction(1) / x
 
+    def compact(self, x):
+        """``x`` as a class key holds it: an integral rational as an int."""
+        return x.numerator if x.denominator == 1 else x
+
     def __repr__(self):
         return "Rationals()"
 
@@ -98,6 +103,9 @@ class Integers:
         if x in (1, -1):
             return x
         raise ValueError(f"{x} is not a unit in the integers")
+
+    def compact(self, x):
+        return x
 
     def __repr__(self):
         return "Integers()"
@@ -135,6 +143,9 @@ class PrimeField:
             raise ZeroDivisionError("division by zero in prime field")
         return pow(x, self.p - 2, self.p)
 
+    def compact(self, x):
+        return x % self.p
+
     def __repr__(self):
         return f"PrimeField({self.p})"
 
@@ -152,8 +163,21 @@ INTEGERS = Integers()
 # -- elements --------------------------------------------------------------
 
 
-def _monomial_sort_key(word: Word):
-    return (len(word), word)
+def _term_sort_key(term: tuple[Word, object]):
+    return (len(term[0]), term[0])
+
+
+def _lead_unit(ring, lead):
+    """The unit that a key's terms are multiplied by so that its lead
+    coefficient ``lead`` is normal: 1 over a field and positive over the
+    integers; None when ``lead`` already is."""
+    if lead == 1:
+        return None
+    if lead == -1:
+        return -1
+    if ring.is_field:
+        return ring.invert(lead)
+    return -1 if lead < 0 else None
 
 
 class AlgebraElement:
@@ -294,18 +318,15 @@ class AlgebraElement:
         return max((len(w) for w in self.terms), default=0)
 
     def sorted_terms(self) -> tuple[tuple[Word, object], ...]:
-        return tuple(sorted(self.terms.items(), key=lambda t: _monomial_sort_key(t[0])))
+        return tuple(sorted(self.terms.items(), key=_term_sort_key))
 
     def key(self, scale: bool = True):
-        """Hashable canonical form; with ``scale`` the first coefficient is
-        normalized to 1, identifying nonzero scalar multiples."""
+        """Hashable canonical form; with ``scale`` the lead coefficient is
+        normalized by ``_lead_unit``, identifying scalar multiples by a
+        unit of the ring."""
         items = self.sorted_terms()
-        if scale and items and (lead := items[0][1]) != 1:
-            if self.ring.is_field:
-                inv = self.ring.invert(lead)
-                items = tuple((w, self.ring.coerce(c * inv)) for w, c in items)
-            elif lead < 0:
-                items = tuple((w, -c) for w, c in items)
+        if scale and items and (unit := _lead_unit(self.ring, items[0][1])):
+            items = tuple((w, self.ring.coerce(c * unit)) for w, c in items)
         return items
 
     # structure maps
@@ -340,8 +361,9 @@ class AlgebraElement:
         cost is O(q * |root|) per monomial, plus the output.  Each cell is
         built once from the fold's reduced words (``_phi_cells``), and
         every empty cell holds one shared zero element.  This is the
-        public matrix view; the closures read the sparse cells through
-        ``_cell_children`` instead.
+        public matrix view; the closures hold a class as its key and
+        read the keys of the sparse cells through ``_cell_children``
+        instead, building no element.
         """
         q = self.q
         cells = _phi_cells(self, _thue_morse(q).fold)
@@ -392,6 +414,13 @@ def _thue_morse(q: int) -> WreathRecursion:
     return WreathRecursion.thue_morse(q)
 
 
+def _call_fold(rec: WreathRecursion):
+    """``rec.fold`` remembering every word it has folded, for one call:
+    the classes of one closure share many monomials, and each is folded
+    once.  The memory goes with the call that made it."""
+    return cache(rec.fold)
+
+
 @cache
 def _collapsed_thue_morse(q: int) -> WreathRecursion:
     """The Thue-Morse recursion on the quotient x_i -> x_1 (i >= 2):
@@ -401,13 +430,13 @@ def _collapsed_thue_morse(q: int) -> WreathRecursion:
     letter map is compatible with the recursion, and folding a word here
     gives the root permutation and the collapsed sections of its fold in
     ``thue_morse``.  That x_i - x_1 is zero under ``phi`` is certified by
-    a zero test over the rationals, once per q.
+    a zero test over the rationals, once per q; RuntimeError if it fails.
     """
     for i in range(2, q):
         diff = (AlgebraElement.generator(RATIONALS, q, i)
                 - AlgebraElement.generator(RATIONALS, q, 1))
-        assert is_zero(diff, cap_depth=2).is_zero, (
-            f"x{i} and x1 have different images")
+        if not is_zero(diff, cap_depth=2).is_zero:
+            raise RuntimeError(f"x{i} and x1 have different images")
     rho = Permutation.rotation(q, -1)
     images = {0: WreathElement(tuple(((min(a, 1), 1),) for a in range(q)), rho)}
     for i in range(1, q):
@@ -415,43 +444,81 @@ def _collapsed_thue_morse(q: int) -> WreathRecursion:
     return WreathRecursion(q, images, name=f"G_{q}/(x_i = x_1)")
 
 
+def _grid(terms, fold) -> dict[tuple[int, int], list[tuple[Word, object]]]:
+    """One decomposition step of ``(word, coefficient)`` pairs, with
+    ``fold`` the wreath fold of a recursion: the ``(section, coefficient)``
+    pairs of every cell that some word reaches, keyed by (row, column).
+    Word w with fold (perm, sections) puts section a at (a, perm[a])."""
+    grid: dict[tuple[int, int], list[tuple[Word, object]]] = {}
+    for word, coeff in terms:
+        perm, sections = fold(word)
+        for a, section in enumerate(sections):
+            grid.setdefault((a, perm[a]), []).append((section, coeff))
+    return grid
+
+
 def _phi_cells(elem: AlgebraElement, fold) -> dict[tuple[int, int], AlgebraElement]:
     """The cells of one decomposition step of ``elem`` that some monomial
     reaches, keyed by (row, column), with ``fold`` the wreath fold of a
-    recursion: monomial w with fold (perm, sections) puts section a at
-    (a, perm[a]).  A cell whose terms cancel is literally zero.
+    recursion (``_grid``).  A cell whose terms cancel is literally zero.
 
     Each cell is built once, from the fold's reduced words, with the
     constructor's ``reduced`` promise; ``fold`` must keep words valid for
     ``(elem.q, elem.mode)``, as the wreath folds of this module do.
     """
-    grid: dict[tuple[int, int], list[tuple[Word, object]]] = {}
-    for word, coeff in elem.terms.items():
-        perm, entries = fold(word)
-        for a, entry in enumerate(entries):
-            grid.setdefault((a, perm[a]), []).append((entry, coeff))
     ring, q, mode = elem.ring, elem.q, elem.mode
     return {cell: AlgebraElement(ring, q, mode, terms, reduced=True)
-            for cell, terms in grid.items()}
+            for cell, terms in _grid(elem.terms.items(), fold).items()}
 
 
-def _cell_children(elem: AlgebraElement, fold, weights=None) -> list:
-    """The closure children of ``elem`` under one decomposition step: a
-    (key, entry, weight, (row, column)) quadruple for every cell of
-    ``_phi_cells(elem, fold)`` that is not literally zero, in row-major
-    order, with ``weights[row][column]`` as its weight (1 without
-    ``weights``) and cells of weight 0 left out.
+def _class_key(elem: AlgebraElement) -> tuple:
+    """``elem.key()`` as a closure holds it: every coefficient in the
+    ring's ``compact`` form, so an integral rational is an int."""
+    compact = elem.ring.compact
+    return tuple((word, compact(c)) for word, c in elem.key())
+
+
+def _cell_key(terms: list[tuple[Word, object]], ring) -> tuple:
+    """The class key of one cell of ``_grid``, from the pairs of a class
+    key: equal to the ``key()`` of the cell's element, with the
+    coefficients in ``compact`` form; () when the cell is literally zero."""
+    if len(terms) == 1 and ring.is_field:
+        return ((terms[0][0], 1),)
+    compact = ring.compact
+    sums: dict[Word, object] = {}
+    for word, coeff in terms:
+        sums[word] = sums[word] + coeff if word in sums else coeff
+    if len(sums) < len(terms):  # a repeated word: reduce the sums, drop zeros
+        items = sorted(((word, c) for word, total in sums.items()
+                        if (c := compact(total)) != 0), key=_term_sort_key)
+        if not items:
+            return ()
+    else:
+        items = sorted(sums.items(), key=_term_sort_key)
+    if unit := _lead_unit(ring, items[0][1]):
+        return tuple((word, compact(c * unit)) for word, c in items)
+    return tuple(items)
+
+
+def _cell_children(key: tuple, fold, ring, weights=None) -> list:
+    """The closure children of the class with key ``key`` (``_class_key``)
+    under one decomposition step: a (key, key, weight, (row, column))
+    quadruple for every cell of ``_grid(key, fold)`` that is not literally
+    zero, in row-major order, with ``weights[row][column]`` as its weight
+    (1 without ``weights``) and cells of weight 0 left out.  Each child's
+    key is its own representative, and no element is built.
 
     Every closure over the algebra reads its children here: the zero test,
     the contraction depth, the characters and the counting of ``L``.  The
     order is that of the dense matrix ``phi``, which the zero test's
     witness and the class indices depend on.
     """
+    grid = _grid(key, fold)
     out = []
-    for (i, j), entry in sorted(_phi_cells(elem, fold).items()):
-        weight = 1 if weights is None else weights[i][j]
-        if weight and not entry.is_zero_literal:
-            out.append((entry.key(), entry, weight, (i, j)))
+    for cell in sorted(grid):
+        weight = 1 if weights is None else weights[cell[0]][cell[1]]
+        if weight and (child := _cell_key(grid[cell], ring)):
+            out.append((child, child, weight, cell))
     return out
 
 
@@ -513,21 +580,28 @@ def is_zero(s: AlgebraElement, cap_depth: int = 60) -> Verdict:
     each class once.  An empty level certifies zero.  A nonzero scalar entry
     certifies nonzero forever, with its first route as the witness, and
     ends the walk before the rest of its level is expanded.  The depth cap
-    yields unknown.
+    yields unknown.  The classes are keys, so the witness scalar is found
+    by following the route's cells from ``s``: the entry that first reached
+    each class on the route is the cell of the previous one.
     """
     if s.is_zero_literal:
         return Verdict("zero", depth=0)
+    fold = _call_fold(_thue_morse(s.q))
     # the root is keyed None, so no entry joins its class: a scalar entry
     # always gets a class, and a route, of its own
-    closure = Closure(None, s, partial(_cell_children,
-                                       fold=_thue_morse(s.q).fold))
+    closure = Closure(None, _class_key(s),
+                      partial(_cell_children, fold=fold, ring=s.ring))
     level = {0: 1}
     for depth in range(1, cap_depth + 1):
         for idx in level:
             for child in closure.expand(idx):
-                entry = closure.reps[child]
-                if entry.is_scalar:
-                    rows, cols = zip(*closure.path(child))
+                key = closure.reps[child]
+                if len(key) == 1 and not key[0][0]:
+                    route = closure.path(child)
+                    entry = s
+                    for cell in route:
+                        entry = _phi_cells(entry, fold)[cell]
+                    rows, cols = zip(*route)
                     return Verdict("nonzero", depth=depth,
                                    witness=(rows, cols, entry.terms[()]))
         level = closure.step(level)
@@ -602,11 +676,13 @@ def omega_enumerate(ring, q: int, n: int, k_max: int, size_cap: int = 512,
 def contraction_depth(s: AlgebraElement, cap_depth: int = 12):
     """Least n with every entry of phi^n(s) in the span of 1 and single
     generators, or an unknown Verdict past the cap."""
-    closure = Closure(s.key(), s, partial(_cell_children,
-                                          fold=_thue_morse(s.q).fold))
+    key = _class_key(s)
+    closure = Closure(key, key, partial(_cell_children,
+                                        fold=_call_fold(_thue_morse(s.q)),
+                                        ring=s.ring))
     level = {0: 1}
     for depth in range(cap_depth + 1):
-        if all(closure.reps[idx].max_monomial_length() <= 1 for idx in level):
+        if all(len(word) <= 1 for idx in level for word, _ in closure.reps[idx]):
             return depth
         level = closure.step(level)
     return Verdict.unknown(cap_depth, "cap_depth")

@@ -18,8 +18,10 @@ wreath recursion with
 
 The class graph and its solve live in ``closure.Closure``, which serves
 both; ``count_L`` walks the same class graph level by level with unit
-weights.  The algebra closures read their children from the sparse cells
-of one decomposition step, through ``algebra._cell_children``.  No floating point is used anywhere in this module.
+weights.  An algebra class is its normalized key (``algebra._class_key``)
+and the algebra closures read the child keys of one decomposition step
+from ``algebra._cell_children``, so no element is built per class.  No
+floating point is used anywhere in this module.
 """
 
 from __future__ import annotations
@@ -31,7 +33,9 @@ from math import gcd
 from .algebra import (
     RATIONALS,
     AlgebraElement,
+    _call_fold,
     _cell_children,
+    _class_key,
     _collapsed_thue_morse,
     _thue_morse,
     omega_generator,
@@ -187,20 +191,23 @@ def algebra_char(s: AlgebraElement, kernel: Kernel, cap_classes: int = 10_000,
         info = {"classes_used": 0, "depth": 0, "largest_component": 0}
         return (Fraction(0), info) if with_info else Fraction(0)
 
-    fold, weights = _thue_morse(s.q).fold, kernel.weights
+    fold, ring, weights = _call_fold(_thue_morse(s.q)), s.ring, kernel.weights
 
-    def children(elem: AlgebraElement):
-        if elem.is_scalar or (monomial_base and elem.is_single_term):
+    def children(key: tuple):
+        # a scalar, or with ``monomial_base`` any single term, is a base
+        if len(key) == 1 and (monomial_base or not key[0][0]):
             return None
-        return _cell_children(elem, fold, weights)
+        return _cell_children(key, fold, ring, weights)
 
-    return _closure_value(s.key(), s, children, cap_classes, s.q, with_info)
+    key = _class_key(s)
+    return _closure_value(key, key, children, cap_classes, s.q, with_info)
 
 
 def spread_char(s: AlgebraElement, cap_classes: int = 10_000,
                 with_info: bool = False):
     """All-ones kernel character; every single monomial is a base case
-    with value 1."""
+    with value 1.  A value that is not a nonnegative element of Z[1/q]
+    raises RuntimeError: the spread values are certified to be."""
     value, info = algebra_char(s, _ones_kernel(s.q), cap_classes=cap_classes,
                                monomial_base=True, with_info=True)
     if not isinstance(value, Verdict):
@@ -209,8 +216,9 @@ def spread_char(s: AlgebraElement, cap_classes: int = 10_000,
         den = value.denominator
         while (g := gcd(den, s.q)) > 1:
             den //= g
-        assert value >= 0 and den == 1, (
-            f"spread value {value} escapes nonnegative values in Z[1/{s.q}]")
+        if value < 0 or den != 1:
+            raise RuntimeError(
+                f"spread value {value} escapes nonnegative values in Z[1/{s.q}]")
     return (value, info) if with_info else value
 
 
@@ -246,12 +254,10 @@ def group_char(rec: WreathRecursion, word: Word, kernel: Kernel | None = None,
 # -- language counting -----------------------------------------------------------
 
 
-def _is_countable(entry: AlgebraElement) -> bool:
-    """Membership in k^x union k^x x_0 union k^x x_1 after letter collapse."""
-    if not entry.is_single_term:
-        return False
-    word = next(iter(entry.terms))
-    return len(word) <= 1
+def _is_countable(key: tuple) -> bool:
+    """Membership of the class with key ``key`` in k^x union k^x x_0 union
+    k^x x_1 after letter collapse."""
+    return len(key) == 1 and len(key[0][0]) <= 1
 
 
 def count_L(s: AlgebraElement, k: int, cap_classes: int = 10_000):
@@ -269,14 +275,15 @@ def count_L(s: AlgebraElement, k: int, cap_classes: int = 10_000):
     """
     if k < 0:
         raise ValueError("depth must be nonnegative")
-    fold = _collapsed_thue_morse(s.q).fold
+    fold = _call_fold(_collapsed_thue_morse(s.q))
     collapsed = s.collapse_high_letters()
     if collapsed.is_zero_literal:
         return 0
 
+    key = _class_key(collapsed)
     try:
-        closure = Closure(collapsed.key(), collapsed,
-                          partial(_cell_children, fold=fold), cap_classes)
+        closure = Closure(key, key, partial(_cell_children, fold=fold,
+                                            ring=s.ring), cap_classes)
         counts: dict[int, int] = {0: 1}
         for _ in range(k):
             counts = closure.step(counts)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from functools import partial
@@ -53,6 +54,33 @@ def _int_from_flag(text: str, least: int, what: str) -> int:
 _q_from_flag = partial(_int_from_flag, least=2, what="an alphabet size")
 _cap_from_flag = partial(_int_from_flag, least=1, what="a cap")
 _depth_from_flag = partial(_int_from_flag, least=0, what="a depth")
+
+
+def _viewport_from_flag(text: str) -> tuple[complex, float]:
+    """``cx,cy,width``, three finite numbers with width > 0, as the
+    viewport's center and width."""
+    try:
+        cx, cy, width = (float(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"a viewport must be three numbers cx,cy,width, got {text!r}") from None
+    if not all(map(math.isfinite, (cx, cy, width))):
+        raise argparse.ArgumentTypeError(
+            f"a viewport must be finite, got {text!r}")
+    if width <= 0:
+        raise argparse.ArgumentTypeError(
+            f"a viewport width must be positive, got {text!r}")
+    return complex(cx, cy), width
+
+
+def _pixels_from_flag(text: str) -> tuple[int, int]:
+    """``px,py``, two positive integers."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(
+            f"pixels must be two integers px,py, got {text!r}")
+    px, py = (_int_from_flag(x, least=1, what="a pixel count") for x in parts)
+    return px, py
 
 
 _PRESETS = {
@@ -289,9 +317,9 @@ def _cmd_char(args) -> int:
 
 
 def _cmd_julia(args) -> int:
-    cx, cy, width = (float(x) for x in args.viewport.split(","))
-    px, py = (int(x) for x in args.pixels.split(","))
-    cfg = dynamics.RenderConfig(center=complex(cx, cy), width=width,
+    center, width = args.viewport
+    px, py = args.pixels
+    cfg = dynamics.RenderConfig(center=center, width=width,
                                 pixels_x=px, pixels_y=py, points=args.points,
                                 seed=args.seed, burn_in=args.burn_in)
     f = dynamics.PRESETS[args.map]
@@ -436,10 +464,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = js.add_parser("render")
     p.add_argument("--map", choices=sorted(dynamics.PRESETS), default="f2")
     p.add_argument("--out", default="julia.pgm")
-    p.add_argument("--points", type=int, default=100_000)
-    p.add_argument("--viewport", default="0,0,4")
-    p.add_argument("--pixels", default="400,400")
-    p.add_argument("--burn-in", type=int, default=100, dest="burn_in")
+    p.add_argument("--points", default=100_000, type=partial(
+        _int_from_flag, least=0, what="a point count"))
+    p.add_argument("--viewport", default="0,0,4", type=_viewport_from_flag,
+                   help="cx,cy,width")
+    p.add_argument("--pixels", default="400,400", type=_pixels_from_flag,
+                   help="px,py")
+    p.add_argument("--burn-in", default=100, dest="burn_in", type=partial(
+        _int_from_flag, least=0, what="a burn-in"))
     p.add_argument("--seed", type=int, default=0)
 
     verify = sub.add_parser("verify", help="replay the verification suite")
@@ -475,6 +507,9 @@ def main(argv=None) -> int:
         return 1
     except ZeroDivisionError as exc:
         print(f"error: division by zero: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # julia render cannot write its --out file
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -2,7 +2,8 @@
 
 An object is decomposed one level, its pieces are identified up to a key
 (a scaling class, a word, a nucleus representative), and each class is
-decomposed once.  ``Closure`` keeps the classes with their first parent,
+decomposed once.  A class may be its own key: the algebra closures hold a
+scaling class as its normalized key, which is also its representative.  ``Closure`` keeps the classes with their first parent,
 the weighted edges, a level step, the strongly connected components and
 the exact solve over them.  The characters, the zero test, the contraction
 depth, the counting of ``L`` and the nucleus limit classes all walk it.

@@ -133,6 +133,10 @@ class RenderConfig:
             raise ValueError("pixel dimensions must be positive")
         if self.points < 0 or self.burn_in < 0:
             raise ValueError("point and burn-in budgets must be nonnegative")
+        if not cmath.isfinite(self.center):
+            raise ValueError("viewport center must be finite")
+        if not cmath.isfinite(self.width):
+            raise ValueError("viewport width must be finite")
         if self.width <= 0:
             raise ValueError("viewport width must be positive")
 

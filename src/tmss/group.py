@@ -8,7 +8,7 @@ tree action ``act(g, a v) = pi_g(a) . act(g_a, v)`` composes as a right
 action: ``act(gh, v) = act(h, act(g, v))``.
 
 ``WreathRecursion`` bundles the generator images, folds a word into its
-decomposition in one pass (``fold``, also the engine behind the algebra's
+decomposition in linear time (``fold``, also the engine behind the algebra's
 ``phi``), and provides the word problem (``is_trivial``, coinductive
 closure with a state budget), element comparison, orders, the nucleus
 (its limit classes walk the section graph as a ``closure.Closure``),
@@ -444,10 +444,12 @@ class WreathRecursion:
                 check_word(s, q)
         self.q = q
         self.name = name
-        # per signed letter: root permutation images and sections; and the
-        # word problem's normal form
-        self._letters, self._nf = _letter_tables(q, tuple(
+        # the word problem's normal form; and per signed letter, the row of
+        # (image, section) pairs that the fold reads at each position
+        letters, self._nf = _letter_tables(q, tuple(
             (i, el.perm.images, el.sections) for i, el in sorted(images.items())))
+        self._rows = {letter: tuple(zip(*table))
+                      for letter, table in letters.items()}
         # always empty (is_trivial keeps no state); perfbench/tracer.py reads its size
         self._trivial_cache: dict[Word, bool] = {}
 
@@ -492,15 +494,15 @@ class WreathRecursion:
         """Root permutation images and freely reduced sections of ``word``.
 
         A proper power ``u^m`` of at least ``_POWER_MIN`` letters is
-        folded through its primitive root: ``u`` is read letter by letter
+        folded through its primitive root: ``u`` is read by the letter loop
         once, and strand a's section of ``u^m`` is built from the cycle of
         ``perm(u)`` through a.  With L the cycle length and C the product
         of u's sections around it, the section is ``C^(m // L)`` followed
         by the first ``m % L`` factors of C.  For bounded images that costs
         O(q * |u|) to read u and O(q) of u's sections per strand, plus the
         output; finding u costs a C-speed comparison of the word per
-        prime factor of its length.  Other words are read letter by letter
-        in O(q * len(word)).
+        prime factor of its length.  Other words are read by the letter
+        loop ``_fold_letters`` in O(q * len(word)).
         """
         n = len(word)
         if n >= _POWER_MIN:
@@ -510,27 +512,30 @@ class WreathRecursion:
         return self._fold_letters(word)
 
     def _fold_letters(self, word: Word) -> tuple[tuple[int, ...], tuple[Word, ...]]:
-        """``fold`` letter by letter: strand a tracks where the prefix read
-        so far sends a and collects its section on a stack that cancels on
-        push."""
-        letters = self._letters
-        pos = list(range(self.q))
-        stacks: list[list[Letter]] = [[] for _ in pos]
-        for letter in word:
-            try:
-                images, sections = letters[letter]
-            except KeyError:
-                check_word((letter,), self.q)  # raises, naming the fault
-                raise
-            for a, stack in enumerate(stacks):
-                b = pos[a]
-                for i, sign in sections[b]:
+        """``fold`` strand by strand: strand a follows the rows of the
+        word's letters from a, each row giving the next position and the
+        section read there, and collects its section on a stack that
+        cancels on push."""
+        rows = self._rows
+        try:
+            steps = [rows[letter] for letter in word]
+        except KeyError as fault:
+            check_word(fault.args, self.q)  # raises, naming the letter
+            raise
+        perm: list[int] = []
+        out: list[Word] = []
+        for start in range(self.q):
+            b, stack = start, []
+            for row in steps:
+                b, section = row[b]
+                for i, sign in section:
                     if stack and stack[-1][0] == i and stack[-1][1] == -sign:
                         stack.pop()
                     else:
                         stack.append((i, sign))
-                pos[a] = images[b]
-        return tuple(pos), tuple(map(tuple, stacks))
+            perm.append(b)
+            out.append(tuple(stack))
+        return tuple(perm), tuple(out)
 
     def _fold_power(self, root: Word,
                     m: int) -> tuple[tuple[int, ...], tuple[Word, ...]]:

@@ -27,6 +27,7 @@ from tmss.algebra import (
     row_col_bound_profile,
     sigma,
 )
+from tmss import algebra
 from tmss.group import WreathElement, WreathRecursion
 from tmss.verdict import Verdict
 from tmss.words import free_reduce, gamma, parse_word, theta
@@ -822,3 +823,13 @@ def test_phi_reduces_no_word_again():
         ["x1 x0^-1", "3 - 2*x2", "0"],
         ["0", "x2 x1^-1", "3 - 2*x0"],
     ]
+
+
+def test_collapsed_recursion_certificate_raises():
+    # a check, not an assert, so python -O keeps it; the cache is bypassed
+    with mock.patch.object(algebra, "is_zero",
+                           return_value=Verdict("nonzero", depth=1)):
+        with pytest.raises(RuntimeError,
+                           match="x2 and x1 have different images"):
+            _collapsed_thue_morse.__wrapped__(3)
+    assert _collapsed_thue_morse.__wrapped__(3).q == 3

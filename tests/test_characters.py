@@ -15,7 +15,9 @@ from tmss.algebra import (
     AlgebraElement,
     PrimeField,
     _cell_children,
+    _class_key,
     _collapsed_thue_morse,
+    _phi_cells,
     _thue_morse,
     big_product_word,
     contraction_depth,
@@ -107,6 +109,17 @@ def test_spread_denominator_may_drop_below_a_power_of_q():
     assert expected == Fraction(3, 2)
     assert spread_char(s) == expected
     assert q_power_denominator(expected, 4) is None
+
+
+@pytest.mark.parametrize("value", [Fraction(-1, 4), Fraction(1, 3)],
+                         ids=["negative", "outside-Z[1/2]"])
+def test_spread_value_certificate_raises(value):
+    # a check, not an assert, so python -O keeps it
+    info = {"classes_used": 1, "depth": 0, "largest_component": 1}
+    with mock.patch.object(characters, "algebra_char",
+                           return_value=(value, info)):
+        with pytest.raises(RuntimeError, match="escapes nonnegative values"):
+            spread_char(gen(2, 0))
 
 
 def test_base_values():
@@ -724,16 +737,21 @@ def test_exact_json():
 # -- the sparse children of every algebra closure against the dense grid ----------
 
 
-def _dense_children(elem, fold, weights=None):
-    """The oracle: every cell of the dense q x q matrix ``phi(elem)`` tested
-    in row-major order, with the kernel weight as a Fraction.  ``fold`` is
-    ignored; ``phi`` folds through the Thue-Morse recursion."""
+def _dense_children(key, fold, ring, weights=None):
+    """The oracle: the class's element is rebuilt from its key, and every
+    cell of the dense q x q matrix ``phi`` of that element is tested in
+    row-major order, with the cell's ``key()`` as key and representative
+    and the kernel weight as a Fraction.  ``fold`` gives only q, as the
+    length of the empty word's permutation; ``phi`` folds through the
+    Thue-Morse recursion.  Key words are freely reduced, so mode B holds
+    the element whatever the mode of the root."""
+    elem = AlgebraElement(ring, len(fold(())[0]), "B", key)
     out = []
     for i, row in enumerate(elem.phi()):
         for j, entry in enumerate(row):
             weight = 1 if weights is None else Fraction(weights[i][j])
             if weight != 0 and not entry.is_zero_literal:
-                out.append((entry.key(), entry, weight, (i, j)))
+                out.append((entry.key(), entry.key(), weight, (i, j)))
     return out
 
 
@@ -774,10 +792,45 @@ def test_cell_children_match_the_dense_grid(case):
     s, kernel = case
     fold = _thue_morse(s.q).fold
     for weights in (None, kernel.weights):
-        sparse = _cell_children(s, fold, weights)
-        assert sparse == _dense_children(s, fold, weights)
+        sparse = _cell_children(_class_key(s), fold, s.ring, weights)
+        assert sparse == _dense_children(_class_key(s), fold, s.ring, weights)
         assert all(type(w) is int for _, _, w, _ in sparse
                    if Fraction(w).denominator == 1)
+
+
+@given(children_cases(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_class_keys_are_the_keys_of_the_phi_cells(case, collapsed):
+    """Every child key equals, and hashes like, ``key()`` of its cell;
+    its coefficients are ints where they are integral, and a one-term key
+    over a field has coefficient 1."""
+    s, kernel = case
+    fold = (_collapsed_thue_morse if collapsed else _thue_morse)(s.q).fold
+    cells = _phi_cells(s, fold)
+    key = _class_key(s)
+    assert key == s.key() and hash(key) == hash(s.key())
+    for weights in (None, kernel.weights):
+        children = _cell_children(key, fold, s.ring, weights)
+        assert [cell for *_, cell in children] == sorted(
+            cell for cell, entry in cells.items() if not entry.is_zero_literal
+            and (weights is None or weights[cell[0]][cell[1]] != 0))
+        for child, rep, _, cell in children:
+            assert child is rep
+            assert child == cells[cell].key()
+            assert hash(child) == hash(cells[cell].key())
+            assert all(type(c) is int for _, c in child
+                       if Fraction(c).denominator == 1)
+            if s.ring.is_field and len(child) == 1:
+                assert child[0][1] == 1
+
+
+def _witness_scalar(s, rows, cols):
+    """The entry of the explicit phi-iterate at the witness route."""
+    entry = s
+    for i, j in zip(rows, cols):
+        entry = entry.phi()[i][j]
+    assert entry.is_scalar and not entry.is_zero_literal
+    return entry.terms[()]
 
 
 @given(children_cases(), st.integers(1, 30), st.integers(0, 6))
@@ -790,6 +843,9 @@ def test_zero_test_and_contraction_depth_match_the_dense_grid(
         depth = contraction_depth(s, depth_cap)
     assert is_zero(s, cap_depth) == verdict  # the witness included
     assert contraction_depth(s, depth_cap) == depth
+    if verdict.witness is not None:
+        rows, cols, scalar = verdict.witness
+        assert _witness_scalar(s, rows, cols) == scalar
 
 
 @given(children_cases(), st.booleans(), st.integers(1, 200))

@@ -376,6 +376,25 @@ def test_julia_render(tmp_path, capsys):
     assert len(blob) == len(b"P5\n32 32\n255\n") + 32 * 32
 
 
+def test_julia_render_reads_viewport_and_pixels(tmp_path, capsys):
+    target = tmp_path / "wide.pgm"
+    code, out, _ = run(capsys, "julia", "render", "--map", "z2",
+                       "--out", str(target), "--points", "0",
+                       "--burn-in", "0", "--viewport", "0.5,-0.25,3",
+                       "--pixels", "8,4")
+    assert code == 0 and out == f"wrote {target} (8x4, 0 points)"
+    assert target.read_bytes().startswith(b"P5\n8 4\n255\n")
+
+
+def test_julia_render_reports_an_unwritable_out_file(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.pgm"
+    code, out, err = run(capsys, "julia", "render", "--points", "0",
+                         "--pixels", "2,2", "--out", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and str(target) in err
+    assert "Traceback" not in err
+
+
 def test_julia_unknown_map(capsys):
     code, out, err = run(capsys, "julia", "render", "--map", "nope")
     assert code == 1 and out == ""
@@ -400,6 +419,16 @@ def test_julia_unknown_map(capsys):
     ("verify lemma-infinitesimal --q 0",
      "argument --q: an alphabet size must be at least 2"),
     ("julia render --map nope", "argument --map: invalid choice: 'nope'"),
+    ("julia render --pixels 3", "argument --pixels: pixels must be two integers"),
+    ("julia render --pixels 0,4", "argument --pixels: a pixel count must be at least 1"),
+    ("julia render --pixels 4,x", "argument --pixels: a pixel count must be an integer"),
+    ("julia render --viewport nan,0,4", "argument --viewport: a viewport must be finite"),
+    ("julia render --viewport 0,inf,4", "argument --viewport: a viewport must be finite"),
+    ("julia render --viewport 0,0", "argument --viewport: a viewport must be three numbers"),
+    ("julia render --viewport 0,0,0",
+     "argument --viewport: a viewport width must be positive"),
+    ("julia render --points -1", "argument --points: a point count must be at least 0"),
+    ("julia render --burn-in x", "argument --burn-in: a burn-in must be an integer"),
 ])
 def test_input_out_of_bounds_exits_1_naming_its_bound(capsys, argv, reason):
     code, out, err = run(capsys, *shlex.split(argv))

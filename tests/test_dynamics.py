@@ -123,6 +123,17 @@ def test_config_validation():
         RenderConfig(width=0)
 
 
+@pytest.mark.parametrize("center, width", [
+    (complex(float("nan"), 0), 4.0),
+    (complex(0, float("inf")), 4.0),
+    (0j, float("nan")),
+    (0j, float("inf")),
+])
+def test_config_rejects_a_non_finite_viewport(center, width):
+    with pytest.raises(ValueError, match="must be finite"):
+        RenderConfig(center=center, width=width)
+
+
 def test_render_bins_points():
     cfg = RenderConfig(center=0j, width=4.0, pixels_x=4, pixels_y=4, points=0)
     grid = render([0.1 + 0.1j], cfg)

@@ -5,9 +5,11 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tmss.algebra import _collapsed_thue_morse
 from tmss.group import Permutation, WreathElement, WreathRecursion
 from tmss.verdict import ClassExplosionError, Verdict
 from tmss.words import (
+    InvalidLetterError,
     commutator,
     free_reduce,
     gamma,
@@ -438,6 +440,57 @@ def test_transposed_variant_runs():
     rec = WreathRecursion.transposed_variant(2)
     elem = rec.decompose(((0, 1),))
     assert elem.sections == (((0, 1),), ((1, 1),))
+
+
+# -- the strand-by-strand letter loop against the letter-by-letter one -----------
+
+
+def _fold_by_letters(rec, word):
+    """The oracle: ``_fold_letters`` letter by letter, as it was written
+    before it walked one strand at a time.  Strand a tracks where the
+    prefix read so far sends a and collects its section on a stack that
+    cancels on push."""
+    pos = list(range(rec.q))
+    stacks = [[] for _ in pos]
+    for letter in word:
+        images, sections = zip(*rec._rows[letter])
+        for a, stack in enumerate(stacks):
+            b = pos[a]
+            for i, sign in sections[b]:
+                if stack and stack[-1][0] == i and stack[-1][1] == -sign:
+                    stack.pop()
+                else:
+                    stack.append((i, sign))
+            pos[a] = images[b]
+    return tuple(pos), tuple(map(tuple, stacks))
+
+
+FOLD_PRESETS = PRESETS + (_collapsed_thue_morse,)
+
+
+@given(st.sampled_from(FOLD_PRESETS), st.integers(2, 5), st.data())
+@settings(max_examples=300, deadline=None)
+def test_fold_letters_matches_the_letter_by_letter_oracle(preset, q, data):
+    rec = preset(q)
+    word = data.draw(words(q, max_len=40))
+    # rooted letters have only empty sections in every preset
+    rooted = data.draw(st.lists(st.tuples(st.integers(1, q - 1),
+                                          st.sampled_from((1, -1))),
+                                max_size=12).map(tuple))
+    for w in (word, free_reduce(word), rooted, word + inverse(word)):
+        assert rec._fold_letters(w) == _fold_by_letters(rec, w)
+
+
+@given(st.sampled_from(FOLD_PRESETS), st.integers(2, 5), st.data())
+@settings(max_examples=50, deadline=None)
+def test_fold_letters_names_a_letter_outside_the_alphabet(preset, q, data):
+    rec = preset(q)
+    word = data.draw(words(q, max_len=10))
+    at = data.draw(st.integers(0, len(word)))
+    bad = (data.draw(st.integers(q, q + 3)), data.draw(st.sampled_from((1, -1))))
+    with pytest.raises(InvalidLetterError,
+                       match=f"letter x{bad[0]} is outside x0..x{q - 1}"):
+        rec._fold_letters(word[:at] + (bad,) + word[at:])
 
 
 # -- folding proper powers through their root ------------------------------------
