@@ -306,17 +306,6 @@ class AlgebraElement:
     def is_zero_literal(self) -> bool:
         return not self.terms
 
-    @property
-    def is_scalar(self) -> bool:
-        return set(self.terms) <= {()}
-
-    @property
-    def is_single_term(self) -> bool:
-        return len(self.terms) == 1
-
-    def max_monomial_length(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
     def sorted_terms(self) -> tuple[tuple[Word, object], ...]:
         return tuple(sorted(self.terms.items(), key=_term_sort_key))
 
@@ -336,10 +325,6 @@ class AlgebraElement:
             raise UnsupportedModeError("star requires mode B")
         return AlgebraElement(self.ring, self.q, self.mode,
                               {word_inverse(w): c for w, c in self.terms.items()})
-
-    def theta_map(self) -> "AlgebraElement":
-        return AlgebraElement(self.ring, self.q, self.mode,
-                              {word_theta(w, self.q): c for w, c in self.terms.items()})
 
     def gamma_map(self, shift: int = 1) -> "AlgebraElement":
         return AlgebraElement(self.ring, self.q, self.mode,
@@ -441,7 +426,7 @@ def _collapsed_thue_morse(q: int) -> WreathRecursion:
     images = {0: WreathElement(tuple(((min(a, 1), 1),) for a in range(q)), rho)}
     for i in range(1, q):
         images[i] = WreathElement(((),) * q, rho)
-    return WreathRecursion(q, images, name=f"G_{q}/(x_i = x_1)")
+    return WreathRecursion(q, images)
 
 
 def _grid(terms, fold) -> dict[tuple[int, int], list[tuple[Word, object]]]:
@@ -502,14 +487,15 @@ def _cell_key(terms: list[tuple[Word, object]], ring) -> tuple:
 
 def _cell_children(key: tuple, fold, ring, weights=None) -> list:
     """The closure children of the class with key ``key`` (``_class_key``)
-    under one decomposition step: a (key, key, weight, (row, column))
-    quadruple for every cell of ``_grid(key, fold)`` that is not literally
-    zero, in row-major order, with ``weights[row][column]`` as its weight
-    (1 without ``weights``) and cells of weight 0 left out.  Each child's
-    key is its own representative, and no element is built.
+    under one decomposition step: a (key, weight, (row, column)) triple
+    for every cell of ``_grid(key, fold)`` that is not literally zero, in
+    row-major order, with ``weights[row][column]`` as its weight (1
+    without ``weights``) and cells of weight 0 left out.  No element is
+    built.
 
     Every closure over the algebra reads its children here: the zero test,
-    the contraction depth, the characters and the counting of ``L``.  The
+    the contraction depth, the characters and the counting of ``L``; so do
+    the group characters, whose word w is the monomial key ((w, 1),).  The
     order is that of the dense matrix ``phi``, which the zero test's
     witness and the class indices depend on.
     """
@@ -518,7 +504,7 @@ def _cell_children(key: tuple, fold, ring, weights=None) -> list:
     for cell in sorted(grid):
         weight = 1 if weights is None else weights[cell[0]][cell[1]]
         if weight and (child := _cell_key(grid[cell], ring)):
-            out.append((child, child, weight, cell))
+            out.append((child, weight, cell))
     return out
 
 
@@ -586,16 +572,18 @@ def is_zero(s: AlgebraElement, cap_depth: int = 60) -> Verdict:
     """
     if s.is_zero_literal:
         return Verdict("zero", depth=0)
+    if list(s.terms) == [()] and cap_depth >= 1:
+        # phi(c) is c times the identity matrix, with entry c at (0, 0)
+        return Verdict("nonzero", depth=1, witness=((0,), (0,), s.terms[()]))
     fold = _call_fold(_thue_morse(s.q))
-    # the root is keyed None, so no entry joins its class: a scalar entry
-    # always gets a class, and a route, of its own
-    closure = Closure(None, _class_key(s),
+    # the root is not scalar, so every scalar entry has a route of its own
+    closure = Closure(_class_key(s),
                       partial(_cell_children, fold=fold, ring=s.ring))
     level = {0: 1}
     for depth in range(1, cap_depth + 1):
         for idx in level:
             for child in closure.expand(idx):
-                key = closure.reps[child]
+                key = closure.keys[child]
                 if len(key) == 1 and not key[0][0]:
                     route = closure.path(child)
                     entry = s
@@ -676,13 +664,12 @@ def omega_enumerate(ring, q: int, n: int, k_max: int, size_cap: int = 512,
 def contraction_depth(s: AlgebraElement, cap_depth: int = 12):
     """Least n with every entry of phi^n(s) in the span of 1 and single
     generators, or an unknown Verdict past the cap."""
-    key = _class_key(s)
-    closure = Closure(key, key, partial(_cell_children,
-                                        fold=_call_fold(_thue_morse(s.q)),
-                                        ring=s.ring))
+    closure = Closure(_class_key(s), partial(_cell_children,
+                                             fold=_call_fold(_thue_morse(s.q)),
+                                             ring=s.ring))
     level = {0: 1}
     for depth in range(cap_depth + 1):
-        if all(len(word) <= 1 for idx in level for word, _ in closure.reps[idx]):
+        if all(len(word) <= 1 for idx in level for word, _ in closure.keys[idx]):
             return depth
         level = closure.step(level)
     return Verdict.unknown(cap_depth, "cap_depth")
@@ -710,16 +697,21 @@ def row_col_bound_profile(s: AlgebraElement, depth: int) -> list[tuple[int, int]
 _EXPONENT = re.compile(r"\^\s*(-?)\s*")
 # a ``+`` or ``-`` that is not the sign of an exponent
 _TERM_SIGN = re.compile(r"(?<!\^)([+-])")
+# a ``*`` between a ``^`` and its exponent, with the token around it
+_STARRED_EXPONENT = re.compile(r"\S*\^[\s-]*\*\s*\S*")
 
 
 def parse_element(text: str, ring, q: int, mode: str = "B") -> AlgebraElement:
     """Parse ``"2*x0 x1 - 1 + x1^-1 x0"`` style input.
 
     The text is a sum of terms, each led by any number of signs.  A term
-    is coefficients, which multiply, followed by ``parse_word`` tokens;
-    ``*`` reads as a space, and an exponent may stand apart from its
-    ``^``, as in ``x1^ -1``."""
+    is coefficients, which multiply, followed by ``parse_word`` tokens,
+    with no coefficient after an ``x`` token; ``*`` reads as a space
+    outside an exponent, and an exponent may stand apart from its ``^``,
+    as in ``x1^ -1``."""
     check_alphabet(q)
+    if starred := _STARRED_EXPONENT.search(text):
+        raise ValueError(f"'*' between '^' and its exponent in {starred[0]!r}")
     pieces = _TERM_SIGN.split(_EXPONENT.sub(r"^\1", text.replace("*", " ")))
     if len(pieces) > 1 and not pieces[-1].split():
         raise ValueError("trailing sign without a term")
@@ -729,15 +721,17 @@ def parse_element(text: str, ring, q: int, mode: str = "B") -> AlgebraElement:
         if n % 2:  # a sign
             sign = -sign if piece == "-" else sign
         elif tokens := piece.split():
-            coeff, word = ring.coerce(sign), []
+            coeff, words = ring.coerce(sign), []
             for tok in tokens:
-                if tok.startswith("x") or tok == "1":
-                    word += parse_word(tok, q)
-                elif word:
+                if tok == "1":  # the empty word
+                    continue
+                if tok.startswith("x"):
+                    words.append(parse_word(tok, q))
+                elif words:
                     raise ValueError(f"coefficient {tok!r} after letters")
                 else:
                     coeff = coeff * ring.parse(tok)
-            terms.append((tuple(word), coeff))
+            terms.append((tuple(itertools.chain.from_iterable(words)), coeff))
             sign = 1
     if not terms:
         raise ValueError("empty element")

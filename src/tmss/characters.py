@@ -11,17 +11,19 @@ every single monomial maps to 1).  The equations are then solved exactly
 over the rationals by back-substitution along the class graph in
 topological order: its strongly connected components are visited children
 first, and only a component with a cycle of two or more classes needs an
-elimination of its own.  Group words follow the same scheme through their
-wreath recursion with
+elimination of its own.  A group word w is the monomial with key
+((w, 1),): its cells are the sections of its wreath recursion, so
 
-    q * chi(w) = sum over strands a of k(a, perm(a)) * chi(section_a(w)).
+    q * chi(w) = sum over strands a of k(a, perm(a)) * chi(section_a(w)),
 
-The class graph and its solve live in ``closure.Closure``, which serves
-both; ``count_L`` walks the same class graph level by level with unit
-weights.  An algebra class is its normalized key (``algebra._class_key``)
-and the algebra closures read the child keys of one decomposition step
-from ``algebra._cell_children``, so no element is built per class.  No
-floating point is used anywhere in this module.
+and the empty word is the scalar base class.
+
+The class graph and its solve live in ``closure.Closure``.  A class is
+its normalized key (``algebra._class_key``), and every closure here reads
+the child keys of one decomposition step from ``algebra._cell_children``
+(``_closure_value`` for both kinds of character), so no element is built
+per class; ``count_L`` walks the same class graph level by level with
+unit weights.  No floating point is used anywhere in this module.
 """
 
 from __future__ import annotations
@@ -168,11 +170,20 @@ def _is_psd(m: list[list[Fraction]]) -> bool:
 # -- algebra characters --------------------------------------------------------
 
 
-def _closure_value(key, rep, children, cap_classes: int, q: int,
-                   with_info: bool):
-    """The root's character value, or an unknown Verdict at the cap."""
+def _closure_value(key, fold, ring, weights, monomial_base: bool,
+                   cap_classes: int, with_info: bool):
+    """The character value of the class with key ``key`` for the q x q
+    kernel ``weights``, with the children of ``_cell_children``, or an
+    unknown Verdict at the cap.  A scalar, or with ``monomial_base`` any
+    single term, is a base class."""
+
+    def children(key: tuple):
+        if len(key) == 1 and (monomial_base or not key[0][0]):
+            return None
+        return _cell_children(key, fold, ring, weights)
+
     try:
-        value, info = Closure(key, rep, children, cap_classes).solve(q)
+        value, info = Closure(key, children, cap_classes).solve(len(weights))
     except ClassExplosionError:
         value, info = Verdict.unknown(cap_classes, "cap_classes"), None
     return (value, info) if with_info else value
@@ -191,16 +202,8 @@ def algebra_char(s: AlgebraElement, kernel: Kernel, cap_classes: int = 10_000,
         info = {"classes_used": 0, "depth": 0, "largest_component": 0}
         return (Fraction(0), info) if with_info else Fraction(0)
 
-    fold, ring, weights = _call_fold(_thue_morse(s.q)), s.ring, kernel.weights
-
-    def children(key: tuple):
-        # a scalar, or with ``monomial_base`` any single term, is a base
-        if len(key) == 1 and (monomial_base or not key[0][0]):
-            return None
-        return _cell_children(key, fold, ring, weights)
-
-    key = _class_key(s)
-    return _closure_value(key, key, children, cap_classes, s.q, with_info)
+    return _closure_value(_class_key(s), _call_fold(_thue_morse(s.q)), s.ring,
+                          kernel.weights, monomial_base, cap_classes, with_info)
 
 
 def spread_char(s: AlgebraElement, cap_classes: int = 10_000,
@@ -229,7 +232,9 @@ def group_char(rec: WreathRecursion, word: Word, kernel: Kernel | None = None,
                cap_classes: int = 10_000, with_info: bool = False):
     """Character of a group word from the wreath recursion closure.
 
-    The identity kernel weights only fixed strands and matches the
+    The word w is the monomial with key ((w, 1),) and its children are
+    the cells of its fold in ``rec``, as for ``algebra_char``.  The
+    identity kernel weights only fixed strands and matches the
     fixed-vertex measure; the all-ones kernel gives the trivial character.
     """
     q = rec.q
@@ -237,18 +242,8 @@ def group_char(rec: WreathRecursion, word: Word, kernel: Kernel | None = None,
         kernel = Kernel.identity(q)
     if kernel.q != q:
         raise ValueError("kernel size does not match the alphabet")
-
-    weights = kernel.weights
-
-    def children(w: Word):
-        if not w:
-            return None
-        images, sections = rec.fold(w)
-        return [(sections[a], sections[a], weights[a][images[a]], a)
-                for a in range(q) if weights[a][images[a]] != 0]
-
-    w = free_reduce(word)
-    return _closure_value(w, w, children, cap_classes, q, with_info)
+    return _closure_value(((free_reduce(word), 1),), _call_fold(rec), RATIONALS,
+                          kernel.weights, False, cap_classes, with_info)
 
 
 # -- language counting -----------------------------------------------------------
@@ -280,17 +275,16 @@ def count_L(s: AlgebraElement, k: int, cap_classes: int = 10_000):
     if collapsed.is_zero_literal:
         return 0
 
-    key = _class_key(collapsed)
     try:
-        closure = Closure(key, key, partial(_cell_children, fold=fold,
-                                            ring=s.ring), cap_classes)
+        closure = Closure(_class_key(collapsed), partial(
+            _cell_children, fold=fold, ring=s.ring), cap_classes)
         counts: dict[int, int] = {0: 1}
         for _ in range(k):
             counts = closure.step(counts)
     except ClassExplosionError:
         return Verdict.unknown(cap_classes, "cap_classes")
     return sum(multiplicity for idx, multiplicity in counts.items()
-               if _is_countable(closure.reps[idx]))
+               if _is_countable(closure.keys[idx]))
 
 
 def growth_constant(s: AlgebraElement, k_min: int, k_max: int,

@@ -502,11 +502,14 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # bad or oversize input
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ZeroDivisionError as exc:
         print(f"error: division by zero: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
     except OSError as exc:  # julia render cannot write its --out file
         print(f"error: {exc}", file=sys.stderr)

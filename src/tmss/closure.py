@@ -1,12 +1,13 @@
 """The class graph that every closure in the package walks.
 
 An object is decomposed one level, its pieces are identified up to a key
-(a scaling class, a word, a nucleus representative), and each class is
-decomposed once.  A class may be its own key: the algebra closures hold a
-scaling class as its normalized key, which is also its representative.  ``Closure`` keeps the classes with their first parent,
-the weighted edges, a level step, the strongly connected components and
-the exact solve over them.  The characters, the zero test, the contraction
-depth, the counting of ``L`` and the nucleus limit classes all walk it.
+(the normalized key of a scaling class, a nucleus representative), and
+each class is decomposed once.  A class is its key: the child map reads
+a class's key and names each child by its key.  ``Closure`` keeps the
+classes with their first parent, the weighted edges, a level step, the
+strongly connected components and the exact solve over them.  The
+characters, the zero test, the contraction depth, the counting of ``L``
+and the nucleus limit classes all walk it.
 """
 
 from __future__ import annotations
@@ -54,32 +55,32 @@ class Closure:
     """Classes reached from a root under a child map.
 
     Classes are registered by key, at most ``cap_classes`` of them (no cap
-    when None); one more raises ClassExplosionError.  ``children(rep)``
-    returns None for a base class or an iterable of (key, rep, weight,
-    label) quadruples, and ``expand`` calls it at most once per class.  A
+    when None); one more raises ClassExplosionError.  ``children(key)``
+    returns None for a base class or an iterable of (key, weight, label)
+    triples, and ``expand`` calls it at most once per class.  A
     class keeps the class and label it was first reached from, so ``path``
     reads back a route from the root.
     """
 
-    def __init__(self, key, rep, children, cap_classes: int | None = None):
+    def __init__(self, key, children, cap_classes: int | None = None):
         self._children = children
         self._cap = cap_classes
         self._index: dict = {}
-        self.reps: list = []
+        self.keys: list = []
         self.depth: list[int] = []
         self.parent: list[tuple[int, object] | None] = []
         self.edges: dict[int, dict | None] = {}
-        self._register(key, rep, None)
+        self._register(key, None)
 
-    def _register(self, key, rep, parent: tuple[int, object] | None) -> int:
+    def _register(self, key, parent: tuple[int, object] | None) -> int:
         idx = self._index.get(key)
         if idx is None:
-            idx = len(self.reps)
+            idx = len(self.keys)
             if self._cap is not None and idx >= self._cap:
                 raise ClassExplosionError(
                     f"closure exceeded {self._cap} classes")
             self._index[key] = idx
-            self.reps.append(rep)
+            self.keys.append(key)
             self.parent.append(parent)
             self.depth.append(0 if parent is None
                               else self.depth[parent[0]] + 1)
@@ -89,11 +90,11 @@ class Closure:
         """Class ``idx``'s children as {child index: summed weight}, in
         first-occurrence order, or None for a base class."""
         if idx not in self.edges:
-            out = self._children(self.reps[idx])
+            out = self._children(self.keys[idx])
             if out is not None:
                 edges: dict = {}
-                for key, rep, weight, label in out:
-                    child = self._register(key, rep, (idx, label))
+                for key, weight, label in out:
+                    child = self._register(key, (idx, label))
                     edges[child] = edges.get(child, 0) + weight
                 out = edges
             self.edges[idx] = out
@@ -123,7 +124,7 @@ class Closure:
         component it reaches: Tarjan (SIAM J. Comput. 1(2), 1972) with an
         explicit stack, since closure depth grows with the input.  Every
         class is reachable from class 0."""
-        for idx, _ in enumerate(self.reps):  # reps grows as it is walked
+        for idx, _ in enumerate(self.keys):  # keys grows as it is walked
             self.expand(idx)
         index: dict[int, int] = {}
         low: dict[int, int] = {}
@@ -210,6 +211,6 @@ class Closure:
                         coeffs[j] = coeffs.get(j, Fraction(0)) - w
                 rows.append((coeffs, rhs))
             values.update(zip(component, _solve_system(len(rows), rows)))
-        return values[0], {"classes_used": len(self.reps),
+        return values[0], {"classes_used": len(self.keys),
                            "depth": max(self.depth),
                            "largest_component": largest}

@@ -82,8 +82,8 @@ class RationalMap:
             return [first, second]
         return [complex(r) for r in np.roots(desc)]
 
-    def preimages(self, z: complex, tol: float = 1e-9) -> list[complex]:
-        """All w with f(w) = z, Newton-polished to the tolerance."""
+    def preimages(self, z: complex) -> list[complex]:
+        """All w with f(w) = z, Newton-polished to a residual below 1e-9."""
         coeffs = list(self.num) + [0j] * max(0, len(self.den) - len(self.num))
         for k, c in enumerate(self.den):
             coeffs[k] -= z * c
@@ -92,13 +92,13 @@ class RationalMap:
         for w in roots:
             for _ in range(12):
                 val = self(w) - z
-                if abs(val) < tol:
+                if abs(val) < 1e-9:
                     break
                 dv = self.derivative(w)
                 if dv == 0 or not np.isfinite(dv):
                     break
                 w = w - val / dv
-            if abs(self(w) - z) < tol:
+            if abs(self(w) - z) < 1e-9:
                 polished.append(w)
         return polished
 

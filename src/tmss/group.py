@@ -392,10 +392,6 @@ class WreathElement:
         sections = tuple(inverse(self.sections[pinv(b)]) for b in range(self.q))
         return WreathElement(sections, pinv)
 
-    @property
-    def is_plain_identity(self) -> bool:
-        return self.perm.is_identity and all(s == () for s in self.sections)
-
     def to_json(self) -> dict:
         return {
             "perm": list(self.perm.images),
@@ -433,7 +429,7 @@ class NucleusResult:
 class WreathRecursion:
     """Generator images and every operation built on top of them."""
 
-    def __init__(self, q: int, images: dict[int, WreathElement], name: str = "custom"):
+    def __init__(self, q: int, images: dict[int, WreathElement]):
         check_alphabet(q)
         if set(images) != set(range(q)):
             raise ValueError("need exactly one image per generator x0..x%d" % (q - 1))
@@ -443,7 +439,6 @@ class WreathRecursion:
             for s in el.sections:
                 check_word(s, q)
         self.q = q
-        self.name = name
         # the word problem's normal form; and per signed letter, the row of
         # (image, section) pairs that the fold reads at each position
         letters, self._nf = _letter_tables(q, tuple(
@@ -462,7 +457,7 @@ class WreathRecursion:
         trivial = ((),) * q
         for i in range(1, q):
             images[i] = WreathElement(trivial, rho)
-        return cls(q, images, name=f"G_{q}")
+        return cls(q, images)
 
     @classmethod
     def inverted_variant(cls, q: int) -> "WreathRecursion":
@@ -473,7 +468,7 @@ class WreathRecursion:
         trivial = ((),) * q
         for i in range(1, q):
             images[i] = WreathElement(trivial, Permutation.transposition(q, 0, i))
-        return cls(q, images, name=f"H_{q}")
+        return cls(q, images)
 
     @classmethod
     def transposed_variant(cls, q: int) -> "WreathRecursion":
@@ -483,12 +478,12 @@ class WreathRecursion:
         trivial = ((),) * q
         for i in range(1, q):
             images[i] = WreathElement(trivial, Permutation.transposition(q, 0, i))
-        return cls(q, images, name=f"T_{q}")
+        return cls(q, images)
 
     @classmethod
     def trivial(cls, q: int) -> "WreathRecursion":
         el = WreathElement.identity(q)
-        return cls(q, {i: el for i in range(q)}, name="trivial")
+        return cls(q, {i: el for i in range(q)})
 
     def fold(self, word: Word) -> tuple[tuple[int, ...], tuple[Word, ...]]:
         """Root permutation images and freely reduced sections of ``word``.
@@ -701,11 +696,11 @@ class WreathRecursion:
         def children(u: Word):
             sections = [self._canonical(s, reps, cap_states)
                         for s in self.decompose(u).sections]
-            return [(s, s, 1, a) for a, s in enumerate(sections)]
+            return [(s, 1, a) for a, s in enumerate(sections)]
 
-        start = self._canonical(word, reps, cap_states)
-        graph = Closure(start, start, children, cap_nodes)
-        return {graph.reps[c] for c in graph.limit_classes()}
+        graph = Closure(self._canonical(word, reps, cap_states), children,
+                        cap_nodes)
+        return {graph.keys[c] for c in graph.limit_classes()}
 
     def nucleus(self, cap_elements: int = 512,
                 cap_states: int = 100_000) -> NucleusResult:

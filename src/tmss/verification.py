@@ -143,14 +143,14 @@ def check_base_values() -> CheckResult:
     return _timed("base-values", None, body)
 
 
-def check_substitution_diagonal(samples: int = 100) -> CheckResult:
+def check_substitution_diagonal() -> CheckResult:
     """decompose(theta(w)) is perm-trivial with section i equal to
     the i-shifted word, on random words."""
 
     def body():
         rng = random.Random(3)
         recs = {q: WreathRecursion.thue_morse(q) for q in (2, 3)}
-        for n in range(samples):
+        for n in range(100):
             q = 2 if n % 2 == 0 else 3
             rec = recs[q]
             w = _random_word(rng, q, 8)
@@ -160,7 +160,7 @@ def check_substitution_diagonal(samples: int = 100) -> CheckResult:
             for i in range(q):
                 if not rec.equal(elem.sections[i], gamma(w, i, q)).is_true:
                     return False, f"section {i} mismatch for {w} at q={q}"
-        return True, f"{samples} random words at q=2,3, all diagonal and shifted"
+        return True, "100 random words at q=2,3, all diagonal and shifted"
 
     return _timed("substitution-diagonal", 30.0, body)
 
@@ -246,20 +246,20 @@ def check_algebra_relations() -> CheckResult:
     return _timed("algebra-relations", 5.0, body)
 
 
-def check_homomorphism_laws(pairs: int = 200) -> CheckResult:
+def check_homomorphism_laws() -> CheckResult:
     """decompose and phi respect products (and phi respects sums)."""
 
     def body():
         rng = random.Random(7)
         recs = {q: WreathRecursion.thue_morse(q) for q in (2, 3)}
-        for n in range(pairs):
+        for n in range(200):
             q = 2 if n % 2 == 0 else 3
             rec = recs[q]
             v = _random_word(rng, q, 6)
             w = _random_word(rng, q, 6)
             if rec.decompose(v + w) != rec.decompose(v) * rec.decompose(w):
                 return False, f"group product law failed for {v}, {w} at q={q}"
-        for n in range(pairs):
+        for n in range(200):
             q = 2 if n % 2 == 0 else 3
             s = _random_element(rng, q)
             t = _random_element(rng, q)
@@ -267,7 +267,7 @@ def check_homomorphism_laws(pairs: int = 200) -> CheckResult:
                 return False, f"matrix product law failed at q={q}"
             if (s + t).phi() != mat_add(s.phi(), t.phi()):
                 return False, f"matrix sum law failed at q={q}"
-        return True, f"{pairs} product pairs per structure, zero failures"
+        return True, "200 product pairs per structure, zero failures"
 
     return _timed("homomorphism-laws", 60.0, body)
 
@@ -296,7 +296,7 @@ def check_counting_defect() -> CheckResult:
     return _timed("counting-defect", None, body)
 
 
-def check_sigma_additivity(tuples: int = 20) -> CheckResult:
+def check_sigma_additivity() -> CheckResult:
     """Character values add along sigma on tower elements, with the
     diagonal and shift-invariance side conditions."""
 
@@ -314,7 +314,7 @@ def check_sigma_additivity(tuples: int = 20) -> CheckResult:
                            for i in range(q) for j in range(q) if i != j)
             if diagonal and not elem.is_zero_literal:
                 pool.append(elem)
-        for _ in range(tuples):
+        for _ in range(20):
             batch = [rng.choice(pool) for _ in range(q)]
             report = additivity_check(batch)
             if isinstance(report, Verdict):
@@ -324,7 +324,7 @@ def check_sigma_additivity(tuples: int = 20) -> CheckResult:
             for comp in report["components"]:
                 if not (comp["diagonal"] and comp["gamma_invariant"]):
                     return False, "side condition failed on a component"
-        return True, f"{tuples} tuples additive with side conditions intact"
+        return True, "20 tuples additive with side conditions intact"
 
     return _timed("sigma-additivity", 60.0, body)
 
@@ -356,7 +356,7 @@ def check_range_witnesses() -> CheckResult:
     return _timed("range-witnesses", None, body)
 
 
-def check_fixed_point_oracle(samples: int = 25) -> CheckResult:
+def check_fixed_point_oracle() -> CheckResult:
     """Identity-kernel group character equals the depth-8 fixed-vertex
     fraction whenever the denominators are compatible."""
 
@@ -384,7 +384,7 @@ def check_fixed_point_oracle(samples: int = 25) -> CheckResult:
             return memo[key]
 
         compared = 0
-        for _ in range(samples):
+        for _ in range(25):
             w = _random_word(rng, q, 6)
             value = group_char(rec, w, Kernel.identity(q))
             if isinstance(value, Verdict):
@@ -394,7 +394,7 @@ def check_fixed_point_oracle(samples: int = 25) -> CheckResult:
                 if value != oracle:
                     return False, f"engine {value} vs oracle {oracle} for {w}"
                 compared += 1
-        return True, f"{compared} of {samples} words compared exactly at depth 8"
+        return True, f"{compared} of 25 words compared exactly at depth 8"
 
     return _timed("fixed-point-oracle", 60.0, body)
 
@@ -420,7 +420,7 @@ def check_boundedness() -> CheckResult:
     return _timed("boundedness", 10.0, body)
 
 
-def check_julia_renderer(points: int = 100_000) -> CheckResult:
+def check_julia_renderer() -> CheckResult:
     """Unit-circle oracle, preimage residuals, determinism, and speed."""
 
     def body():
@@ -449,14 +449,14 @@ def check_julia_renderer(points: int = 100_000) -> CheckResult:
         if first != second:
             return False, "renders with equal seeds differ"
 
-        big = RenderConfig(points=points, seed=0)
+        big = RenderConfig(points=100_000, seed=0)
         t0 = time.perf_counter()
         julia_points(f2, big)
         elapsed = time.perf_counter() - t0
         if elapsed > 30.0:
-            return False, f"{points} points took {elapsed:.1f}s"
+            return False, f"100000 points took {elapsed:.1f}s"
         return True, (f"circle within 1e-6, residuals under 1e-9, "
-                      f"deterministic, {points} points in {elapsed:.1f}s")
+                      f"deterministic, 100000 points in {elapsed:.1f}s")
 
     return _timed("julia-renderer", None, body)
 

@@ -1,5 +1,6 @@
 """Matrix recursion on the group algebra: phi, zero testing, sigma, omega."""
 
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -195,10 +196,16 @@ def test_phi_is_a_homomorphism(q, data):
         tuple(phi(s)[i][j] + phi(t)[i][j] for j in range(q)) for i in range(q))
 
 
+def _theta_map(s):
+    """The substitution theta applied to every monomial of ``s``."""
+    return AlgebraElement(s.ring, s.q, s.mode,
+                          {theta(w, s.q): c for w, c in s.terms.items()})
+
+
 @given(st.sampled_from((2, 3)), st.data())
 def test_phi_of_substitution_is_diagonal(q, data):
     s = data.draw(elements(q))
-    block = phi(s.theta_map())
+    block = phi(_theta_map(s))
     for i in range(q):
         for j in range(q):
             if i == j:
@@ -427,6 +434,19 @@ def test_parse_element_pins():
     assert parse_element("1/2", RATIONALS, q) == one(q).scale(Fraction(1, 2))
 
 
+def test_parse_element_rejects_a_coefficient_after_an_x_token():
+    # x0^0 gives no letters, yet it is a letter token
+    with pytest.raises(ValueError, match="coefficient '3' after letters"):
+        parse_element("x0^0 3", RATIONALS, 3)
+
+
+def test_parse_element_rejects_a_star_inside_an_exponent():
+    for text in ("x1^*2", "x1^ * -2", "x1^-*2"):
+        message = f"'*' between '^' and its exponent in {text!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_element(text, RATIONALS, 3)
+
+
 def test_parse_element_rejects_garbage():
     with pytest.raises(ValueError):
         parse_element("x5", RATIONALS, 2)
@@ -440,16 +460,23 @@ def test_parse_element_rejects_garbage():
 
 def parse_element_by_split_and_repair(text, ring, q, mode="B"):
     """The parser ``parse_element`` replaced, kept as its oracle: it splits
-    the text around every sign and then glues split exponents back."""
+    the text around every sign and then glues split exponents back.  It
+    rejects a ``*`` between ``^`` and its exponent and a coefficient after
+    an ``x`` token, as ``parse_element`` now does."""
     stripped = text.strip()
     if not stripped:
         raise ValueError("empty element")
-    tokens = stripped.replace("*", " ").replace("+", " + ").replace("-", " - ").split()
+    tokens = stripped.replace("*", " * ").replace("+", " + ").replace("-", " - ").split()
     fixed = []
     idx = 0
     while idx < len(tokens):
         tok = tokens[idx]
-        if tok.endswith("^") and idx + 2 < len(tokens) and tokens[idx + 1] == "-":
+        after = tokens[idx + 1:idx + 3]
+        if tok.endswith("^") and (after[:1] == ["*"] or after == ["-", "*"]):
+            raise ValueError("'*' between '^' and its exponent")
+        if tok == "*":
+            idx += 1
+        elif tok.endswith("^") and idx + 2 < len(tokens) and tokens[idx + 1] == "-":
             fixed.append(tok + "-" + tokens[idx + 2])
             idx += 3
         elif tok.endswith("^") and idx + 1 < len(tokens):
@@ -484,12 +511,14 @@ def parse_element_by_split_and_repair(text, ring, q, mode="B"):
     for sgn, toks in groups:
         coeff = ring.coerce(1)
         letters = []
+        seen_x = False
         for tok in toks:
             if tok == "1":
                 continue
             elif tok.startswith("x"):
                 letters.extend(parse_word(tok, q))
-            elif letters:
+                seen_x = True
+            elif seen_x:
                 raise ValueError(f"coefficient {tok!r} after letters")
             else:
                 coeff = coeff * ring.parse(tok)
@@ -566,7 +595,7 @@ def test_scaled_keys_identify_lines(q, data):
 @given(st.sampled_from((2, 3)), st.data())
 def test_substitution_and_shift_commute(q, data):
     s = data.draw(elements(q))
-    assert s.theta_map().gamma_map(1) == s.gamma_map(1).theta_map()
+    assert _theta_map(s).gamma_map(1) == _theta_map(s.gamma_map(1))
     assert s.gamma_map(1).gamma_map(q - 1) == s
 
 
@@ -596,7 +625,7 @@ def _frontier_is_zero(s, cap_depth=60):
                 for j, entry in enumerate(row):
                     if entry.is_zero_literal:
                         continue
-                    if entry.is_scalar:
+                    if list(entry.terms) == [()]:
                         return Verdict("nonzero", depth=depth, witness=(
                             u + (i,), v + (j,), entry.terms[()]))
                     grown.setdefault(entry.key(), (entry, u + (i,), v + (j,)))
@@ -612,7 +641,7 @@ def _frontier_is_zero(s, cap_depth=60):
 def _frontier_contraction_depth(s, cap_depth=12):
     frontier = {s.key(): s}
     for depth in range(cap_depth + 1):
-        if all(rep.max_monomial_length() <= 1 for rep in frontier.values()):
+        if all(len(w) <= 1 for rep in frontier.values() for w in rep.terms):
             return depth
         grown = {}
         for rep in frontier.values():
@@ -654,6 +683,8 @@ def test_contraction_depth_matches_the_frontier_oracle(s, cap_depth):
 def test_scalar_root_witness_sits_below_the_root():
     verdict = is_zero(one(3).scale(2))
     assert verdict == Verdict("nonzero", depth=1, witness=((0,), (0,), 2))
+    # the scalar is answered at depth 1, so a depth cap of 0 stops first
+    assert is_zero(one(3).scale(2), cap_depth=0) == Verdict.unknown(0, "cap_depth")
 
 
 # -- the constructor and key() against the accumulation they replaced -----------

@@ -248,6 +248,44 @@ def test_algebra_and_group_characters_agree_on_monomials(q, data):
             == _value_or_singular(lambda: group_char(rec, w, kernel)))
 
 
+def _group_char_on_words(rec, word, kernel, cap_classes, with_info):
+    """``group_char``'s oracle, the closure it replaced: a class is a freely
+    reduced word, the empty word is the base, and strand a of a word's fold
+    is a child of weight k(a, perm(a)) unless that weight is 0."""
+
+    def children(w):
+        if not w:
+            return None
+        images, sections = rec.fold(w)
+        return [(sections[a], kernel[a, images[a]], a)
+                for a in range(rec.q) if kernel[a, images[a]] != 0]
+
+    try:
+        result = Closure(free_reduce(word), children, cap_classes).solve(rec.q)
+    except ClassExplosionError:
+        result = Verdict.unknown(cap_classes, "cap_classes"), None
+    return result if with_info else result[0]
+
+
+@given(st.sampled_from((2, 3, 4)),
+       st.sampled_from(("thue_morse", "inverted_variant", "transposed_variant")),
+       st.sampled_from((3, 10_000)), st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_group_char_matches_the_word_closure(q, preset, cap, with_info, data):
+    rec = getattr(WreathRecursion, preset)(q)
+    letter = st.tuples(st.integers(0, q - 1), st.sampled_from((1, -1)))
+    w = tuple(data.draw(st.lists(letter, max_size=6)))
+    entry = st.sampled_from((0, 0, 1, 1, -1, 2, Fraction(1, 2)))
+    random_kernel = st.lists(st.lists(entry, min_size=q, max_size=q),
+                             min_size=q, max_size=q).map(Kernel)
+    kernel = data.draw(st.one_of(st.just(Kernel.identity(q)),
+                                 st.just(Kernel.ones(q)), random_kernel))
+    assert (_value_or_singular(
+        lambda: group_char(rec, w, kernel, cap, with_info=with_info))
+        == _value_or_singular(
+        lambda: _group_char_on_words(rec, w, kernel, cap, with_info)))
+
+
 # -- the component-wise solve against one dense elimination -------------------
 
 
@@ -269,7 +307,7 @@ def _dense_root_value(closure, q):
     """The oracle: one row per class of a finished closure, solved by a
     single elimination over the whole system."""
     rows = []
-    for idx in range(len(closure.reps)):
+    for idx in range(len(closure.keys)):
         edges = closure.edges[idx]
         if edges is None:
             rows.append(({idx: Fraction(1)}, Fraction(1)))
@@ -353,9 +391,9 @@ def test_solve_needs_no_recursion_on_a_long_chain():
     n = 5_000
 
     def children(i):
-        return None if i == n else [(i, i, 1, 0), (i + 1, i + 1, 1, 1)]
+        return None if i == n else [(i, 1, 0), (i + 1, 1, 1)]
 
-    value, info = Closure(0, 0, children, cap_classes=n + 1).solve(3)
+    value, info = Closure(0, children, cap_classes=n + 1).solve(3)
     assert value == Fraction(1, 2 ** n)
     assert info == {"classes_used": n + 1, "depth": n, "largest_component": 1}
 
@@ -500,21 +538,22 @@ def _count_collapsing_after_phi(s, k, cap_classes=10_000):
     if collapsed.is_zero_literal:
         return 0
 
-    def children(elem):
+    def children(key):
+        elem = AlgebraElement(s.ring, s.q, s.mode, key)
         entries = (entry.collapse_high_letters() for row in elem.phi()
                    for entry in row if not entry.is_zero_literal)
-        return [(entry.key(), entry, 1, None) for entry in entries]
+        return [(entry.key(), 1, None) for entry in entries]
 
     try:
-        closure = Closure(collapsed.key(), collapsed, children, cap_classes)
+        closure = Closure(collapsed.key(), children, cap_classes)
         counts = {0: 1}
         for _ in range(k):
             counts = closure.step(counts)
     except ClassExplosionError:
         return Verdict.unknown(cap_classes, "cap_classes")
     return sum(m for idx, m in counts.items()
-               if closure.reps[idx].is_single_term
-               and len(next(iter(closure.reps[idx].terms))) <= 1)
+               if len(closure.keys[idx]) == 1
+               and len(closure.keys[idx][0][0]) <= 1)
 
 
 @st.composite
@@ -740,8 +779,8 @@ def test_exact_json():
 def _dense_children(key, fold, ring, weights=None):
     """The oracle: the class's element is rebuilt from its key, and every
     cell of the dense q x q matrix ``phi`` of that element is tested in
-    row-major order, with the cell's ``key()`` as key and representative
-    and the kernel weight as a Fraction.  ``fold`` gives only q, as the
+    row-major order, with the cell's ``key()`` as its key and the kernel
+    weight as a Fraction.  ``fold`` gives only q, as the
     length of the empty word's permutation; ``phi`` folds through the
     Thue-Morse recursion.  Key words are freely reduced, so mode B holds
     the element whatever the mode of the root."""
@@ -751,7 +790,7 @@ def _dense_children(key, fold, ring, weights=None):
         for j, entry in enumerate(row):
             weight = 1 if weights is None else Fraction(weights[i][j])
             if weight != 0 and not entry.is_zero_literal:
-                out.append((entry.key(), entry.key(), weight, (i, j)))
+                out.append((entry.key(), weight, (i, j)))
     return out
 
 
@@ -794,7 +833,7 @@ def test_cell_children_match_the_dense_grid(case):
     for weights in (None, kernel.weights):
         sparse = _cell_children(_class_key(s), fold, s.ring, weights)
         assert sparse == _dense_children(_class_key(s), fold, s.ring, weights)
-        assert all(type(w) is int for _, _, w, _ in sparse
+        assert all(type(w) is int for _, w, _ in sparse
                    if Fraction(w).denominator == 1)
 
 
@@ -814,8 +853,7 @@ def test_class_keys_are_the_keys_of_the_phi_cells(case, collapsed):
         assert [cell for *_, cell in children] == sorted(
             cell for cell, entry in cells.items() if not entry.is_zero_literal
             and (weights is None or weights[cell[0]][cell[1]] != 0))
-        for child, rep, _, cell in children:
-            assert child is rep
+        for child, _, cell in children:
             assert child == cells[cell].key()
             assert hash(child) == hash(cells[cell].key())
             assert all(type(c) is int for _, c in child
@@ -829,7 +867,7 @@ def _witness_scalar(s, rows, cols):
     entry = s
     for i, j in zip(rows, cols):
         entry = entry.phi()[i][j]
-    assert entry.is_scalar and not entry.is_zero_literal
+    assert list(entry.terms) == [()]
     return entry.terms[()]
 
 

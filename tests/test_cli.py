@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from tmss import cli
 from tmss.algebra import INTEGERS
 from tmss.cli import build_parser, main
 from tmss.group import NucleusResult, WreathRecursion
@@ -363,6 +364,30 @@ def test_integer_ring_flag(capsys):
 def test_bad_element_is_reported(capsys):
     code, _, err = run(capsys, "char", "spread", "y0")
     assert code == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("x0^0 3", "coefficient '3' after letters"),
+    ("x1^*2", "'*' between '^' and its exponent in 'x1^*2'"),
+])
+def test_malformed_element_exits_1_naming_its_token(capsys, text, reason):
+    code, out, err = run(capsys, "char", "spread", text, "--q", "3")
+    assert (code, out, err) == (1, "", f"error: {reason}")
+
+
+def test_an_oversize_exponent_exits_1(capsys):
+    code, out, err = run(capsys, "char", "spread", "x0^10000000000000000000")
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
+def test_running_out_of_memory_exits_1(capsys, monkeypatch):
+    # a real allocation failure depends on the host, so a handler raises it
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_char", exhausted)
+    code, out, err = run(capsys, "char", "spread", "x0", "--q", "99999999999")
+    assert (code, out, err) == (1, "", "error: out of memory")
 
 
 def test_julia_render(tmp_path, capsys):

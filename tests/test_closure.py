@@ -13,9 +13,9 @@ def graph(edges, weight=1):
     def children(c):
         if c not in edges:
             return None
-        return [(child, child, weight, f"{c}>{child}") for child in edges[c]]
+        return [(child, weight, f"{c}>{child}") for child in edges[c]]
 
-    return Closure(0, 0, children)
+    return Closure(0, children)
 
 
 CHAIN = {0: [1], 1: [2]}
@@ -33,12 +33,12 @@ def test_step_on_a_chain():
 def test_step_sums_multiplicities_in_first_occurrence_order():
     closure = graph({0: [2, 1, 2], 1: [2], 2: [1]})
 
-    def by_rep(level):
-        return [(closure.reps[c], m) for c, m in level.items()]
+    def by_key(level):
+        return [(closure.keys[c], m) for c, m in level.items()]
 
     level = closure.step({0: 1})
-    assert by_rep(level) == [(2, 2), (1, 1)]
-    assert by_rep(closure.step(level)) == [(1, 2), (2, 1)]
+    assert by_key(level) == [(2, 2), (1, 1)]
+    assert by_key(closure.step(level)) == [(1, 2), (2, 1)]
 
 
 def test_step_on_a_self_loop():
@@ -74,9 +74,9 @@ def test_limit_classes_are_the_classes_below_a_cycle(edges, limit):
 
 def test_cap_counts_registered_classes():
     def children(c):
-        return [(c + 1, c + 1, 1, None)]
+        return [(c + 1, 1, None)]
 
-    closure = Closure(0, 0, children, cap_classes=3)
+    closure = Closure(0, children, cap_classes=3)
     closure.step(closure.step({0: 1}))
     with pytest.raises(ClassExplosionError):
         closure.step({2: 1})
