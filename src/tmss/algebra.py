@@ -15,7 +15,8 @@ matrix carries section a at row a, column perm(a).  Under this assignment
 
 Zero testing asks whether some iterate ``phi^n(s)`` is the literally zero
 matrix.  It walks the class graph of ``closure.Closure``, whose classes are
-the normalized keys of the entries (``_class_key``), level by level and
+the normalized keys of the entries (``_class_key``, with each long proper
+power held as a ``group.Power``), level by level and
 stops on an empty level (zero), on a nonzero scalar entry, which is a
 permanent obstruction (nonzero), or at the depth cap (unknown).
 ``contraction_depth`` walks the same graph.
@@ -29,7 +30,7 @@ from fractions import Fraction
 from functools import cache, partial
 
 from .closure import Closure
-from .group import Permutation, WreathElement, WreathRecursion
+from .group import Permutation, WreathElement, WreathRecursion, canonical
 from .verdict import Verdict
 from .words import (
     Word,
@@ -400,10 +401,11 @@ def _thue_morse(q: int) -> WreathRecursion:
 
 
 def _call_fold(rec: WreathRecursion):
-    """``rec.fold`` remembering every word it has folded, for one call:
-    the classes of one closure share many monomials, and each is folded
-    once.  The memory goes with the call that made it."""
-    return cache(rec.fold)
+    """The fold of closure key words (``WreathRecursion._fold_key``),
+    remembering every word it has folded, for one call: the classes of one
+    closure share many monomials, and each is folded once.  The memory
+    goes with the call that made it."""
+    return cache(rec._fold_key)
 
 
 @cache
@@ -457,16 +459,19 @@ def _phi_cells(elem: AlgebraElement, fold) -> dict[tuple[int, int], AlgebraEleme
 
 
 def _class_key(elem: AlgebraElement) -> tuple:
-    """``elem.key()`` as a closure holds it: every coefficient in the
-    ring's ``compact`` form, so an integral rational is an int."""
+    """``elem.key()`` as a closure holds it: every word in its
+    ``canonical`` form, a long proper power as a ``Power``, and every
+    coefficient in the ring's ``compact`` form, so an integral rational is
+    an int."""
     compact = elem.ring.compact
-    return tuple((word, compact(c)) for word, c in elem.key())
+    return tuple((canonical(word), compact(c)) for word, c in elem.key())
 
 
 def _cell_key(terms: list[tuple[Word, object]], ring) -> tuple:
     """The class key of one cell of ``_grid``, from the pairs of a class
-    key: equal to the ``key()`` of the cell's element, with the
-    coefficients in ``compact`` form; () when the cell is literally zero."""
+    key: equal to the ``key()`` of the cell's element once each ``Power``
+    is expanded, with the coefficients in ``compact`` form; () when the
+    cell is literally zero."""
     if len(terms) == 1 and ring.is_field:
         return ((terms[0][0], 1),)
     compact = ring.compact
@@ -568,7 +573,11 @@ def is_zero(s: AlgebraElement, cap_depth: int = 60) -> Verdict:
     ends the walk before the rest of its level is expanded.  The depth cap
     yields unknown.  The classes are keys, so the witness scalar is found
     by following the route's cells from ``s``: the entry that first reached
-    each class on the route is the cell of the previous one.
+    each class on the route is the cell of the previous one.  The replay
+    carries the entry as unsummed ``(word, coefficient)`` pairs of
+    canonical words, which the walk has mostly folded already, and sums
+    the empty word's coefficients at the end; by linearity the other
+    words' coefficients cancel there.  It builds no element.
     """
     if s.is_zero_literal:
         return Verdict("zero", depth=0)
@@ -586,12 +595,13 @@ def is_zero(s: AlgebraElement, cap_depth: int = 60) -> Verdict:
                 key = closure.keys[child]
                 if len(key) == 1 and not key[0][0]:
                     route = closure.path(child)
-                    entry = s
+                    pairs = [(canonical(w), c) for w, c in s.terms.items()]
                     for cell in route:
-                        entry = _phi_cells(entry, fold)[cell]
+                        pairs = _grid(pairs, fold)[cell]
+                    scalar = s.ring.coerce(sum(c for w, c in pairs if not w))
                     rows, cols = zip(*route)
                     return Verdict("nonzero", depth=depth,
-                                   witness=(rows, cols, entry.terms[()]))
+                                   witness=(rows, cols, scalar))
         level = closure.step(level)
         if not level:
             return Verdict("zero", depth=depth)

@@ -44,7 +44,7 @@ from .algebra import (
     sigma,
 )
 from .closure import Closure
-from .group import WreathRecursion
+from .group import WreathRecursion, canonical
 from .verdict import ClassExplosionError, Verdict
 from .words import Word, free_reduce, power as word_power
 
@@ -242,8 +242,9 @@ def group_char(rec: WreathRecursion, word: Word, kernel: Kernel | None = None,
         kernel = Kernel.identity(q)
     if kernel.q != q:
         raise ValueError("kernel size does not match the alphabet")
-    return _closure_value(((free_reduce(word), 1),), _call_fold(rec), RATIONALS,
-                          kernel.weights, False, cap_classes, with_info)
+    key = ((canonical(free_reduce(word)), 1),)
+    return _closure_value(key, _call_fold(rec), RATIONALS, kernel.weights,
+                          False, cap_classes, with_info)
 
 
 # -- language counting -----------------------------------------------------------

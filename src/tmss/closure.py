@@ -3,9 +3,11 @@
 An object is decomposed one level, its pieces are identified up to a key
 (the normalized key of a scaling class, a nucleus representative), and
 each class is decomposed once.  A class is its key: the child map reads
-a class's key and names each child by its key.  ``Closure`` keeps the
-classes with their first parent, the weighted edges, a level step, the
-strongly connected components and the exact solve over them.  The
+a class's key and names each child by its key.  A scaling class's key is
+the ``key()`` of its element once each ``group.Power`` in it, a long
+proper power held as its root and exponent, is expanded.  ``Closure``
+keeps the classes with their first parent, the weighted edges, a level
+step, the strongly connected components and the exact solve over them.  The
 characters, the zero test, the contraction depth, the counting of ``L``
 and the nucleus limit classes all walk it.
 """

@@ -19,6 +19,9 @@ trivially on every tree level, hence is trivial in the injective quotient.
 The word problem keeps its elements as states in the free-product normal
 form of section letters and rooted permutations (``_NormalForm``), where a
 generator with only empty sections is its root permutation.
+The closures over the algebra hold a long proper power in their keys as a
+``Power`` (root and exponent), and fold it through its root with
+``_fold_key``, so a deep tower is never written out.
 """
 
 from __future__ import annotations
@@ -62,21 +65,97 @@ def _prime_factors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _root_length(word: Word) -> int:
+def _root_length(word) -> int:
     """Length of the primitive root u of ``word``, the shortest u with
     ``word = u^m``.  The periods of a word that divide its length are the
     multiples of |u|, so dividing out one prime at a time while the period
-    holds ends at |u|."""
+    holds ends at |u|.
+
+    With d a period of the word, a period p dividing d is a period of the
+    whole word exactly when it is one of the prefix of length d, so each
+    test compares inside the current period only: O(len(word)) per prime
+    factor of the length."""
     n = d = len(word)
     for r in _prime_factors(n):
         while d % r == 0:
             p = d // r
-            # first and last letter reject in O(1); then one slice compare
-            if (word[p] != word[0] or word[p - 1] != word[-1]
-                    or word[p:] != word[:-p]):
+            # last letter of the period reject in O(1); then one slice compare
+            if word[p - 1] != word[d - 1] or word[p:d] != word[:d - p]:
                 break
             d = p
     return d
+
+
+class Power:
+    """The word ``root^m`` as a closure key holds it: ``root`` freely and
+    cyclically reduced and primitive, m >= 2 and at least ``_POWER_MIN``
+    letters in all (``canonical``).
+
+    Each word has one canonical form, so a ``Power`` never equals a tuple
+    and two powers are equal exactly when their roots and exponents are:
+    equality costs O(|root|) and the hash is computed once.  The order is
+    that of the expanded tuples; the keys compare words inside ``(len,
+    word)`` sort keys, so a power is expanded only on a length tie.  A
+    ``Power`` never enters an ``AlgebraElement``."""
+
+    __slots__ = ("root", "m", "_len", "_hash")
+
+    def __init__(self, root: Word, m: int):
+        self.root = root
+        self.m = m
+        self._len = len(root) * m
+        self._hash = hash((Power, root, m))
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other):
+        if type(other) is not Power:
+            return NotImplemented
+        return (self._hash == other._hash and self.m == other.m
+                and self.root == other.root)
+
+    def __lt__(self, other):
+        return _expanded(self) < _expanded(other)
+
+    def __gt__(self, other):
+        return _expanded(self) > _expanded(other)
+
+    def __le__(self, other):
+        return _expanded(self) <= _expanded(other)
+
+    def __ge__(self, other):
+        return _expanded(self) >= _expanded(other)
+
+    def __repr__(self) -> str:
+        return f"Power({self.root!r}, {self.m})"
+
+
+def _expanded(word) -> Word:
+    """``word`` as a tuple of letters."""
+    return word.root * word.m if type(word) is Power else word
+
+
+def _power_key(word: Word, j: int):
+    """The canonical form of ``word^j``, for a freely reduced ``word`` that
+    is cyclically reduced when j >= 2: a ``Power`` of the primitive root
+    of ``word`` from ``_POWER_MIN`` letters on, else the tuple."""
+    n = len(word) * j
+    if n < _POWER_MIN:
+        return word * j
+    d = _root_length(word)
+    return Power(word[:d], n // d) if n > d else word
+
+
+def canonical(word):
+    """The one form of a freely reduced word in a closure key: a ``Power``
+    for a proper power of at least ``_POWER_MIN`` letters, else the tuple."""
+    if len(word) < _POWER_MIN or type(word) is Power:
+        return word
+    return _power_key(word, 1)
 
 
 def _cycles(images: tuple[int, ...]) -> list[list[int]]:
@@ -120,6 +199,21 @@ def _join(left: Word, right: Word) -> Word:
            and left[-1 - i][1] == -right[i][1]):
         i += 1
     return left[:len(left) - i] + right[i:]
+
+
+def _power_section(product: Word, laps: int, tail: Word) -> Word:
+    """A strand's section of a proper power: ``product^laps`` followed by
+    ``tail``, both freely reduced, as a freely reduced tuple."""
+    return _join(_reduced_power(product, laps), tail)
+
+
+def _key_section(product: Word, laps: int, tail: Word):
+    """``_power_section`` in its canonical form, with no materialized power
+    when ``product`` is cyclically reduced and ``tail`` is empty."""
+    if (not tail and product and (product[0][0] != product[-1][0]
+                                  or product[0][1] != -product[-1][1])):
+        return _power_key(product, laps)
+    return canonical(_power_section(product, laps, tail))
 
 
 class _Perms(dict):
@@ -445,6 +539,11 @@ class WreathRecursion:
             (i, el.perm.images, el.sections) for i, el in sorted(images.items())))
         self._rows = {letter: tuple(zip(*table))
                       for letter, table in letters.items()}
+        # a word shorter than this has only sections shorter than
+        # _POWER_MIN, and no Power is this short
+        growth = max(len(s) for _, sections in letters.values()
+                     for s in sections)
+        self._short = -(-_POWER_MIN // max(growth, 1))
         # always empty (is_trivial keeps no state); perfbench/tracer.py reads its size
         self._trivial_cache: dict[Word, bool] = {}
 
@@ -532,22 +631,41 @@ class WreathRecursion:
             out.append(tuple(stack))
         return tuple(perm), tuple(out)
 
-    def _fold_power(self, root: Word,
-                    m: int) -> tuple[tuple[int, ...], tuple[Word, ...]]:
+    def _fold_power(self, root: Word, m: int, section=_power_section
+                    ) -> tuple[tuple[int, ...], tuple]:
         """``fold(root * m)`` from one fold of ``root``, cycle by cycle of
-        its root permutation."""
+        its root permutation: strand a's section is ``section(C, laps,
+        tail)``, with C the product of root's sections around the cycle
+        from a, laps its full turns and tail the leftover factors."""
         images, sections = self._fold_letters(root)
         q = self.q
         perm: list[int] = [-1] * q
-        out: list[Word] = [()] * q
+        out: list = [()] * q
         for cycle in _cycles(images):
             laps, rest = divmod(m, len(cycle))
             for i, a in enumerate(cycle):
                 perm[a] = cycle[(i + m) % len(cycle)]
                 order = cycle[i:] + cycle[:i]
-                body = _reduced_power(_product(sections, order), laps)
-                out[a] = _join(body, _product(sections, order[:rest]))
+                out[a] = section(_product(sections, order), laps,
+                                 _product(sections, order[:rest]))
         return tuple(perm), tuple(out)
+
+    def _fold_key(self, word) -> tuple[tuple[int, ...], tuple]:
+        """``fold`` on the canonical words of closure keys (``canonical``),
+        with the sections in canonical form too.  A ``Power`` is folded
+        through its root, and a section that is a power of a cyclically
+        reduced cycle product is a ``Power`` built from that product, so a
+        deep tower costs O(q * |root|) per class and is never written out.
+        A tuple key word is not a proper power from ``_POWER_MIN`` letters
+        on, so it is never searched for a root; a word too short to have a
+        section of ``_POWER_MIN`` letters goes straight to the letter loop.
+        """
+        if len(word) < self._short:
+            return self._fold_letters(word)
+        if type(word) is Power:
+            return self._fold_power(word.root, word.m, _key_section)
+        images, sections = self._fold_letters(word)
+        return images, tuple(map(canonical, sections))
 
     def decompose(self, word: Word) -> WreathElement:
         images, sections = self.fold(word)

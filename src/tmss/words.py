@@ -125,7 +125,11 @@ def parse_word(text: str, q: int) -> Word:
             raise ValueError(f"cannot parse word token {tok!r}")
         exponent = int(m.group(2)) if m.group(2) is not None else 1
         letter = (int(m.group(1)), 1 if exponent >= 0 else -1)
-        out.extend(check_word((letter,), q) * abs(exponent))
+        try:
+            out.extend(check_word((letter,), q) * abs(exponent))
+        except OverflowError:
+            raise ValueError(
+                f"exponent of word token {tok!r} is too large") from None
     return tuple(out)
 
 

@@ -2,6 +2,7 @@
 
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 from unittest import mock
 
@@ -42,7 +43,7 @@ from tmss.characters import (
     theorem_witness,
 )
 from tmss.closure import Closure, SingularSystemError, _solve_system
-from tmss.group import WreathRecursion
+from tmss.group import _POWER_MIN, Power, WreathRecursion, _expanded, canonical
 from tmss.verdict import ClassExplosionError, Verdict
 from tmss.words import free_reduce, gamma, power as word_power
 
@@ -924,3 +925,150 @@ def test_integral_kernels_give_int_edge_weights():
     assert len(weights) == 3 and all(weights)
     assert all(type(w) is int for w in weights[0] + weights[1])
     assert any(type(w) is Fraction for w in weights[2])
+
+
+# -- closure keys hold long powers as Power(root, m) -------------------------------
+
+
+@contextmanager
+def _recorded_keys():
+    """Collect every Closure built, in order."""
+    seen = []
+    init = Closure.__init__
+
+    def recording_init(closure, *args, **kwargs):
+        seen.append(closure)
+        init(closure, *args, **kwargs)
+
+    with mock.patch.object(Closure, "__init__", recording_init):
+        yield seen
+
+
+@contextmanager
+def _tuple_path():
+    """The oracle: every closure on tuple words, with the root key's words
+    as they are and every word folded by ``cache(rec.fold)``."""
+    def tuple_fold(rec):
+        return cache(rec.fold)
+
+    with mock.patch.object(algebra, "canonical", lambda word: word), \
+            mock.patch.object(characters, "canonical", lambda word: word), \
+            mock.patch.object(algebra, "_call_fold", tuple_fold), \
+            mock.patch.object(characters, "_call_fold", tuple_fold):
+        yield
+
+
+@st.composite
+def power_cases(draw):
+    """An element over Q, Z, F2 or F3 in mode A or B at q = 2..5 that mixes
+    short words with long powers u^m (m up to q^5), bare, followed by a
+    tail or, in mode B, conjugated; a kernel; and a recursion preset."""
+    q = draw(st.integers(2, 5))
+    ring = draw(st.sampled_from((RATIONALS, INTEGERS, PrimeField(2),
+                                 PrimeField(3))))
+    mode = draw(st.sampled_from(("A", "B")))
+    sign = (1,) if mode == "A" else (1, -1)
+    letter = st.tuples(st.integers(0, q - 1), st.sampled_from(sign))
+    short = st.lists(letter, max_size=4).map(tuple)
+    exponent = st.one_of(st.sampled_from([q ** j for j in range(2, 6)]),
+                         st.integers(2, q ** 5))
+    shapes = ("bare", "tail", "conjugate")[:3 if mode == "B" else 2]
+
+    @st.composite
+    def long_word(draw):
+        root = draw(st.lists(letter, min_size=1, max_size=3).map(tuple))
+        body = root * draw(exponent)
+        shape = draw(st.sampled_from(shapes))
+        if shape == "tail":
+            return body + draw(short)
+        if shape == "conjugate":
+            t = draw(short)
+            return t + body + tuple((i, -e) for i, e in reversed(t))
+        return body
+
+    word = st.one_of(short, long_word(), long_word())
+    terms = draw(st.lists(st.tuples(word, st.integers(-3, 3)), min_size=1,
+                          max_size=4))
+    s = AlgebraElement(ring, q, mode, terms)
+    if draw(st.booleans()):
+        s = s - AlgebraElement.one(ring, q, mode).scale(sum(s.terms.values()))
+    kernel = draw(_kernels(q))
+    preset = draw(st.sampled_from((WreathRecursion.thue_morse,
+                                   WreathRecursion.inverted_variant,
+                                   WreathRecursion.transposed_variant)))
+    return s, kernel, preset(q), draw(word)
+
+
+def _results_and_keys(s, kernel, rec, word):
+    """Every closure result on ``s`` (and on ``word`` for group_char), and
+    the class keys of every closure built."""
+    q_s = AlgebraElement(RATIONALS, s.q, s.mode, s.terms)
+    with _recorded_keys() as seen:
+        results = [
+            spread_char(s, cap_classes=2_000, with_info=True),
+            _value_or_singular(lambda: algebra_char(
+                q_s, kernel, cap_classes=2_000, with_info=True)),
+            _value_or_singular(lambda: group_char(
+                rec, word, kernel, cap_classes=2_000, with_info=True)),
+            count_L(s, 3, cap_classes=2_000), count_L(s, 6, cap_classes=2_000),
+            contraction_depth(s, 8), is_zero(s, 30)]
+    return results, [closure.keys for closure in seen]
+
+
+def _expanded_keys(closures):
+    return [[tuple((_expanded(w), c) for w, c in key) for key in keys]
+            for keys in closures]
+
+
+@given(power_cases())
+@settings(max_examples=150, deadline=None)
+def test_power_keys_match_the_tuple_path(case):
+    s, kernel, rec, word = case
+    _collapsed_thue_morse(s.q)  # its certificate is a closure, built once per q
+    with _tuple_path():
+        expected = _results_and_keys(s, kernel, rec, word)
+    results, keys = _results_and_keys(s, kernel, rec, word)
+    assert results == expected[0]
+    assert _expanded_keys(keys) == expected[1]
+    # the tuple path holds no Power, and the change holds every key word in
+    # its canonical form
+    assert not any(type(w) is Power for closure in expected[1]
+                   for key in closure for w, _ in key)
+    assert all(canonical(_expanded(w)) == w for closure in keys
+               for key in closure for w, _ in key)
+
+
+def _tower_cases():
+    """1 - x0^(5^7) and 1 - gamma Pi^(3^9), with their values 2/5^6 and
+    2/3^9 and their words."""
+    pi3 = ((1, 1), (2, 1), (0, 1))
+    for q, word, value in ((5, ((0, 1),) * 5 ** 7, Fraction(2, 5 ** 6)),
+                           (3, pi3 * 3 ** 9, Fraction(2, 3 ** 9))):
+        yield one(q) - AlgebraElement.monomial(RATIONALS, q, word), value, word
+
+
+@pytest.mark.parametrize("s, value, word", list(_tower_cases()),
+                         ids=["x0^(5^7)", "gamma Pi^(3^9)"])
+def test_deep_towers_stay_compressed(s, value, word):
+    """Every long key word is a Power, and the letter loop reads fewer
+    letters per class than a key word of ``_POWER_MIN`` letters has: the
+    cost does not grow with the tower's 59,049 and 78,125 letters."""
+    read = []
+    fold_letters = WreathRecursion._fold_letters
+
+    def counting(rec, letters):
+        read.append(len(letters))
+        return fold_letters(rec, letters)
+
+    with _recorded_keys() as seen, \
+            mock.patch.object(WreathRecursion, "_fold_letters", counting):
+        assert spread_char(s) == value
+        if s.q == 3:
+            assert count_L(s, 6) == 0
+            assert is_zero(s).state == "nonzero"
+    classes = sum(len(closure.keys) for closure in seen)
+    long_words = [w for closure in seen for key in closure.keys
+                  for w, _ in key if len(w) >= _POWER_MIN]
+    assert long_words and all(type(w) is Power for w in long_words)
+    assert len(read) <= classes and max(read) < _POWER_MIN
+    assert sum(read) < classes * _POWER_MIN < len(word) // 10

@@ -377,7 +377,9 @@ def test_malformed_element_exits_1_naming_its_token(capsys, text, reason):
 
 def test_an_oversize_exponent_exits_1(capsys):
     code, out, err = run(capsys, "char", "spread", "x0^10000000000000000000")
-    assert code == 1 and out == "" and err.startswith("error:")
+    assert (code, out, err) == (
+        1, "", "error: exponent of word token 'x0^10000000000000000000' "
+               "is too large")
 
 
 def test_running_out_of_memory_exits_1(capsys, monkeypatch):

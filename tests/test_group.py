@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tmss.algebra import _collapsed_thue_morse
-from tmss.group import Permutation, WreathElement, WreathRecursion
+from tmss.group import (
+    _POWER_MIN,
+    Permutation,
+    Power,
+    WreathElement,
+    WreathRecursion,
+    _expanded,
+    _root_length,
+    canonical,
+)
 from tmss.verdict import ClassExplosionError, Verdict
 from tmss.words import (
     InvalidLetterError,
@@ -559,6 +568,152 @@ def test_short_words_take_the_letter_loop():
                            wraps=rec._fold_letters) as spy:
         rec.fold(((0, 1),) * 11)
     assert spy.call_args_list == [mock.call(((0, 1),) * 11)]
+
+
+# -- the primitive root of a word ----------------------------------------------
+
+
+def _naive_root_length(word):
+    """The oracle: the least d dividing len(word) with word = word[:d]^m."""
+    n = len(word)
+    return next(d for d in range(1, n + 1)
+                if n % d == 0 and word[:d] * (n // d) == word)
+
+
+def periodic_words():
+    """Nested powers (u^a)^b, the same with one letter changed, and powers
+    whose exponent has several prime factors, over three letters so that
+    periods often almost hold."""
+    letter = st.sampled_from(((0, 1), (1, 1), (0, -1)))
+    root = st.lists(letter, min_size=1, max_size=6).map(tuple)
+    nested = st.tuples(root, st.integers(1, 6), st.integers(1, 6)).map(
+        lambda t: t[0] * t[1] * t[2])
+
+    @st.composite
+    def near_miss(draw):
+        word = list(draw(nested))
+        at = draw(st.integers(0, len(word) - 1))
+        word[at] = draw(letter.filter(lambda x: x != word[at]))
+        return tuple(word)
+
+    composite = st.tuples(root, st.sampled_from((6, 10, 12, 30, 36, 60, 210))
+                          ).map(lambda t: t[0] * t[1])
+    return st.one_of(nested, near_miss(), composite)
+
+
+@given(periodic_words())
+@settings(max_examples=400, deadline=None)
+def test_root_length_matches_the_naive_oracle(word):
+    assert _root_length(word) == _naive_root_length(word)
+
+
+# -- closure key words: long proper powers as Power(root, m) -------------------
+
+
+def reduced_powers(q: int):
+    """Freely reduced u^m, t u^m t^-1 and u^m followed by a tail, with m
+    reaching past ``_POWER_MIN`` letters."""
+    @st.composite
+    def build(draw):
+        root = free_reduce(draw(words(q, max_len=5)))
+        m = draw(st.integers(1, 70))
+        t = draw(words(q, max_len=3))
+        tail = draw(words(q, max_len=3))
+        return free_reduce(draw(st.sampled_from((
+            power(root, m), t + power(root, m) + inverse(t),
+            power(root, m) + tail))))
+    return build()
+
+
+@given(st.integers(2, 5), st.data())
+@settings(max_examples=150, deadline=None)
+def test_canonical_words_are_powers_exactly_when_long_proper_powers(q, data):
+    word = data.draw(reduced_powers(q))
+    key = canonical(word)
+    assert _expanded(key) == word and canonical(key) is key
+    d = _naive_root_length(word) if word else 0
+    if len(word) >= _POWER_MIN and d < len(word):
+        assert type(key) is Power
+        assert key.root == word[:d] and key.m == len(word) // d
+        assert len(key) == len(word) and hash(key) == hash(Power(key.root, key.m))
+    else:
+        assert key is word
+
+
+@given(st.integers(2, 3), st.data())
+@settings(max_examples=120, deadline=None)
+def test_canonical_words_compare_as_their_expansions(q, data):
+    left, right = (data.draw(reduced_powers(q)) for _ in range(2))
+    a, b = canonical(left), canonical(right)
+    assert (a == b) == (left == right)
+    assert (hash(a) == hash(b)) or left != right
+    assert (a < b, a <= b, a > b, a >= b) == (
+        left < right, left <= right, left > right, left >= right)
+    terms = [(a, 1), (b, 2), (left, 3)]
+    assert [_expanded(w) for w, _ in sorted(terms, key=lambda t: (len(t[0]), t[0]))
+            ] == [w for w, _ in sorted(((left, 1), (right, 2), (left, 3)),
+                                      key=lambda t: (len(t[0]), t[0]))]
+
+
+def _long_sections(q: int) -> WreathRecursion:
+    """A recursion whose x0 has sections of three letters, so that a word
+    of fewer than ``_POWER_MIN`` letters can have a long section."""
+    rho = Permutation.rotation(q, -1)
+    images = {0: WreathElement(tuple(((a, 1), (1, 1), (a, 1)) for a in range(q)),
+                               rho)}
+    for i in range(1, q):
+        images[i] = WreathElement(((),) * q, rho)
+    return WreathRecursion(q, images)
+
+
+@given(st.sampled_from(ALL_PRESETS + (_collapsed_thue_morse, _long_sections)),
+       st.integers(2, 5), st.data())
+@settings(max_examples=200, deadline=None)
+def test_key_fold_matches_the_fold_on_canonical_words(preset, q, data):
+    rec = preset(q)
+    word = data.draw(reduced_powers(q))
+    perm, sections = rec._fold_key(canonical(word))
+    assert (perm, tuple(map(_expanded, sections))) == rec.fold(word)
+    assert all(canonical(_expanded(s)) == s for s in sections)
+
+
+@pytest.mark.parametrize("preset,q,root,m", [
+    (WreathRecursion.inverted_variant, 3,
+     ((0, 1), (0, 1), (1, 1), (0, -1), (1, 1)), 12),
+    (WreathRecursion.inverted_variant, 4,
+     ((0, 1), (0, 1), (1, 1), (0, -1), (1, -1)), 7),
+    (WreathRecursion.transposed_variant, 4,
+     ((0, 1), (0, 1), (1, 1), (0, -1), (1, -1)), 30),
+])
+def test_key_fold_of_a_power_whose_cycle_product_is_not_cyclically_reduced(
+        preset, q, root, m):
+    # a fixed strand whose cycle product is t core t^-1 with t not empty:
+    # its powers are not proper powers, so they are written out
+    rec = preset(q)
+    word = root * m
+    key = canonical(word)
+    assert type(key) is Power and key.root == root
+    perm, sections = rec._fold_key(key)
+    assert not all(type(s) is Power for s in sections)
+    assert (perm, tuple(map(_expanded, sections))) == rec.fold(word)
+    assert all(canonical(_expanded(s)) == s for s in sections)
+
+
+def test_key_fold_reads_a_power_through_its_root():
+    # Pi^(5^7) has 390,625 letters; its sections x_a^(5^7) stay powers, and
+    # x0^(5^7) folds through x0 into powers of the cycle product
+    rec = WreathRecursion.thue_morse(5)
+    pi5 = tuple((i, 1) for i in range(5))
+    for word, sections in (
+            (Power(pi5, 5 ** 7), tuple(Power(((a, 1),), 5 ** 7) for a in range(5))),
+            (Power(((0, 1),), 5 ** 7),
+             tuple(Power(tuple(((a - j) % 5, 1) for j in range(5)), 5 ** 6)
+                   for a in range(5)))):
+        with mock.patch.object(rec, "_fold_letters",
+                               wraps=rec._fold_letters) as spy:
+            perm, folded = rec._fold_key(word)
+        assert [call.args[0] for call in spy.call_args_list] == [word.root]
+        assert perm == tuple(range(5)) and folded == sections
 
 
 # -- word problem in the normal form of F(S) * P -----------------------------

@@ -5,6 +5,8 @@ is the base-q digit sum of n, reduced mod q.  The frozen prefixes below
 were computed from that rule by hand before the implementation existed.
 """
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -157,6 +159,14 @@ def test_parse_rejects_bad_tokens():
         parse_word("x2", 2)
     with pytest.raises(ValueError):
         parse_word("y0", 2)
+
+
+@pytest.mark.parametrize("token", ["x0^10000000000000000000",
+                                   "x1^-10000000000000000000"])
+def test_parse_names_a_token_whose_exponent_overflows(token):
+    with pytest.raises(ValueError,
+                       match=re.escape(f"word token '{token}' is too large")):
+        parse_word(f"x0 {token}", 2)
 
 
 @given(st.integers(2, 5), st.data())
