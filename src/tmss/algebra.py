@@ -328,8 +328,12 @@ class AlgebraElement:
                               {word_inverse(w): c for w, c in self.terms.items()})
 
     def gamma_map(self, shift: int = 1) -> "AlgebraElement":
-        return AlgebraElement(self.ring, self.q, self.mode,
-                              {word_gamma(w, shift, self.q): c for w, c in self.terms.items()})
+        """Rotate every letter index by the integer ``shift`` modulo q.
+        A rotation keeps every word valid, freely reduced and distinct, so
+        the result takes the constructor's ``reduced`` promise."""
+        return AlgebraElement(self.ring, self.q, self.mode, (
+            (word_gamma(w, shift, self.q), c) for w, c in self.terms.items()),
+            reduced=True)
 
     def collapse_high_letters(self) -> "AlgebraElement":
         """Send x_i to x_1 for i >= 2, keeping signs.  Safe for anything

@@ -11,7 +11,10 @@ every single monomial maps to 1).  The equations are then solved exactly
 over the rationals by back-substitution along the class graph in
 topological order: its strongly connected components are visited children
 first, and only a component with a cycle of two or more classes needs an
-elimination of its own.  A group word w is the monomial with key
+elimination of its own.  Every other class sums its known children over
+one common integer denominator and is reduced once, by its pivot, so a
+class costs one gcd rather than one per edge; the value returned is a
+Fraction, integral or not.  A group word w is the monomial with key
 ((w, 1),): its cells are the sections of its wreath recursion, so
 
     q * chi(w) = sum over strands a of k(a, perm(a)) * chi(section_a(w)),

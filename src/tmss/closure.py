@@ -15,6 +15,8 @@ and the nucleus limit classes all walk it.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
+from math import gcd
 
 from .verdict import ClassExplosionError
 
@@ -51,6 +53,29 @@ def _solve_system(n: int, rows: list[tuple[dict[int, Fraction], Fraction]]):
                 factor = dense[r][col]
                 dense[r] = [a - factor * b for a, b in zip(dense[r], dense[col])]
     return [dense[r][n] for r in range(n)]
+
+
+def _known_part(edges: dict, values: list, inside) -> tuple[int, int]:
+    """The sum of weight * value over the children in ``edges`` that are
+    not in ``inside``, as (numerator, denominator) over one integer
+    denominator, not reduced.
+
+    Weights and values are ints or Fractions.  The denominator grows by an
+    lcm only when a term's denominator does not divide it, so a sum of
+    integral terms stays over 1 and no gcd is taken per edge (Knuth, TAOCP
+    Vol. 2, 4.5.1)."""
+    num, den = 0, 1
+    for child, w in edges.items():
+        if child in inside:
+            continue
+        v = values[child]
+        d = w.denominator * v.denominator
+        if den % d:
+            grown = den // gcd(den, d) * d
+            num *= grown // den
+            den = grown
+        num += w.numerator * v.numerator * (den // d)
+    return num, den
 
 
 class Closure:
@@ -120,45 +145,51 @@ class Closure:
                 grown[child] = grown.get(child, 0) + multiplicity * weight
         return grown
 
-    def components(self):
-        """Expand every class in index order, then yield the strongly
+    def components(self) -> list[list[int]]:
+        """Expand every class in index order, then list the strongly
         connected components of the class graph, each after every
         component it reaches: Tarjan (SIAM J. Comput. 1(2), 1972) with an
         explicit stack, since closure depth grows with the input.  Every
         class is reachable from class 0."""
         for idx, _ in enumerate(self.keys):  # keys grows as it is walked
             self.expand(idx)
-        index: dict[int, int] = {}
-        low: dict[int, int] = {}
+        edges = self.edges
+        n = len(self.keys)
+        index = [-1] * n
+        low = [0] * n
+        on_stack = [False] * n
         stack: list[int] = []
-        on_stack: set[int] = set()
+        found: list[list[int]] = []
+        order = count()
 
         def visit(v: int):
-            index[v] = low[v] = len(index)
+            index[v] = low[v] = next(order)
             stack.append(v)
-            on_stack.add(v)
-            return v, iter(self.edges[v] or ())
+            on_stack[v] = True
+            return v, iter(edges[v] or ())
 
         work = [visit(0)]
         while work:
             v, children = work[-1]
             for w in children:
-                if w not in index:
+                if index[w] < 0:
                     work.append(visit(w))
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
             else:
                 work.pop()
                 if work:
                     parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
                 if low[v] == index[v]:
                     component = []
                     while not component or component[-1] != v:
                         component.append(stack.pop())
-                        on_stack.discard(component[-1])
-                    yield component
+                        on_stack[component[-1]] = False
+                    found.append(component)
+        return found
 
     def limit_classes(self) -> set[int]:
         """The classes that occur at arbitrarily large depth: everything
@@ -177,42 +208,49 @@ class Closure:
 
     def solve(self, q: int):
         """Solve q chi(c) = sum of weight * chi(child) with chi = 1 on base
-        classes; the root's value and info.
+        classes; the root's value, as a Fraction, and info.
 
         Components are solved children first, so each sees only known
         values outside itself; the system is singular exactly when one
-        component's block is.
+        component's block is.  A class alone in its component is solved by
+        back-substitution: its known part is summed over one common integer
+        denominator (``_known_part``) and divided by its pivot q - w(c, c)
+        once, so each class costs one reduction, not one per edge.  A
+        component of two or more classes takes its known parts as the
+        right-hand side of ``_solve_system``.  Base and integral values are
+        held as ints.
         """
-        values: dict[int, Fraction] = {}
+        components = self.components()
+        values: list = [None] * len(self.keys)
         largest = 1
-        for component in self.components():
+        for component in components:
             largest = max(largest, len(component))
             if len(component) == 1:
                 c = component[0]
                 edges = self.edges[c]
                 if edges is None:
-                    values[c] = Fraction(1)
+                    values[c] = 1
                     continue
-                known = sum((w * values[child] for child, w in edges.items()
-                             if child != c), Fraction(0))
                 pivot = q - edges.get(c, 0)
                 if pivot == 0:
                     raise SingularSystemError("dependency system is singular")
-                values[c] = known / pivot
+                num, den = _known_part(edges, values, component)
+                num *= pivot.denominator
+                den *= pivot.numerator
+                values[c] = num // den if num % den == 0 else Fraction(num, den)
                 continue
             position = {c: i for i, c in enumerate(component)}
             rows: list[tuple[dict[int, Fraction], Fraction]] = []
             for c in component:
                 coeffs = {position[c]: Fraction(q)}
-                rhs = Fraction(0)
                 for child, w in self.edges[c].items():
                     j = position.get(child)
-                    if j is None:
-                        rhs += w * values[child]
-                    else:
+                    if j is not None:
                         coeffs[j] = coeffs.get(j, Fraction(0)) - w
-                rows.append((coeffs, rhs))
-            values.update(zip(component, _solve_system(len(rows), rows)))
-        return values[0], {"classes_used": len(self.keys),
-                           "depth": max(self.depth),
-                           "largest_component": largest}
+                rows.append((coeffs,
+                             Fraction(*_known_part(self.edges[c], values, position))))
+            for c, value in zip(component, _solve_system(len(rows), rows)):
+                values[c] = value
+        return Fraction(values[0]), {"classes_used": len(self.keys),
+                                     "depth": max(self.depth),
+                                     "largest_component": largest}

@@ -752,6 +752,20 @@ def test_constructor_and_key_match_the_summing_oracles(case):
 
 
 @given(st.sampled_from((2, 3, 4)), st.sampled_from(("A", "B")),
+       st.sampled_from((RATIONALS, INTEGERS, PrimeField(2), PrimeField(3))),
+       st.integers(-5, 5), st.data())
+@settings(max_examples=200, deadline=None)
+def test_gamma_map_matches_the_validating_constructor(q, mode, ring, shift,
+                                                      data):
+    s = data.draw(elements(q, max_terms=4, mode=mode, ring=ring))
+    expected = AlgebraElement(ring, q, mode, [
+        (gamma(w, shift, q), c) for w, c in s.terms.items()])
+    shifted = s.gamma_map(shift)
+    assert shifted == expected
+    assert _typed(shifted.terms.items()) == _typed(expected.terms.items())
+
+
+@given(st.sampled_from((2, 3, 4)), st.sampled_from(("A", "B")),
        st.sampled_from((RATIONALS, INTEGERS, PrimeField(5))), st.data())
 @settings(max_examples=150, deadline=None)
 def test_empty_phi_cells_are_the_zero_element(q, mode, ring, data):

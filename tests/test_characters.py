@@ -189,6 +189,21 @@ def test_spread_info_payload():
     assert info == {"classes_used": 8, "depth": 3, "largest_component": 1}
 
 
+def test_integral_values_are_fractions():
+    rec = WreathRecursion.thue_morse(2)
+    s = one(2) - gen(2, 0) ** 2
+    values = [
+        spread_char(s), spread_char(s, with_info=True)[0], spread_char(one(2)),
+        algebra_char(s, Kernel.ones(2)), algebra_char(s, Kernel.identity(2)),
+        algebra_char(one(2), Kernel.identity(2), with_info=True)[0],
+        group_char(rec, ()), group_char(rec, ((1, 1), (1, 1))),
+        group_char(rec, ((0, 1),), with_info=True)[0],
+        group_char(rec, ((0, 1),), Kernel.ones(2)),
+    ]
+    assert [v.denominator for v in values] == [1] * len(values)
+    assert all(type(v) is Fraction for v in values)
+
+
 # -- group characters -----------------------------------------------------------
 
 
@@ -223,7 +238,11 @@ def test_all_ones_kernel_gives_trivial_character(data):
 
 
 def _kernels(q):
-    random_kernel = st.lists(st.lists(st.integers(0, 2), min_size=q, max_size=q),
+    """The identity and all-ones kernels, and random ones whose entries are
+    negative, zero, integral or not, so Fraction weights and pivots reach
+    the solve."""
+    entry = st.sampled_from((-1, 0, Fraction(1, 2), 1, Fraction(3, 2), 2))
+    random_kernel = st.lists(st.lists(entry, min_size=q, max_size=q),
                              min_size=q, max_size=q).map(Kernel)
     return st.one_of(st.just(Kernel.identity(q)), st.just(Kernel.ones(q)),
                      random_kernel)
