@@ -20,6 +20,12 @@ power held as a ``group.Power``), level by level and
 stops on an empty level (zero), on a nonzero scalar entry, which is a
 permanent obstruction (nonzero), or at the depth cap (unknown).
 ``contraction_depth`` walks the same graph.
+
+Related elements, such as those of the sigma tower, share most classes
+below their roots, so the children of every class below a closure's root
+(``_class_children``) and the fold of every key word
+(``WreathRecursion._fold_key``) are kept across calls, in memos bounded by
+the letters they hold (``group._Memo``).
 """
 
 from __future__ import annotations
@@ -27,12 +33,21 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, lru_cache
+from weakref import WeakKeyDictionary
 
 from .closure import Closure
-from .group import Permutation, WreathElement, WreathRecursion, canonical
+from .group import (
+    Permutation,
+    WreathElement,
+    WreathRecursion,
+    _held,
+    _Memo,
+    canonical,
+)
 from .verdict import Verdict
 from .words import (
+    LetterMap,
     Word,
     check_alphabet,
     check_word,
@@ -338,9 +353,9 @@ class AlgebraElement:
     def collapse_high_letters(self) -> "AlgebraElement":
         """Send x_i to x_1 for i >= 2, keeping signs.  Safe for anything
         computed through phi, because those generators share one image."""
+        collapsed = _collapsed_letters(self.q).__getitem__
         return AlgebraElement(self.ring, self.q, self.mode, (
-            (tuple((min(i, 1), s) for i, s in w), c)
-            for w, c in self.terms.items()))
+            (tuple(map(collapsed, w)), c) for w, c in self.terms.items()))
 
     # decomposition
 
@@ -398,18 +413,21 @@ class AlgebraElement:
         }
 
 
+@lru_cache(maxsize=64)
+def _collapsed_letters(q: int) -> LetterMap:
+    """The letter that ``collapse_high_letters`` writes for each letter;
+    one table per alphabet, so that a process holds the letters of at most
+    64 alphabets."""
+    def collapsed(letter):
+        i, sign = letter
+        return min(i, 1), sign
+    return LetterMap(collapsed)
+
+
 @cache
 def _thue_morse(q: int) -> WreathRecursion:
     """The wreath recursion that ``phi`` folds monomials with."""
     return WreathRecursion.thue_morse(q)
-
-
-def _call_fold(rec: WreathRecursion):
-    """The fold of closure key words (``WreathRecursion._fold_key``),
-    remembering every word it has folded, for one call: the classes of one
-    closure share many monomials, and each is folded once.  The memory
-    goes with the call that made it."""
-    return cache(rec._fold_key)
 
 
 @cache
@@ -502,9 +520,10 @@ def _cell_children(key: tuple, fold, ring, weights=None) -> list:
     without ``weights``) and cells of weight 0 left out.  No element is
     built.
 
-    Every closure over the algebra reads its children here: the zero test,
-    the contraction depth, the characters and the counting of ``L``; so do
-    the group characters, whose word w is the monomial key ((w, 1),).  The
+    Every closure over the algebra reads its children here, through
+    ``_class_children``: the zero test, the contraction depth, the
+    characters and the counting of ``L``; so do the group characters,
+    whose word w is the monomial key ((w, 1),).  The
     order is that of the dense matrix ``phi``, which the zero test's
     witness and the class indices depend on.
     """
@@ -515,6 +534,36 @@ def _cell_children(key: tuple, fold, ring, weights=None) -> list:
         if weight and (child := _cell_key(grid[cell], ring)):
             out.append((child, weight, cell))
     return out
+
+
+# the children memos of ``_class_children``, per recursion, which they do
+# not keep alive, and per (ring, weights)
+_CHILDREN: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _class_children(root: tuple, rec: WreathRecursion, ring, weights=None):
+    """The child map of a closure from the class key ``root``: the
+    ``_cell_children`` of a class key, as a tuple, with the fold of ``rec``
+    (``WreathRecursion._fold_key``, which keeps its folds across calls).
+
+    Related elements share most classes below their roots, so the children
+    of every class but the root are kept across calls, in one ``_Memo`` per
+    (``rec``, ``ring``, ``weights``): a key equal as a tuple has other
+    children over another ring or kernel.  The root's children are not
+    kept, so a repeated query does not become a cached answer."""
+    memo = _CHILDREN.setdefault(rec, {}).setdefault((ring, weights), _Memo())
+    fold = rec._fold_key
+
+    def children(key: tuple) -> tuple:
+        out = memo.get(key)
+        if out is None:
+            out = tuple(_cell_children(key, fold, ring, weights))
+            if key is not root:
+                memo.keep(key, out, sum(_held(w) for w, _ in key) + sum(
+                    _held(w) for child, _, _ in out for w, _ in child))
+        return out
+
+    return children
 
 
 # -- matrices ---------------------------------------------------------------
@@ -588,10 +637,10 @@ def is_zero(s: AlgebraElement, cap_depth: int = 60) -> Verdict:
     if list(s.terms) == [()] and cap_depth >= 1:
         # phi(c) is c times the identity matrix, with entry c at (0, 0)
         return Verdict("nonzero", depth=1, witness=((0,), (0,), s.terms[()]))
-    fold = _call_fold(_thue_morse(s.q))
+    rec = _thue_morse(s.q)
+    root = _class_key(s)
     # the root is not scalar, so every scalar entry has a route of its own
-    closure = Closure(_class_key(s),
-                      partial(_cell_children, fold=fold, ring=s.ring))
+    closure = Closure(root, _class_children(root, rec, s.ring))
     level = {0: 1}
     for depth in range(1, cap_depth + 1):
         for idx in level:
@@ -601,7 +650,7 @@ def is_zero(s: AlgebraElement, cap_depth: int = 60) -> Verdict:
                     route = closure.path(child)
                     pairs = [(canonical(w), c) for w, c in s.terms.items()]
                     for cell in route:
-                        pairs = _grid(pairs, fold)[cell]
+                        pairs = _grid(pairs, rec._fold_key)[cell]
                     scalar = s.ring.coerce(sum(c for w, c in pairs if not w))
                     rows, cols = zip(*route)
                     return Verdict("nonzero", depth=depth,
@@ -678,9 +727,8 @@ def omega_enumerate(ring, q: int, n: int, k_max: int, size_cap: int = 512,
 def contraction_depth(s: AlgebraElement, cap_depth: int = 12):
     """Least n with every entry of phi^n(s) in the span of 1 and single
     generators, or an unknown Verdict past the cap."""
-    closure = Closure(_class_key(s), partial(_cell_children,
-                                             fold=_call_fold(_thue_morse(s.q)),
-                                             ring=s.ring))
+    root = _class_key(s)
+    closure = Closure(root, _class_children(root, _thue_morse(s.q), s.ring))
     level = {0: 1}
     for depth in range(cap_depth + 1):
         if all(len(word) <= 1 for idx in level for word, _ in closure.keys[idx]):

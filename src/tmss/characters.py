@@ -23,23 +23,25 @@ and the empty word is the scalar base class.
 
 The class graph and its solve live in ``closure.Closure``.  A class is
 its normalized key (``algebra._class_key``), and every closure here reads
-the child keys of one decomposition step from ``algebra._cell_children``
+the child keys of one decomposition step from ``algebra._class_children``
 (``_closure_value`` for both kinds of character), so no element is built
 per class; ``count_L`` walks the same class graph level by level with
-unit weights.  No floating point is used anywhere in this module.
+unit weights.  The children of every class below a closure's root are
+kept across calls, per recursion, ring and kernel, so related elements
+share the classes they have in common; the solve runs afresh on every
+call.  No floating point is used anywhere in this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from math import gcd
 
 from .algebra import (
     RATIONALS,
     AlgebraElement,
-    _call_fold,
-    _cell_children,
+    _class_children,
     _class_key,
     _collapsed_thue_morse,
     _thue_morse,
@@ -173,20 +175,21 @@ def _is_psd(m: list[list[Fraction]]) -> bool:
 # -- algebra characters --------------------------------------------------------
 
 
-def _closure_value(key, fold, ring, weights, monomial_base: bool,
+def _closure_value(root, rec, ring, weights, monomial_base: bool,
                    cap_classes: int, with_info: bool):
-    """The character value of the class with key ``key`` for the q x q
-    kernel ``weights``, with the children of ``_cell_children``, or an
-    unknown Verdict at the cap.  A scalar, or with ``monomial_base`` any
-    single term, is a base class."""
+    """The character value of the class with key ``root`` for the q x q
+    kernel ``weights``, with the children of ``_class_children`` through
+    ``rec``, or an unknown Verdict at the cap.  A scalar, or with
+    ``monomial_base`` any single term, is a base class."""
+    cells = _class_children(root, rec, ring, weights)
 
     def children(key: tuple):
         if len(key) == 1 and (monomial_base or not key[0][0]):
             return None
-        return _cell_children(key, fold, ring, weights)
+        return cells(key)
 
     try:
-        value, info = Closure(key, children, cap_classes).solve(len(weights))
+        value, info = Closure(root, children, cap_classes).solve(len(weights))
     except ClassExplosionError:
         value, info = Verdict.unknown(cap_classes, "cap_classes"), None
     return (value, info) if with_info else value
@@ -205,7 +208,7 @@ def algebra_char(s: AlgebraElement, kernel: Kernel, cap_classes: int = 10_000,
         info = {"classes_used": 0, "depth": 0, "largest_component": 0}
         return (Fraction(0), info) if with_info else Fraction(0)
 
-    return _closure_value(_class_key(s), _call_fold(_thue_morse(s.q)), s.ring,
+    return _closure_value(_class_key(s), _thue_morse(s.q), s.ring,
                           kernel.weights, monomial_base, cap_classes, with_info)
 
 
@@ -246,7 +249,7 @@ def group_char(rec: WreathRecursion, word: Word, kernel: Kernel | None = None,
     if kernel.q != q:
         raise ValueError("kernel size does not match the alphabet")
     key = ((canonical(free_reduce(word)), 1),)
-    return _closure_value(key, _call_fold(rec), RATIONALS, kernel.weights,
+    return _closure_value(key, rec, RATIONALS, kernel.weights,
                           False, cap_classes, with_info)
 
 
@@ -274,14 +277,15 @@ def count_L(s: AlgebraElement, k: int, cap_classes: int = 10_000):
     """
     if k < 0:
         raise ValueError("depth must be nonnegative")
-    fold = _call_fold(_collapsed_thue_morse(s.q))
+    rec = _collapsed_thue_morse(s.q)
     collapsed = s.collapse_high_letters()
     if collapsed.is_zero_literal:
         return 0
 
+    root = _class_key(collapsed)
     try:
-        closure = Closure(_class_key(collapsed), partial(
-            _cell_children, fold=fold, ring=s.ring), cap_classes)
+        closure = Closure(root, _class_children(root, rec, s.ring),
+                          cap_classes)
         counts: dict[int, int] = {0: 1}
         for _ in range(k):
             counts = closure.step(counts)

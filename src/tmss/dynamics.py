@@ -9,7 +9,9 @@ maps with no polynomial escape structure.
 
 This is the only module that uses floating-point arithmetic; chains are
 generated sequentially from a single seeded generator, so equal seeds give
-bit-identical output.
+bit-identical output.  It is also the only one that uses numpy, which it
+imports where it first solves a polynomial of degree 3 or more, so a
+process that draws no Julia set never loads it.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from __future__ import annotations
 import cmath
 import random
 from dataclasses import dataclass
-
-import numpy as np
 
 
 def _polyval(coeffs, z: complex) -> complex:
@@ -80,6 +80,8 @@ class RationalMap:
             first = top / a
             second = c / top if top != 0 else -b / a - first
             return [first, second]
+        import numpy as np
+
         return [complex(r) for r in np.roots(desc)]
 
     def preimages(self, z: complex) -> list[complex]:
@@ -95,7 +97,7 @@ class RationalMap:
                 if abs(val) < 1e-9:
                     break
                 dv = self.derivative(w)
-                if dv == 0 or not np.isfinite(dv):
+                if dv == 0 or not cmath.isfinite(dv):
                     break
                 w = w - val / dv
             if abs(self(w) - z) < 1e-9:

@@ -21,7 +21,9 @@ form of section letters and rooted permutations (``_NormalForm``), where a
 generator with only empty sections is its root permutation.
 The closures over the algebra hold a long proper power in their keys as a
 ``Power`` (root and exponent), and fold it through its root with
-``_fold_key``, so a deep tower is never written out.
+``_fold_key``, so a deep tower is never written out; ``_fold_key`` keeps
+its folds across calls in a memo bounded by the letters it holds
+(``_Memo``).
 """
 
 from __future__ import annotations
@@ -156,6 +158,44 @@ def canonical(word):
     if len(word) < _POWER_MIN or type(word) is Power:
         return word
     return _power_key(word, 1)
+
+
+# the most letters that one memo of the closures holds (``_Memo``)
+_MEMO_LETTERS = 1 << 18
+
+
+def _held(word) -> int:
+    """The letters that a key word holds: a ``Power`` holds its root."""
+    return len(word.root) if type(word) is Power else len(word)
+
+
+class _Memo(dict):
+    """Results of a pure function of closure key words, kept across calls:
+    the folds of one recursion, or the children of the classes of one
+    (recursion, ring, kernel).  It holds at most ``_MEMO_LETTERS`` letters,
+    each result counted as the ``_held`` letters of its key and its value.
+    A result larger than the bound is not kept, and one that would pass
+    the bound empties the memo first.  The values are shared with every
+    caller, so they are immutable."""
+
+    __slots__ = ("letters",)
+
+    def __init__(self):
+        super().__init__()
+        self.letters = 0
+
+    def keep(self, key, value, letters: int):
+        """Remember ``value`` for ``key``, counted as ``letters``; return it."""
+        if letters <= _MEMO_LETTERS:
+            if self.letters + letters > _MEMO_LETTERS:
+                self.clear()
+            self[key] = value
+            self.letters += letters
+        return value
+
+    def clear(self) -> None:
+        super().clear()
+        self.letters = 0
 
 
 def _cycles(images: tuple[int, ...]) -> list[list[int]]:
@@ -544,6 +584,7 @@ class WreathRecursion:
         growth = max(len(s) for _, sections in letters.values()
                      for s in sections)
         self._short = -(-_POWER_MIN // max(growth, 1))
+        self._folds = _Memo()
         # always empty (is_trivial keeps no state); perfbench/tracer.py reads its size
         self._trivial_cache: dict[Word, bool] = {}
 
@@ -609,7 +650,8 @@ class WreathRecursion:
         """``fold`` strand by strand: strand a follows the rows of the
         word's letters from a, each row giving the next position and the
         section read there, and collects its section on a stack that
-        cancels on push."""
+        cancels on push.  The stack holds the generator sections' own
+        letter objects, so no letter is built."""
         rows = self._rows
         try:
             steps = [rows[letter] for letter in word]
@@ -622,11 +664,12 @@ class WreathRecursion:
             b, stack = start, []
             for row in steps:
                 b, section = row[b]
-                for i, sign in section:
-                    if stack and stack[-1][0] == i and stack[-1][1] == -sign:
+                for letter in section:
+                    if (stack and stack[-1][0] == letter[0]
+                            and stack[-1][1] == -letter[1]):
                         stack.pop()
                     else:
-                        stack.append((i, sign))
+                        stack.append(letter)
             perm.append(b)
             out.append(tuple(stack))
         return tuple(perm), tuple(out)
@@ -659,13 +702,22 @@ class WreathRecursion:
         A tuple key word is not a proper power from ``_POWER_MIN`` letters
         on, so it is never searched for a root; a word too short to have a
         section of ``_POWER_MIN`` letters goes straight to the letter loop.
+
+        Related closures share most of their words, so every fold is kept
+        across calls in the recursion's memo ``_folds`` (``_Memo``).
         """
+        out = self._folds.get(word)
+        if out is not None:
+            return out
         if len(word) < self._short:
-            return self._fold_letters(word)
-        if type(word) is Power:
-            return self._fold_power(word.root, word.m, _key_section)
-        images, sections = self._fold_letters(word)
-        return images, tuple(map(canonical, sections))
+            out = self._fold_letters(word)
+        elif type(word) is Power:
+            out = self._fold_power(word.root, word.m, _key_section)
+        else:
+            images, sections = self._fold_letters(word)
+            out = images, tuple(map(canonical, sections))
+        return self._folds.keep(word, out,
+                                _held(word) + sum(map(_held, out[1])))
 
     def decompose(self, word: Word) -> WreathElement:
         images, sections = self.fold(word)

@@ -13,6 +13,8 @@ for q = 2 form the Thue-Morse sequence.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
+from itertools import chain
 
 Letter = tuple[int, int]
 Word = tuple[Letter, ...]
@@ -64,16 +66,38 @@ def commutator(a: Word, b: Word) -> Word:
     return a + b + inverse(a) + inverse(b)
 
 
+class LetterMap(dict):
+    """A map of letters, filled on first use of each letter: ``image(letter)``
+    gives the value of a letter not seen yet.  Words mapped through it share
+    their letter objects, and a map for a large alphabet holds only the
+    letters that were used."""
+
+    __slots__ = ("image",)
+
+    def __init__(self, image):
+        super().__init__()
+        self.image = image
+
+    def __missing__(self, letter):
+        value = self[letter] = self.image(letter)
+        return value
+
+
+@lru_cache(maxsize=64)
+def _theta_blocks(q: int) -> LetterMap:
+    """The block that ``theta`` writes for each letter."""
+    def block(letter: Letter) -> Word:
+        i, sign = letter
+        if sign == 1:
+            return tuple(((i + k) % q, 1) for k in range(q))
+        return tuple(((i + k) % q, -1) for k in range(q - 1, -1, -1))
+    return LetterMap(block)
+
+
 def theta(word: Word, q: int) -> Word:
     """Apply the substitution once.  No free reduction: |theta(w)| = q|w|."""
     check_word(word, q)
-    out: list[Letter] = []
-    for i, sign in word:
-        if sign == 1:
-            out.extend(((i + k) % q, 1) for k in range(q))
-        else:
-            out.extend(((i + k) % q, -1) for k in range(q - 1, -1, -1))
-    return tuple(out)
+    return tuple(chain.from_iterable(map(_theta_blocks(q).__getitem__, word)))
 
 
 def theta_iter(word: Word, q: int, n: int) -> Word:
@@ -84,9 +108,18 @@ def theta_iter(word: Word, q: int, n: int) -> Word:
     return word
 
 
+@lru_cache(maxsize=256)
+def _gamma_letters(shift: int, q: int) -> LetterMap:
+    """The letter that ``gamma`` writes for each letter."""
+    def rotated(letter: Letter) -> Letter:
+        i, sign = letter
+        return (i + shift) % q, sign
+    return LetterMap(rotated)
+
+
 def gamma(word: Word, shift: int, q: int) -> Word:
     """Rotate every letter index by ``shift`` modulo q, keeping signs."""
-    return tuple(((i + shift) % q, sign) for i, sign in word)
+    return tuple(map(_gamma_letters(shift, q).__getitem__, word))
 
 
 def tm_prefix(q: int, n: int) -> tuple[int, ...]:

@@ -229,6 +229,23 @@ def test_collapse_high_letters_preserves_sign():
         RATIONALS, q, ((1, -1), (0, 1)))
 
 
+def _collapse_by_tuples(elem):
+    """The oracle: ``collapse_high_letters`` as it was written, a new letter
+    per letter."""
+    return AlgebraElement(elem.ring, elem.q, elem.mode, (
+        (tuple((min(i, 1), s) for i, s in w), c) for w, c in elem.terms.items()))
+
+
+@given(st.integers(2, 5), st.sampled_from(("A", "B")),
+       st.sampled_from((RATIONALS, INTEGERS, PrimeField(2))), st.data())
+def test_collapse_high_letters_matches_the_tuple_building_map(q, mode, ring, data):
+    # words that merge or cancel once collapsed, such as x2 x1^-1
+    elem = data.draw(elements(q, max_terms=5, mode=mode, ring=ring))
+    collapsed = elem.collapse_high_letters()
+    assert collapsed.terms == _collapse_by_tuples(elem).terms
+    assert list(collapsed.terms) == list(_collapse_by_tuples(elem).terms)
+
+
 # -- star --------------------------------------------------------------------
 
 

@@ -2,14 +2,13 @@
 
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import cache
 from itertools import combinations, product
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tmss import algebra, characters
+from tmss import algebra, characters, group
 from tmss.algebra import (
     INTEGERS,
     RATIONALS,
@@ -43,7 +42,15 @@ from tmss.characters import (
     theorem_witness,
 )
 from tmss.closure import Closure, SingularSystemError, _solve_system
-from tmss.group import _POWER_MIN, Power, WreathRecursion, _expanded, canonical
+from tmss.group import (
+    _POWER_MIN,
+    Permutation,
+    Power,
+    WreathElement,
+    WreathRecursion,
+    _expanded,
+    canonical,
+)
 from tmss.verdict import ClassExplosionError, Verdict
 from tmss.words import free_reduce, gamma, power as word_power
 
@@ -814,13 +821,40 @@ def _dense_children(key, fold, ring, weights=None):
     return out
 
 
+def _empty_memos():
+    """Empty the fold and children memos of every recursion that a closure
+    has used, so that the next closure computes every class again."""
+    for rec in list(algebra._CHILDREN):
+        rec._folds.clear()
+    algebra._CHILDREN.clear()
+
+
+def _expanded_words(closures):
+    """The class keys of ``closures`` whose children were read, and the
+    words of those keys."""
+    keys = {closure.keys[idx] for closure in closures
+            for idx, edges in closure.edges.items() if edges is not None}
+    return keys, {word for key in keys for word, _ in key}
+
+
 @contextmanager
 def _dense_grid():
     """Run the zero test, the contraction depth and the characters on the
-    dense-grid children."""
-    with mock.patch.object(algebra, "_cell_children", _dense_children), \
-            mock.patch.object(characters, "_cell_children", _dense_children):
-        yield
+    dense-grid children, from empty memos and leaving them empty; yields
+    the keys the oracle was called on and the closures built."""
+    called = []
+
+    def oracle(key, *args):
+        called.append(key)
+        return _dense_children(key, *args)
+
+    _empty_memos()
+    try:
+        with mock.patch.object(algebra, "_cell_children", oracle), \
+                _recorded_keys() as seen:
+            yield called, seen
+    finally:
+        _empty_memos()
 
 
 @st.composite
@@ -896,9 +930,11 @@ def _witness_scalar(s, rows, cols):
 def test_zero_test_and_contraction_depth_match_the_dense_grid(
         case, cap_depth, depth_cap):
     s, _ = case
-    with _dense_grid():
+    with _dense_grid() as (called, seen):
         verdict = is_zero(s, cap_depth)
         depth = contraction_depth(s, depth_cap)
+    # every class whose children were read had them from the oracle
+    assert _expanded_words(seen)[0] <= set(called)
     assert is_zero(s, cap_depth) == verdict  # the witness included
     assert contraction_depth(s, depth_cap) == depth
     if verdict.witness is not None:
@@ -916,8 +952,9 @@ def test_algebra_char_matches_the_dense_grid(case, monomial_base, cap_classes):
         return algebra_char(s, kernel, cap_classes=cap_classes,
                             monomial_base=monomial_base, with_info=True)
 
-    with _dense_grid():
+    with _dense_grid() as (called, seen):
         expected = _value_or_singular(compute)
+    assert _expanded_words(seen)[0] <= set(called)
     assert _value_or_singular(compute) == expected
 
 
@@ -966,15 +1003,24 @@ def _recorded_keys():
 @contextmanager
 def _tuple_path():
     """The oracle: every closure on tuple words, with the root key's words
-    as they are and every word folded by ``cache(rec.fold)``."""
-    def tuple_fold(rec):
-        return cache(rec.fold)
+    as they are and every word folded by ``rec.fold``, once per recursion,
+    from empty memos and leaving them empty; yields the (recursion, word)
+    pairs folded, as they are folded."""
+    folded = {}
 
-    with mock.patch.object(algebra, "canonical", lambda word: word), \
-            mock.patch.object(characters, "canonical", lambda word: word), \
-            mock.patch.object(algebra, "_call_fold", tuple_fold), \
-            mock.patch.object(characters, "_call_fold", tuple_fold):
-        yield
+    def tuple_fold(rec, word):
+        if (rec, word) not in folded:
+            folded[rec, word] = rec.fold(word)
+        return folded[rec, word]
+
+    _empty_memos()
+    try:
+        with mock.patch.object(algebra, "canonical", lambda word: word), \
+                mock.patch.object(characters, "canonical", lambda word: word), \
+                mock.patch.object(WreathRecursion, "_fold_key", tuple_fold):
+            yield folded
+    finally:
+        _empty_memos()
 
 
 @st.composite
@@ -1031,7 +1077,7 @@ def _results_and_keys(s, kernel, rec, word):
                 rec, word, kernel, cap_classes=2_000, with_info=True)),
             count_L(s, 3, cap_classes=2_000), count_L(s, 6, cap_classes=2_000),
             contraction_depth(s, 8), is_zero(s, 30)]
-    return results, [closure.keys for closure in seen]
+    return results, [closure.keys for closure in seen], seen
 
 
 def _expanded_keys(closures):
@@ -1044,9 +1090,11 @@ def _expanded_keys(closures):
 def test_power_keys_match_the_tuple_path(case):
     s, kernel, rec, word = case
     _collapsed_thue_morse(s.q)  # its certificate is a closure, built once per q
-    with _tuple_path():
+    with _tuple_path() as folded:
         expected = _results_and_keys(s, kernel, rec, word)
-    results, keys = _results_and_keys(s, kernel, rec, word)
+    # every word of a class whose children were read went through the oracle
+    assert _expanded_words(expected[2])[1] <= {word for _, word in folded}
+    results, keys = _results_and_keys(s, kernel, rec, word)[:2]
     assert results == expected[0]
     assert _expanded_keys(keys) == expected[1]
     # the tuple path holds no Power, and the change holds every key word in
@@ -1079,15 +1127,182 @@ def test_deep_towers_stay_compressed(s, value, word):
         read.append(len(letters))
         return fold_letters(rec, letters)
 
+    _empty_memos()  # so that every class is folded here
     with _recorded_keys() as seen, \
             mock.patch.object(WreathRecursion, "_fold_letters", counting):
         assert spread_char(s) == value
         if s.q == 3:
             assert count_L(s, 6) == 0
             assert is_zero(s).state == "nonzero"
+    assert read  # the counter ran
     classes = sum(len(closure.keys) for closure in seen)
     long_words = [w for closure in seen for key in closure.keys
                   for w, _ in key if len(w) >= _POWER_MIN]
     assert long_words and all(type(w) is Power for w in long_words)
     assert len(read) <= classes and max(read) < _POWER_MIN
     assert sum(read) < classes * _POWER_MIN < len(word) // 10
+
+
+# -- memos kept across calls -------------------------------------------------------
+
+_RINGS = (RATIONALS, INTEGERS, PrimeField(2), PrimeField(3))
+
+
+@st.composite
+def user_recursions(draw, q):
+    """A recursion with random root permutations and sections of at most one
+    letter, of either sign."""
+    letter = st.tuples(st.integers(0, q - 1), st.sampled_from((1, -1)))
+    section = st.lists(letter, max_size=1).map(tuple)
+    images = {i: WreathElement(tuple(draw(section) for _ in range(q)),
+                               Permutation(tuple(draw(st.permutations(range(q))))))
+              for i in range(q)}
+    return WreathRecursion(q, images)
+
+
+@st.composite
+def memo_sessions(draw):
+    """Closure calls on related elements at one q and mode: each term list
+    is an element, shifted by gamma or put under sigma, and every call runs
+    over two of Q, Z, F2 and F3, so equal terms give keys that are equal as
+    tuples across two rings; two kernels, integral or not; and a recursion
+    for group_char, a user's, the Thue-Morse one of the zero test or the
+    collapsed one of count_L."""
+    q = draw(st.integers(2, 5))
+    mode = draw(st.sampled_from(("A", "B")))
+    sign = (1,) if mode == "A" else (1, -1)
+    letter = st.tuples(st.integers(0, q - 1), st.sampled_from(sign))
+    word = st.lists(letter, max_size=4).map(tuple)
+    terms = st.lists(st.tuples(word, st.integers(-3, 3)), min_size=1,
+                     max_size=3)
+    term_lists = draw(st.lists(terms, min_size=1, max_size=3))
+    kernels = (draw(_kernels(q)), draw(_kernels(q)))
+    recs = (draw(user_recursions(q)), _thue_morse(q), _collapsed_thue_morse(q))
+    kind = st.sampled_from(("is_zero", "contraction_depth", "count_L",
+                            "spread_char", "algebra_char", "group_char"))
+    which = st.integers(0, len(term_lists))  # the last is the zero element
+    call = st.tuples(kind, which,
+                     st.lists(which, min_size=q, max_size=q) | st.none(),
+                     st.integers(0, q - 1), st.integers(0, 1),
+                     st.integers(0, 2), word)
+    rings = draw(st.permutations(_RINGS))[:2]
+    calls = [(ring,) + call for call in draw(st.lists(call, min_size=1,
+                                                      max_size=5))
+             for ring in rings]
+    order = draw(st.permutations(range(len(calls))))
+    return q, mode, term_lists, kernels, recs, calls, order
+
+
+def _outcome(compute):
+    """The result of ``compute``, with a SingularSystemError as a result,
+    and the class keys of every closure it built.  A Verdict compares its
+    state, depth and witness."""
+    with _recorded_keys() as seen:
+        result = _value_or_singular(compute)
+    return result, [closure.keys for closure in seen]
+
+
+def _session_outcome(session, call):
+    """The ``_outcome`` of one call of a session."""
+    q, mode, term_lists, kernels, recs, _, _ = session
+    ring, kind, which, picks, shift, k, r, word = call
+    elems = [AlgebraElement(ring, q, mode, terms) for terms in term_lists]
+    elems.append(AlgebraElement.zero(ring, q, mode))
+    s = sigma(*(elems[i] for i in picks)) if picks else elems[which]
+    s = s.gamma_map(shift)
+    compute = {
+        "is_zero": lambda: is_zero(s, 20),
+        "contraction_depth": lambda: contraction_depth(s, 6),
+        "count_L": lambda: count_L(s, 4, cap_classes=300),
+        "spread_char": lambda: spread_char(s, cap_classes=300, with_info=True),
+        "algebra_char": lambda: algebra_char(s, kernels[k], cap_classes=300,
+                                             with_info=True),
+        "group_char": lambda: group_char(recs[r], word, kernels[k],
+                                         cap_classes=300, with_info=True),
+    }[kind]
+    return _outcome(compute)
+
+
+@given(memo_sessions())
+@settings(max_examples=120, deadline=None)
+def test_shared_memos_give_the_results_of_empty_ones(session):
+    calls, order = session[5], session[6]
+    expected = []
+    for call in calls:
+        _empty_memos()
+        expected.append(_session_outcome(session, call))
+    _empty_memos()
+    # interleaved: each call in a drawn order, then all of them again in
+    # the opposite order, with every memo filled by the others
+    for i in list(order) + list(reversed(order)):
+        assert _session_outcome(session, calls[i]) == expected[i]
+
+
+def test_equal_keys_over_two_rings_keep_their_own_children():
+    # 1 + 2*x0 has the key ((1, 1), (x0, 2)) over Q and over Z; under
+    # sigma it is a class below the root, whose child x_a has coefficient
+    # 1 over Q and 2 over Z
+    for rings in ((RATIONALS, INTEGERS), (INTEGERS, RATIONALS)):
+        elems = [sigma(*[AlgebraElement(ring, 2, "B", {(): 1, ((0, 1),): 2})] * 2)
+                 for ring in rings]
+        assert _class_key(elems[0]) == _class_key(elems[1])
+        expected = []
+        for s in elems:
+            _empty_memos()
+            expected.append(_outcome(lambda s=s: count_L(s, 3)))
+        _empty_memos()
+        assert [_outcome(lambda s=s: count_L(s, 3)) for s in elems] == expected
+        assert expected[0][1] != expected[1][1]
+
+
+def _word_letters(word):
+    return len(word.root) if type(word) is Power else len(word)
+
+
+def _memos():
+    """Every fold memo and children memo that a closure has used, with its
+    letters counted afresh: a fold memo holds a word and its sections, a
+    children memo a key and its children's keys."""
+    out = []
+    for rec, memos in algebra._CHILDREN.items():
+        out.append((rec._folds, sum(
+            _word_letters(word) + sum(map(_word_letters, sections))
+            for word, (_, sections) in rec._folds.items())))
+        out += [(memo, sum(
+            sum(_word_letters(w) for w, _ in key) + sum(
+                _word_letters(w) for child, _, _ in children for w, _ in child)
+            for key, children in memo.items())) for memo in memos.values()]
+    return out
+
+
+def test_memos_hold_their_bound_and_keep_the_results():
+    elems = omega_enumerate(RATIONALS, 2, 1, 2, size_cap=12)
+    elems += omega_enumerate(INTEGERS, 3, 1, 1, size_cap=6)
+    calls = [f for s in elems for f in (
+        lambda s=s: is_zero(s), lambda s=s: count_L(s, 5),
+        lambda s=s: spread_char(s, with_info=True))]
+    bound = 60
+    _empty_memos()
+    expected = [_outcome(f) for f in calls]
+    # without the bound, some memo holds more than it
+    assert max(letters for _, letters in _memos()) > bound
+    _empty_memos()
+    with mock.patch.object(group, "_MEMO_LETTERS", bound):
+        for f, result in zip(calls, expected):
+            assert _outcome(f) == result
+            for memo, letters in _memos():
+                assert memo.letters == letters <= bound
+    _empty_memos()
+
+
+def test_roots_stay_out_of_the_children_memos():
+    # a repeated query computes its root again: no memo holds an answer
+    s = tower(3, 2)
+    roots = {_class_key(s), _class_key(s.collapse_high_letters())}
+    _empty_memos()
+    is_zero(s), contraction_depth(s), count_L(s, 4), spread_char(s)
+    algebra_char(s, Kernel.identity(3))
+    memos = [memo for memos in algebra._CHILDREN.values()
+             for memo in memos.values()]
+    assert len(memos) == 4 and all(memos)
+    assert not any(root in memo for memo in memos for root in roots)

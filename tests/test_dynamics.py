@@ -1,7 +1,11 @@
 """Floating-point Julia set sampling; everything else in the package is exact."""
 
 import cmath
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,3 +178,16 @@ def test_high_degree_preimages_use_companion_fallback():
     assert len(roots) == 5
     for w in roots:
         assert abs(f(w) - (0.7 - 0.1j)) < 1e-9
+
+
+def test_numpy_is_loaded_only_to_draw_a_julia_set():
+    # a fresh interpreter: this one has numpy loaded already
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys, tmss, tmss.cli; loaded = 'numpy' in sys.modules; "
+            "tmss.julia_points(tmss.PRESETS['f3'], tmss.RenderConfig(points=2)); "
+            "print(loaded, 'numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.split() == ["False", "True"]

@@ -487,6 +487,11 @@ def test_fold_letters_matches_the_letter_by_letter_oracle(preset, q, data):
                                 max_size=12).map(tuple))
     for w in (word, free_reduce(word), rooted, word + inverse(word)):
         assert rec._fold_letters(w) == _fold_by_letters(rec, w)
+    # the sections hold the generator sections' own letter objects
+    own = {id(letter) for row in rec._rows.values() for _, section in row
+           for letter in section}
+    assert all(id(letter) in own for section in rec._fold_letters(word)[1]
+               for letter in section)
 
 
 @given(st.sampled_from(FOLD_PRESETS), st.integers(2, 5), st.data())

@@ -14,6 +14,7 @@ from tmss.algebra import RATIONALS, AlgebraElement, parse_element
 from tmss.group import WreathRecursion
 from tmss.words import (
     InvalidLetterError,
+    _gamma_letters,
     check_alphabet,
     check_word,
     commutator,
@@ -220,3 +221,57 @@ def test_free_reduce_idempotent_and_shrinking(q, data):
 def test_inverse_cancels(q, data):
     w = data.draw(words(q))
     assert free_reduce(w + inverse(w)) == ()
+
+
+# -- letter tables against the tuple-building maps ------------------------------
+
+
+def _gamma_by_tuples(word, shift, q):
+    """The oracle: ``gamma`` as it was written, a new letter per letter."""
+    return tuple(((i + shift) % q, sign) for i, sign in word)
+
+
+def _theta_by_tuples(word, q):
+    """The oracle: ``theta`` as it was written, a new letter per letter."""
+    check_word(word, q)
+    out = []
+    for i, sign in word:
+        if sign == 1:
+            out.extend(((i + k) % q, 1) for k in range(q))
+        else:
+            out.extend(((i + k) % q, -1) for k in range(q - 1, -1, -1))
+    return tuple(out)
+
+
+@given(st.integers(2, 6), st.integers(-20, 20), st.data())
+def test_gamma_matches_the_tuple_building_map(q, shift, data):
+    # letters outside the alphabet too: gamma reduces every index mod q
+    letter = st.tuples(st.integers(-3 * q, 3 * q), st.sampled_from((1, -1)))
+    word = data.draw(st.lists(letter, max_size=12).map(tuple))
+    assert gamma(word, shift, q) == _gamma_by_tuples(word, shift, q)
+
+
+@given(st.integers(2, 6), st.data())
+def test_theta_matches_the_tuple_building_map(q, data):
+    word = data.draw(words(q))
+    assert theta(word, q) == _theta_by_tuples(word, q)
+    bad = word + ((q, 1),)
+    with pytest.raises(InvalidLetterError) as expected:
+        _theta_by_tuples(bad, q)
+    with pytest.raises(InvalidLetterError, match=re.escape(str(expected.value))):
+        theta(bad, q)
+
+
+def test_mapped_words_share_their_letters():
+    word = ((0, 1), (1, -1), (0, 1))
+    rotated, again = gamma(word, 1, 3), gamma(word[::-1], 1, 3)
+    assert rotated[0] is rotated[2] is again[0]
+    blocks = theta(word, 3)
+    assert all(a is b for a, b in zip(blocks[:3], blocks[6:]))
+
+
+def test_gamma_reads_only_the_letters_it_meets():
+    # a table filled on first use: nothing of size q for a large alphabet
+    q = 10 ** 12
+    assert gamma(((0, 1), (q - 1, -1)), 1, q) == ((1, 1), (0, -1))
+    assert len(_gamma_letters(1, q)) == 2
