@@ -1,5 +1,7 @@
 """Self-similar characters: spread values, counting, additivity, witnesses."""
 
+import gc
+import weakref
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, product
@@ -1306,3 +1308,14 @@ def test_roots_stay_out_of_the_children_memos():
              for memo in memos.values()]
     assert len(memos) == 4 and all(memos)
     assert not any(root in memo for memo in memos for root in roots)
+
+
+def test_memos_do_not_keep_a_recursion_alive():
+    rec = WreathRecursion.inverted_variant(3)
+    assert group_char(rec, ((0, 1), (1, -1)) * 3) == group_char(
+        rec, ((0, 1), (1, -1)) * 3)
+    assert rec in algebra._CHILDREN and rec._folds
+    alive = weakref.ref(rec)
+    del rec
+    gc.collect()
+    assert alive() is None
