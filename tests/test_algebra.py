@@ -241,9 +241,8 @@ def _collapse_by_tuples(elem):
 def test_collapse_high_letters_matches_the_tuple_building_map(q, mode, ring, data):
     # words that merge or cancel once collapsed, such as x2 x1^-1
     elem = data.draw(elements(q, max_terms=5, mode=mode, ring=ring))
-    collapsed = elem.collapse_high_letters()
-    assert collapsed.terms == _collapse_by_tuples(elem).terms
-    assert list(collapsed.terms) == list(_collapse_by_tuples(elem).terms)
+    collapsed, expected = elem.collapse_high_letters(), _collapse_by_tuples(elem)
+    assert list(collapsed.terms.items()) == list(expected.terms.items())
 
 
 # -- star --------------------------------------------------------------------
