@@ -40,7 +40,15 @@ from .characters import (
     theorem_witness,
 )
 from .closure import SingularSystemError
-from .dynamics import PRESETS, RationalMap, RenderConfig, julia_points, render, write_pgm
+from .dynamics import (
+    PRESETS,
+    PointCloud,
+    RationalMap,
+    RenderConfig,
+    julia_points,
+    render,
+    write_pgm,
+)
 from .group import NucleusResult, Permutation, WreathElement, WreathRecursion
 from .verdict import Verdict
 from .words import (

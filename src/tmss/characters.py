@@ -146,7 +146,7 @@ def _rational(entry) -> Fraction:
 
 @cache
 def _ones_kernel(q: int) -> Kernel:
-    """The all-ones kernel of ``spread_char``, built once per q."""
+    """The all-ones kernel of ``spread_char``, built anew on every call."""
     return Kernel.ones(q)
 
 

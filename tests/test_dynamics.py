@@ -9,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tmss.dynamics import (
     PRESETS,
+    PointCloud,
     RationalMap,
     RenderConfig,
     julia_points,
@@ -107,6 +109,26 @@ def test_grids_are_deterministic():
     assert one == two
 
 
+def test_point_cloud_is_a_sequence_of_the_chain():
+    f = PRESETS["f3"]
+    cloud = julia_points(f, RenderConfig(points=50, seed=9))
+    assert isinstance(cloud, PointCloud) and len(cloud) == 50
+    points = list(cloud)
+    assert all(type(p) is complex for p in points)
+    assert [cloud[k] for k in range(-50, 50)] == points + points
+    assert cloud[10:13] == points[10:13] and cloud[::-7] == points[::-7]
+    for k in (50, -51):
+        with pytest.raises(IndexError):
+            cloud[k]
+    # one backward chain: each point is a preimage of the one before
+    for z, w in zip(points, points[1:]):
+        assert abs(f(w) - z) < 1e-9
+    assert cloud == points and cloud == tuple(points) and points == cloud
+    assert cloud != points[:-1] and cloud != "points"
+    assert cloud.index(points[7]) == 7 and points[3] in cloud
+    assert repr(cloud) == f"PointCloud({points!r})"
+
+
 def test_zero_points_gives_empty_cloud():
     cfg = RenderConfig(points=0)
     assert julia_points(PRESETS["z2"], cfg) == []
@@ -116,6 +138,17 @@ def test_degree_one_map_is_rejected():
     line = RationalMap([0, 2], [1])
     with pytest.raises(ValueError):
         julia_points(line, RenderConfig(points=10))
+
+
+@pytest.mark.parametrize("num, den", [
+    ([0, 2, 0], [1]),        # z -> 2z
+    ([1], [0, 1, 0, 0]),     # z -> 1/z
+])
+def test_zero_top_coefficients_do_not_count_towards_the_degree(num, den):
+    f = RationalMap(num, den)
+    assert f.degree == 1
+    with pytest.raises(ValueError, match="degree at least 2"):
+        julia_points(f, RenderConfig(points=5, seed=1))
 
 
 def test_config_validation():
@@ -172,7 +205,97 @@ def test_pgm_output(tmp_path):
     assert len(blob) == len(b"P5\n4 2\n255\n") + 8
 
 
-def test_high_degree_preimages_use_companion_fallback():
+def _same_roots(mine, ref, tol):
+    """Each of ``mine`` within ``tol`` of its own element of ``ref``."""
+    assert len(mine) == len(ref)
+    left = [complex(r) for r in ref]
+    for w in mine:
+        near = min(left, key=lambda r: abs(r - w))
+        assert abs(near - w) <= tol, (w, near)
+        left.remove(near)
+
+
+@st.composite
+def separated_roots(draw):
+    """3 to 8 roots, one per cell of a 0.5-spaced grid, at least 0.3 apart."""
+    cells = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                          min_size=3, max_size=8, unique=True))
+    jitter = st.floats(-0.1, 0.1)
+    return [complex(0.5 * x + draw(jitter), 0.5 * y + draw(jitter))
+            for x, y in cells]
+
+
+@given(separated_roots(), st.floats(0.5, 2), st.floats(-3.2, 3.2))
+@settings(max_examples=300, deadline=None)
+def test_roots_match_numpy_on_separated_roots(roots, modulus, angle):
+    coeffs = [cmath.rect(modulus, angle)]
+    for r in roots:
+        # multiply the ascending coefficients by (w - r)
+        coeffs = [a - r * b for a, b in zip([0j] + coeffs, coeffs + [0j])]
+    mine = RationalMap([1], [1])._roots(coeffs)
+    _same_roots(mine, np.roots(list(reversed(coeffs))), 1e-7)
+    _same_roots(mine, roots, 1e-7)
+
+
+@pytest.mark.parametrize("coeffs, tol", [
+    ([1, 0, 0, 1], 1e-12),          # p' = p'' = 0 at the start
+    ([0, 0, 0, 1], 0),              # a triple root at the start
+    ([-1, 3, -3, 1], 1e-4),         # a triple root elsewhere
+    ([1e-300, 1, 0, 0, 1], 1e-12),  # a root of modulus 1e-300
+    # Laguerre's method cycles here unless a fraction of a step breaks it
+    ([-320 - 42j, 0.12 - 6.9e-05j, -0.00034 + 0.00097j, 0.075 + 0.00031j,
+      0.0014 + 0.11j, 620 + 0.0037j, -0.012 - 27j], 1e-9),
+    # the first root is the largest: only dividing from the constant term
+    # keeps the other five
+    ([3.1 - 1800j, -1.9 - 0.00049j, 0.00068 + 0.00042j, 0.071 - 0.021j,
+      0.033 - 810j, -0.0011 - 1200j, -0.85 - 0.91j], 1e-9),
+])
+def test_roots_of_awkward_polynomials_match_numpy(coeffs, tol):
+    coeffs = [complex(c) for c in coeffs]
+    mine = RationalMap([1], [1])._roots(coeffs)
+    _same_roots(mine, np.roots(list(reversed(coeffs))), tol)
+
+
+@pytest.mark.parametrize("name", ["f3", "f4", "f5"])
+def test_preset_preimage_roots_match_numpy(name):
+    # c - z D(w), which is D(w) - c/z up to the factor -z
+    f = PRESETS[name]
+    (c,), den = f.num, f.den
+    rng = random.Random(13)
+    for _ in range(200):
+        z = cmath.rect(rng.uniform(0.05, 3), rng.uniform(-3.2, 3.2))
+        coeffs = [c - z * den[0]] + [-z * d for d in den[1:]]
+        _same_roots(f._roots(coeffs), np.roots(list(reversed(coeffs))), 1e-9)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_backward_chains_keep_every_preimage(name):
+    # a dropped root would bias the uniform choice of preimage
+    f = PRESETS[name]
+    for seed in range(3):
+        rng = random.Random(seed)
+        z = f.repelling_fixed_point()
+        for _ in range(400):
+            roots = f.preimages(z)
+            assert len(roots) == f.degree, (z, roots)
+            for w in roots:
+                assert abs(f(w) - z) < 1e-9
+            z = roots[rng.randrange(len(roots))]
+
+
+def test_preimages_polish_rough_roots_and_drop_bad_ones(monkeypatch):
+    f, z = PRESETS["f4"], 0.3 + 0.4j
+    rough = [w + 1e-6j for w in f.preimages(z)]
+    assert all(abs(f(w) - z) >= 1e-9 for w in rough)
+    monkeypatch.setattr(RationalMap, "_roots",
+                        lambda self, coeffs: rough + [complex("nan")])
+    polished = f.preimages(z)
+    assert len(polished) == 4
+    for w, start in zip(polished, rough):
+        assert abs(f(w) - z) < 1e-9 and abs(w - start) < 1e-5
+
+
+def test_quintic_preimages_are_all_found():
     f = PRESETS["f5"]
     roots = f.preimages(0.7 - 0.1j)
     assert len(roots) == 5
@@ -180,14 +303,15 @@ def test_high_degree_preimages_use_companion_fallback():
         assert abs(f(w) - (0.7 - 0.1j)) < 1e-9
 
 
-def test_numpy_is_loaded_only_to_draw_a_julia_set():
+def test_drawing_a_julia_set_with_every_preset_loads_no_numpy():
     # a fresh interpreter: this one has numpy loaded already
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    code = ("import sys, tmss, tmss.cli; loaded = 'numpy' in sys.modules; "
-            "tmss.julia_points(tmss.PRESETS['f3'], tmss.RenderConfig(points=2)); "
-            "print(loaded, 'numpy' in sys.modules)")
+    code = ("import sys, tmss, tmss.cli\n"
+            "for f in tmss.PRESETS.values():\n"
+            "    tmss.julia_points(f, tmss.RenderConfig(points=20, burn_in=5))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
-    assert out.stdout.split() == ["False", "True"]
+    assert out.stdout.split() == ["[]"]
