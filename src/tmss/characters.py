@@ -29,13 +29,14 @@ per class; ``count_L`` walks the same class graph level by level with
 unit weights.  The children of every class below a closure's root are
 kept across calls, per recursion, ring and kernel, so related elements
 share the classes they have in common; the solve runs afresh on every
-call.  No floating point is used anywhere in this module.
+call.  ``spread_char`` builds no kernel matrix: with no kernel every cell
+weighs 1, so its classes share their children with the zero test's.  No
+floating point is used anywhere in this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from math import gcd
 
 from .algebra import (
@@ -144,12 +145,6 @@ def _rational(entry) -> Fraction:
     raise ValueError(f"kernel entry {entry!r} is not a rational number")
 
 
-@cache
-def _ones_kernel(q: int) -> Kernel:
-    """The all-ones kernel of ``spread_char``, built anew on every call."""
-    return Kernel.ones(q)
-
-
 def _is_psd(m: list[list[Fraction]]) -> bool:
     """Exact positive semidefiniteness of a symmetric matrix, in O(n^3).
 
@@ -177,10 +172,14 @@ def _is_psd(m: list[list[Fraction]]) -> bool:
 
 def _closure_value(root, rec, ring, weights, monomial_base: bool,
                    cap_classes: int, with_info: bool):
-    """The character value of the class with key ``root`` for the q x q
-    kernel ``weights``, with the children of ``_class_children`` through
-    ``rec``, or an unknown Verdict at the cap.  A scalar, or with
+    """The character value of the class with key ``root`` for the
+    ``rec.q`` x ``rec.q`` kernel ``weights`` (all ones when None), with the
+    children of ``_class_children`` through ``rec``, or an unknown Verdict
+    at the cap.  The key () of zero has value 0; a scalar, or with
     ``monomial_base`` any single term, is a base class."""
+    if not root:
+        info = {"classes_used": 0, "depth": 0, "largest_component": 0}
+        return (Fraction(0), info) if with_info else Fraction(0)
     cells = _class_children(root, rec, ring, weights)
 
     def children(key: tuple):
@@ -189,7 +188,7 @@ def _closure_value(root, rec, ring, weights, monomial_base: bool,
         return cells(key)
 
     try:
-        value, info = Closure(root, children, cap_classes).solve(len(weights))
+        value, info = Closure(root, children, cap_classes).solve(rec.q)
     except ClassExplosionError:
         value, info = Verdict.unknown(cap_classes, "cap_classes"), None
     return (value, info) if with_info else value
@@ -204,10 +203,6 @@ def algebra_char(s: AlgebraElement, kernel: Kernel, cap_classes: int = 10_000,
     """
     if kernel.q != s.q:
         raise ValueError("kernel size does not match the alphabet")
-    if s.is_zero_literal:
-        info = {"classes_used": 0, "depth": 0, "largest_component": 0}
-        return (Fraction(0), info) if with_info else Fraction(0)
-
     return _closure_value(_class_key(s), _thue_morse(s.q), s.ring,
                           kernel.weights, monomial_base, cap_classes, with_info)
 
@@ -216,9 +211,12 @@ def spread_char(s: AlgebraElement, cap_classes: int = 10_000,
                 with_info: bool = False):
     """All-ones kernel character; every single monomial is a base case
     with value 1.  A value that is not a nonnegative element of Z[1/q]
-    raises RuntimeError: the spread values are certified to be."""
-    value, info = algebra_char(s, _ones_kernel(s.q), cap_classes=cap_classes,
-                               monomial_base=True, with_info=True)
+    raises RuntimeError: the spread values are certified to be.
+
+    No kernel matrix is built: the closure gives every cell weight 1, so
+    its class children are those of the zero test and shared with it."""
+    value, info = _closure_value(_class_key(s), _thue_morse(s.q), s.ring, None,
+                                 True, cap_classes, True)
     if not isinstance(value, Verdict):
         # the value lies in Z[1/q]: its denominator divides a power of q,
         # which at composite q need not be a power of q itself (6/4 = 3/2)

@@ -113,6 +113,12 @@ class RationalMap:
         self.den = tuple(complex(c) for c in denominator)
         if all(abs(c) == 0 for c in self.den):
             raise ValueError("denominator is identically zero")
+        # divide out the roots they share: z(z - 1)/(z - 1) has degree 1
+        for r in self._roots(self.den):
+            size = _polyval([abs(c) for c in self.num], abs(r)).real
+            if abs(_polyval(self.num, r)) <= 1e-9 * size:
+                self.num, self.den = (tuple(_deflate(p[::-1], r)[::-1])
+                                      for p in (self.num, self.den))
         self._dnum = _polyderiv(self.num)
         self._dden = _polyderiv(self.den)
 

@@ -18,7 +18,8 @@ with identity root permutations whose sections stay in the set acts
 trivially on every tree level, hence is trivial in the injective quotient.
 The word problem keeps its elements as states in the free-product normal
 form of section letters and rooted permutations (``_NormalForm``), where a
-generator with only empty sections is its root permutation.
+generator with only empty sections is its root permutation; permutations
+are interned ids composed by a lazily filled product table.
 The closures over the algebra hold a long proper power in their keys as a
 ``Power`` (root and exponent), and fold it through its root with
 ``_fold_key``, so a deep tower is never written out; ``_fold_key`` keeps
@@ -256,28 +257,41 @@ def _key_section(product: Word, laps: int, tail: Word):
     return canonical(_power_section(product, laps, tail))
 
 
-class _Perms(dict):
+class _Row(dict):
+    """One row of ``_Perms.mul``: the ids of the permutation ``first``
+    followed by others, keyed by the id of the other, each composed on
+    first use."""
+
+    __slots__ = ("perms", "first")
+
+    def __missing__(self, b: int) -> int:
+        second = self.perms.images[b]
+        pid = self[b] = self.perms.id(tuple(second[x] for x in self.first))
+        return pid
+
+
+class _Perms:
     """Interned permutations of {0..q-1}: ``ids`` maps images to an id (0
-    is the identity) and ``images`` lists them by id.  Looking up the pair
-    ``(a, b)`` gives the id of a followed by b, composed on first use, so
-    the table only holds the products a computation asked for."""
+    is the identity), ``images`` lists them by id, and ``mul[a][b]`` is the
+    id of a followed by b, from one ``_Row`` per id that holds only the
+    products asked for, as P may be all of S_q (``transposed_variant``)."""
+
+    __slots__ = ("ids", "images", "mul")
 
     def __init__(self, q: int):
-        super().__init__()
-        identity = tuple(range(q))
-        self.ids: dict[tuple[int, ...], int] = {identity: 0}
-        self.images: list[tuple[int, ...]] = [identity]
+        self.ids: dict[tuple[int, ...], int] = {}
+        self.images: list[tuple[int, ...]] = []
+        self.mul: list[_Row] = []
+        self.id(tuple(range(q)))
 
     def id(self, images: tuple[int, ...]) -> int:
         pid = self.ids.get(images)
         if pid is None:
             pid = self.ids[images] = len(self.images)
             self.images.append(images)
-        return pid
-
-    def __missing__(self, key: tuple[int, int]) -> int:
-        first, second = self.images[key[0]], self.images[key[1]]
-        pid = self[key] = self.id(tuple(second[x] for x in first))
+            row = _Row()
+            row.perms, row.first = self, images
+            self.mul.append(row)
         return pid
 
 
@@ -289,7 +303,9 @@ class _NormalForm:
     section letter codes s, the product p0 s1 p1 ... sk pk, in which no
     s p s' has p the identity and s' the inverse of s.  The section letter
     (i, sign) has the code ~(2i + (sign < 0)), so codes are negative and
-    code ^ 1 is the inverse letter.
+    code ^ 1 is the inverse letter.  Perm ids compose by ``perms.mul``.
+    ``strands`` reads a state's sections in one pass per strand, and
+    ``fold`` refutes a state whose strands do not all end where they start.
     """
 
     def __init__(self, q: int,
@@ -301,14 +317,12 @@ class _NormalForm:
         for (i, sign), (perm, sections) in letters.items():
             self.ops[(i, sign)] = (~(2 * i + (sign < 0)) if any(sections)
                                    else self.perms.id(perm))
-        # per code, indexed by code: its perm id, and per strand b the
-        # section at b as ops (see state) with the strand it moves b to
-        self.section_perm: list[int] = [0] * (2 * q)
+        # per code, indexed by code, and per strand b: the section at b as
+        # ops (see state) with the strand it moves b to
         self.sections: list[list[tuple[tuple[int, ...], int]]] = [[]] * (2 * q)
         for letter, code in self.ops.items():
             if code < 0:
                 perm, sections = letters[letter]
-                self.section_perm[code] = self.perms.id(perm)
                 self.sections[code] = [
                     (tuple(op for op in self.word(sections[b]) if op), perm[b])
                     for b in range(q)]
@@ -317,7 +331,7 @@ class _NormalForm:
         """The state of the product of ``ops``: a perm id (>= 0) composes
         into the top permutation, and a section letter code cancels its
         inverse across an identity top or is pushed."""
-        perms = self.perms
+        mul = self.perms.mul
         # the state below the top permutation, over a bottom 0 that no
         # letter code matches
         stack, top = [0], 0
@@ -329,8 +343,10 @@ class _NormalForm:
                 else:
                     stack += (top, op)
                     top = 0
-            elif op:
-                top = perms[top, op]
+            elif top:
+                top = mul[top][op]
+            else:
+                top = op
         stack.append(top)
         return tuple(stack[1:])
 
@@ -344,18 +360,18 @@ class _NormalForm:
 
     def join(self, left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]:
         """Product of two states, cancelling at the seam only."""
-        i, top = 0, self.perms[left[-1], right[0]]
+        i, top = 0, self.perms.mul[left[-1]][right[0]]
         while (top == 0 and 2 * i + 1 < min(len(left), len(right))
                and left[-2 - 2 * i] == right[2 * i + 1] ^ 1):
             i += 1
-            top = self.perms[left[-1 - 2 * i], right[2 * i]]
+            top = self.perms.mul[left[-1 - 2 * i]][right[2 * i]]
         return left[:len(left) - 1 - 2 * i] + (top,) + right[2 * i + 1:]
 
     def conjugated(self, state: tuple[int, ...]) -> tuple[int, ...]:
         """``p0^-1 state p0``, which starts with the identity."""
         if not state[0] or len(state) == 1:
             return state
-        return (0,) + state[1:-1] + (self.perms[state[-1], state[0]],)
+        return (0,) + state[1:-1] + (self.perms.mul[state[-1]][state[0]],)
 
     def power(self, state: tuple[int, ...], r: int) -> tuple[tuple[int, ...], int]:
         """``state^r`` for r >= 1, conjugated to start with the identity,
@@ -363,10 +379,10 @@ class _NormalForm:
         ``t core^r t^-1``, where t is the part that cancels where two
         copies of ``state`` meet; with t empty the conjugated power is the
         identity followed by r copies of the conjugated state's body."""
-        perms = self.perms
+        perms, mul = self.perms, self.perms.mul
         k, t = len(state) // 2, 0
         while (2 * t + 1 < k
-               and perms[state[2 * (k - t)], state[2 * t]] == 0
+               and mul[state[2 * (k - t)]][state[2 * t]] == 0
                and state[2 * (k - t) - 1] == state[2 * t + 1] ^ 1):
             t += 1
         if k == 2 * t:  # state = t p t^-1
@@ -379,39 +395,46 @@ class _NormalForm:
                 return (0,), 0
             out = state[:2 * t] + (middle,) + state[2 * t + 1:]
         elif t == 0:
-            unit = state[1:-1] + (perms[state[-1], state[0]],)
+            unit = state[1:-1] + (mul[state[-1]][state[0]],)
             return (0,) + unit * r, len(unit)
         else:
             body = state[2 * t + 1:2 * (k - t)]
-            seam = perms[state[2 * (k - t)], state[2 * t]]
+            seam = mul[state[2 * (k - t)]][state[2 * t]]
             out = (state[:2 * t + 1] + (body + (seam,)) * (r - 1) + body
                    + state[2 * (k - t):])
         out = self.conjugated(out)
         return out, len(out) - 1
 
-    def perm(self, state: tuple[int, ...]) -> int:
-        """The id of the root permutation of ``state``."""
-        perms, section_perm = self.perms, self.section_perm
-        pid = state[0]
-        for j in range(1, len(state), 2):
-            pid = perms[perms[pid, section_perm[state[j]]], state[j + 1]]
-        return pid
-
-    def strands(self, state: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """Strand a's section of ``state`` for every a, each a state."""
-        images, sections = self.perms.images, self.sections
-        out = []
-        for a in range(self.q):
-            b = images[state[0]][a]
-            ops: list[int] = []
-            for j in range(1, len(state), 2):
-                section, b = sections[state[j]][b]
-                ops += section
-                p = state[j + 1]
+    def strands(self, state: tuple[int, ...]) -> tuple[list, tuple[int, ...]]:
+        """Strand a's section of ``state`` for every a, each a state, and
+        the strand each ends on: the images of the root permutation.  A
+        strand pushes each section's ops straight onto its own cancelling
+        stack, as ``state`` does."""
+        images, mul, sections = self.perms.images, self.perms.mul, self.sections
+        pairs = tuple(zip(state[1::2], state[2::2]))
+        out, ends = [], []
+        for b in images[state[0]]:
+            stack, top = [0], 0
+            for code, p in pairs:
+                section, b = sections[code][b]
+                for op in section:
+                    if op < 0:
+                        if top == 0 and stack[-1] == op ^ 1:
+                            stack.pop()
+                            top = stack.pop()
+                        else:
+                            stack += (top, op)
+                            top = 0
+                    elif top:
+                        top = mul[top][op]
+                    else:
+                        top = op
                 if p:
                     b = images[p][b]
-            out.append(self.state(ops))
-        return out
+            stack.append(top)
+            out.append(tuple(stack[1:]))
+            ends.append(b)
+        return out, tuple(ends)
 
     def fold(self, state: tuple[int, ...], period: int
              ) -> list[tuple[tuple[int, ...], int]] | None:
@@ -431,15 +454,15 @@ class _NormalForm:
         if period < 2 * k or k >= _POWER_MIN // 2:
             d = _root_length(state[1:period + 1]) // 2
         if d == k:
-            if self.perm(state) != 0:
+            sections, ends = self.strands(state)
+            if ends != self.perms.images[0]:
                 return None
-            return [(s, len(s) - 1)
-                    for s in map(self.conjugated, self.strands(state))]
+            return [(s, len(s) - 1) for s in map(self.conjugated, sections)]
         unit, m = state[:2 * d + 1], k // d
-        cycles = _cycles(self.perms.images[self.perm(unit)])
+        sections, ends = self.strands(unit)
+        cycles = _cycles(ends)
         if any(m % len(cycle) for cycle in cycles):
             return None
-        sections = self.strands(unit)
         out = [((0,), 0)] * self.q
         for cycle in cycles:
             for i, a in enumerate(cycle):
@@ -534,19 +557,20 @@ class WreathElement:
 
 
 @lru_cache(maxsize=64)
-def _letter_tables(q: int, images: tuple) -> tuple[
-        dict[Letter, tuple[tuple[int, ...], tuple[Word, ...]]], _NormalForm]:
-    """Root permutation images and sections per signed letter, and the
-    word problem's normal form, for generator images given as
-    ``(i, perm images, sections)`` triples.  Every recursion built from the
-    same images shares them; they hold no word and no verdict, only the
-    letter tables and the permutation products asked for so far."""
+def _letter_tables(q: int, images: tuple) -> tuple[dict, dict, _NormalForm]:
+    """Root permutation images and sections per signed letter; per signed
+    letter, the row of (image, section) pairs that the fold reads at each
+    position; and the word problem's normal form; for generator images
+    given as ``(i, perm images, sections)`` triples.  Every recursion built
+    from the same images shares them; they hold no word and no verdict,
+    only the letter tables and the permutation products asked for so far."""
     letters = {}
     for i, perm, sections in images:
         inv = WreathElement(sections, Permutation(perm)).inverse()
         letters[(i, 1)] = (perm, sections)
         letters[(i, -1)] = (inv.perm.images, inv.sections)
-    return letters, _NormalForm(q, letters)
+    rows = {letter: tuple(zip(*table)) for letter, table in letters.items()}
+    return letters, rows, _NormalForm(q, letters)
 
 
 @dataclass(frozen=True)
@@ -573,12 +597,8 @@ class WreathRecursion:
             for s in el.sections:
                 check_word(s, q)
         self.q = q
-        # the word problem's normal form; and per signed letter, the row of
-        # (image, section) pairs that the fold reads at each position
-        letters, self._nf = _letter_tables(q, tuple(
+        letters, self._rows, self._nf = _letter_tables(q, tuple(
             (i, el.perm.images, el.sections) for i, el in sorted(images.items())))
-        self._rows = {letter: tuple(zip(*table))
-                      for letter, table in letters.items()}
         # a word shorter than this has only sections shorter than
         # _POWER_MIN, and no Power is this short
         growth = max(len(s) for _, sections in letters.values()

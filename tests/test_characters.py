@@ -126,7 +126,7 @@ def test_spread_denominator_may_drop_below_a_power_of_q():
 def test_spread_value_certificate_raises(value):
     # a check, not an assert, so python -O keeps it
     info = {"classes_used": 1, "depth": 0, "largest_component": 1}
-    with mock.patch.object(characters, "algebra_char",
+    with mock.patch.object(characters, "_closure_value",
                            return_value=(value, info)):
         with pytest.raises(RuntimeError, match="escapes nonnegative values"):
             spread_char(gen(2, 0))
@@ -883,6 +883,22 @@ def children_cases(draw):
 
 @given(children_cases())
 @settings(max_examples=150, deadline=None)
+def test_spread_char_is_the_all_ones_kernel_character(case):
+    # the oracle builds the kernel matrix, and keeps its own children memo
+    s = case[0]
+    assert spread_char(s, with_info=True) == algebra_char(
+        s, Kernel.ones(s.q), monomial_base=True, with_info=True)
+
+
+def test_spread_char_builds_no_kernel():
+    with mock.patch.object(Kernel, "ones", side_effect=AssertionError):
+        for q in (2, 3, 5, 7):
+            assert spread_char(one(q) - gen(q, 0) ** 2) == 2
+            assert spread_char(AlgebraElement.zero(RATIONALS, q)) == 0
+
+
+@given(children_cases())
+@settings(max_examples=150, deadline=None)
 def test_cell_children_match_the_dense_grid(case):
     s, kernel = case
     fold = _thue_morse(s.q).fold
@@ -1306,7 +1322,8 @@ def test_roots_stay_out_of_the_children_memos():
     algebra_char(s, Kernel.identity(3))
     memos = [memo for memos in algebra._CHILDREN.values()
              for memo in memos.values()]
-    assert len(memos) == 4 and all(memos)
+    # the spread character shares the zero test's memo, keyed (ring, None)
+    assert len(memos) == 3 and all(memos)
     assert not any(root in memo for memo in memos for root in roots)
 
 

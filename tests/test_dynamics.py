@@ -16,6 +16,7 @@ from tmss.dynamics import (
     PointCloud,
     RationalMap,
     RenderConfig,
+    _polyval,
     julia_points,
     render,
     write_pgm,
@@ -149,6 +150,34 @@ def test_zero_top_coefficients_do_not_count_towards_the_degree(num, den):
     assert f.degree == 1
     with pytest.raises(ValueError, match="degree at least 2"):
         julia_points(f, RenderConfig(points=5, seed=1))
+
+
+@pytest.mark.parametrize("num, den, degree", [
+    ([0, -1, 1], [-1, 1], 1),            # z(z - 1)/(z - 1) is z
+    ([0, 1, -1], [0, 0, 1, -1], 1),      # z(1 - z)/(z^2 (1 - z)) is 1/z
+    ([-1, 0, 1], [1, -2, 1], 1),         # (z^2 - 1)/(z - 1)^2
+    ([0, -1, 0, 1], [-1, 1], 2),         # (z^3 - z)/(z - 1) is z^2 + z
+])
+def test_common_factors_are_cancelled(num, den, degree):
+    f = RationalMap(num, den)
+    assert f.degree == degree
+    for z in (0.3 + 0.2j, -1.7j, 2.5):
+        assert abs(f(z) - _polyval(num, z) / _polyval(den, z)) < 1e-9
+    if degree < 2:
+        with pytest.raises(ValueError, match="degree at least 2"):
+            julia_points(f, RenderConfig(points=5, seed=1))
+
+
+@pytest.mark.parametrize("name, degree, sizes", [
+    ("z2", 2, (3, 1)), ("f2", 2, (1, 3)), ("f3", 3, (1, 4)),
+    ("f4", 4, (1, 5)), ("f5", 5, (1, 6))])
+def test_presets_keep_their_coefficients_and_degree(name, degree, sizes):
+    # no preset has a common factor, so none loses a coefficient
+    f = PRESETS[name]
+    again = RationalMap(f.num, f.den)
+    assert f.degree == again.degree == degree
+    assert (len(f.num), len(f.den)) == sizes
+    assert again.num == f.num and again.den == f.den
 
 
 def test_config_validation():

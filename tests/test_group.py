@@ -785,12 +785,22 @@ def test_is_trivial_matches_the_closure_on_words(preset, q, cap, data):
         assert verdict == expected
 
 
-def _fold_directly(nf, state):
-    """``nf.fold`` without the power path: every strand walks the whole
-    state."""
-    if nf.perm(state) != 0:
+def _fold_directly(rec, state):
+    """``nf.fold`` without the power path and without the normal form's
+    strand walk: the state is multiplied out as wreath elements, a perm id
+    as its permutation and a section letter as the ``fold`` of the letter,
+    so the root permutation is a product of ``Permutation.then``; the
+    product's section words are then read as states."""
+    nf, q = rec._nf, rec.q
+    letters = {code: letter for letter, code in nf.ops.items() if code < 0}
+    product = WreathElement.identity(q)
+    for j, op in enumerate(state):
+        product = product * (rec.decompose((letters[op],)) if j % 2 else
+                             WreathElement(((),) * q,
+                                           Permutation(nf.perms.images[op])))
+    if not product.perm.is_identity:
         return None
-    return [nf.conjugated(s) for s in nf.strands(state)]
+    return [nf.conjugated(nf.word(s)) for s in product.sections]
 
 
 def _states(folded):
@@ -821,7 +831,7 @@ def _check_state_fold(rec, root, m):
         following = []
         for s, p in level:
             folded = nf.fold(s, p)
-            assert _states(folded) == _fold_directly(nf, s)
+            assert _states(folded) == _fold_directly(rec, s)
             for t, period in folded or ():
                 _assert_period(t, period)
                 following.append((t, period))
@@ -858,7 +868,7 @@ def test_states_compose_permutations_as_then_does():
     p_images, r_images = (1, 0, 2), (0, 2, 1)
     p, r = nf.perms.id(p_images), nf.perms.id(r_images)
     then = Permutation(r_images).then(Permutation(p_images)).images
-    assert nf.perms[r, p] == nf.perms.id(then) != nf.perms[p, r]
+    assert nf.perms.mul[r][p] == nf.perms.id(then) != nf.perms.mul[p][r]
     x0 = nf.ops[(0, 1)]
     assert nf.conjugated((p, x0, r)) == (0, x0, nf.perms.id(then))
 
@@ -924,6 +934,35 @@ def test_long_powers_are_nontrivial_through_their_roots(q, root, m):
 def test_recursions_with_equal_images_share_their_letter_tables():
     assert WreathRecursion.thue_morse(3)._nf is WreathRecursion.thue_morse(3)._nf
     assert WreathRecursion.thue_morse(3)._nf is not WreathRecursion.inverted_variant(3)._nf
+
+
+def test_recursions_with_equal_images_share_their_fold_rows():
+    images = {i: WreathRecursion.thue_morse(3).decompose(((i, 1),))
+              for i in range(3)}
+    rows = WreathRecursion.thue_morse(3)._rows
+    assert WreathRecursion(3, images)._rows is rows
+    assert WreathRecursion.thue_morse(3)._rows is rows
+    assert WreathRecursion.inverted_variant(3)._rows is not rows
+
+
+@given(st.sampled_from((4, 5)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_product_table_composes_as_then_does(q, data):
+    # P is all of S_q here; ids interned after rows were filled get rows too
+    rec = WreathRecursion.transposed_variant(q)
+    rec.is_trivial(data.draw(words(q, max_len=20)))
+    perms = rec._nf.perms
+    drawn = data.draw(st.lists(st.permutations(range(q)), min_size=1,
+                               max_size=6))
+    ids = [perms.id(tuple(images)) for images in drawn]
+    # ids already in the table, whose number depends on earlier examples
+    ids += [k % len(perms.images)
+            for k in data.draw(st.lists(st.integers(0, 720), max_size=6))]
+    for a in ids:
+        for b in ids:
+            then = Permutation(perms.images[a]).then(Permutation(perms.images[b]))
+            assert perms.images[perms.mul[a][b]] == then.images
+            assert perms.mul[a][b] == perms.id(then.images)
 
 
 def test_plain_verdicts_are_shared_and_unchanged():
