@@ -29,6 +29,12 @@ def test_preset_degrees():
     assert PRESETS["f3"].degree == 3
     assert PRESETS["f4"].degree == 4
     assert PRESETS["f5"].degree == 5
+    # no preset has a common factor to cancel, so each keeps its coefficients
+    sizes = {"z2": (3, 1), "f2": (1, 3), "f3": (1, 4), "f4": (1, 5), "f5": (1, 6)}
+    for name, f in PRESETS.items():
+        assert (len(f.num), len(f.den)) == sizes[name]
+        again = RationalMap(f.num, f.den)
+        assert (again.num, again.den, again.degree) == (f.num, f.den, f.degree)
 
 
 def test_evaluation_of_squaring_map():
@@ -166,18 +172,6 @@ def test_common_factors_are_cancelled(num, den, degree):
     if degree < 2:
         with pytest.raises(ValueError, match="degree at least 2"):
             julia_points(f, RenderConfig(points=5, seed=1))
-
-
-@pytest.mark.parametrize("name, degree, sizes", [
-    ("z2", 2, (3, 1)), ("f2", 2, (1, 3)), ("f3", 3, (1, 4)),
-    ("f4", 4, (1, 5)), ("f5", 5, (1, 6))])
-def test_presets_keep_their_coefficients_and_degree(name, degree, sizes):
-    # no preset has a common factor, so none loses a coefficient
-    f = PRESETS[name]
-    again = RationalMap(f.num, f.den)
-    assert f.degree == again.degree == degree
-    assert (len(f.num), len(f.den)) == sizes
-    assert again.num == f.num and again.den == f.den
 
 
 def test_config_validation():

@@ -934,9 +934,7 @@ def test_long_powers_are_nontrivial_through_their_roots(q, root, m):
 def test_recursions_with_equal_images_share_their_letter_tables():
     assert WreathRecursion.thue_morse(3)._nf is WreathRecursion.thue_morse(3)._nf
     assert WreathRecursion.thue_morse(3)._nf is not WreathRecursion.inverted_variant(3)._nf
-
-
-def test_recursions_with_equal_images_share_their_fold_rows():
+    # the fold rows too, also for a recursion built from the same images
     images = {i: WreathRecursion.thue_morse(3).decompose(((i, 1),))
               for i in range(3)}
     rows = WreathRecursion.thue_morse(3)._rows
