@@ -42,6 +42,7 @@ from .group import (
     WreathElement,
     WreathRecursion,
     _held,
+    _join,
     _Memo,
     canonical,
 )
@@ -49,15 +50,14 @@ from .verdict import Verdict
 from .words import (
     LetterMap,
     Word,
+    _inverse_letters,
+    _theta_blocks,
     check_alphabet,
-    check_word,
     free_reduce,
     gamma as word_gamma,
-    inverse as word_inverse,
     parse_word,
-    power as word_power,
     render_word,
-    theta as word_theta,
+    shared_letters,
 )
 
 
@@ -197,23 +197,35 @@ def _lead_unit(ring, lead):
 
 
 class AlgebraElement:
-    """Sparse sum of coefficient-weighted monomials."""
+    """Sparse sum of coefficient-weighted monomials.
+
+    Every element holds one invariant, set up where its terms enter: every
+    word is valid for ``(q, mode)``, freely reduced in mode B and made of
+    the alphabet's shared letters (``words.shared_letters``), and every
+    coefficient is a nonzero element of ``ring`` in its normal form
+    (``ring.coerce``).  The validating constructor
+    sets it up for ``zero``, ``one``, ``monomial``, ``generator``,
+    ``parse_element`` and every term list a caller passes.  The
+    operations rely on it and build their results with ``reduced=True``:
+    ``+``, ``-``, negation, ``scale``, ``*`` (so ``**``), ``star``,
+    ``gamma_map``, ``collapse_high_letters``, ``phi`` and the
+    module's ``sigma`` and ``omega_generator``."""
 
     __slots__ = ("ring", "q", "mode", "terms")
 
     def __init__(self, ring, q: int, mode: str, terms, *, reduced: bool = False):
         """``terms`` is a dict from words to coefficients or an iterable of
         ``(word, coefficient)`` pairs.  Every letter is checked against the
-        alphabet and the mode, and in mode B every word is freely reduced;
-        equal words are summed, each sum is reduced in ``ring`` and zero
-        sums are dropped.
+        alphabet and the mode and replaced by its shared letter, and in
+        mode B every word is freely reduced; equal words are summed, each
+        sum is reduced in ``ring`` and zero sums are dropped.
 
-        ``reduced`` promises that every word is already freely reduced and
-        valid for ``(q, mode)`` and every coefficient is a nonzero element
-        of ``ring``, as for the words ``WreathRecursion.fold`` hands to
-        ``_phi_cells``: no letter is checked or reduced, and only a word
-        that occurs more than once is summed, reduced in ``ring`` and
-        dropped when its sum is zero."""
+        ``reduced`` promises that every word already holds the invariant
+        of the class and every coefficient is a nonzero element of
+        ``ring`` in normal form, as for the results of the operations and
+        the words ``WreathRecursion.fold`` hands to ``_phi_cells``: no
+        letter is read, and only a word that occurs more than once is
+        summed, reduced in ``ring`` and dropped when its sum is zero."""
         if mode not in ("A", "B"):
             raise ValueError("mode must be 'A' or 'B'")
         check_alphabet(q)
@@ -237,9 +249,10 @@ class AlgebraElement:
                 else:
                     del out[word]
             return
+        shared = shared_letters(q).__getitem__
         sums: dict[Word, object] = {}
         for word, coeff in terms:
-            check_word(word, q)
+            word = tuple(map(shared, word))  # checks each letter not met yet
             if mode == "B":
                 word = free_reduce(word)
             elif any(sign < 0 for _, sign in word):
@@ -247,6 +260,10 @@ class AlgebraElement:
             sums[word] = sums[word] + coeff if word in sums else coeff
         self.terms = {word: coeff for word, total in sums.items()
                       if (coeff := ring.coerce(total)) != 0}
+
+    def _reduced(self, terms) -> "AlgebraElement":
+        """An element of this algebra from terms that hold the invariant."""
+        return AlgebraElement(self.ring, self.q, self.mode, terms, reduced=True)
 
     # construction helpers
 
@@ -275,28 +292,34 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._compatible(other)
-        return AlgebraElement(self.ring, self.q, self.mode, itertools.chain(
+        return self._reduced(itertools.chain(
             self.terms.items(), other.terms.items()))
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.ring, self.q, self.mode,
-                              {w: -c for w, c in self.terms.items()})
+        coerce = self.ring.coerce
+        return self._reduced({w: coerce(-c) for w, c in self.terms.items()})
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._compatible(other)
-        return AlgebraElement(self.ring, self.q, self.mode, itertools.chain(
-            self.terms.items(), ((w, -c) for w, c in other.terms.items())))
+        coerce = self.ring.coerce
+        return self._reduced(itertools.chain(
+            self.terms.items(),
+            ((w, coerce(-c)) for w, c in other.terms.items())))
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
+        """The product, each pair of words joined at the seam only."""
         self._compatible(other)
-        return AlgebraElement(self.ring, self.q, self.mode, (
-            (wa + wb, ca * cb)
-            for wa, ca in self.terms.items() for wb, cb in other.terms.items()))
+        coerce = self.ring.coerce
+        return self._reduced(
+            (_join(wa, wb), coerce(ca * cb))
+            for wa, ca in self.terms.items() for wb, cb in other.terms.items())
 
     def scale(self, coeff) -> "AlgebraElement":
-        coeff = self.ring.coerce(coeff)
-        return AlgebraElement(self.ring, self.q, self.mode,
-                              {w: c * coeff for w, c in self.terms.items()})
+        coerce = self.ring.coerce
+        coeff = coerce(coeff)
+        if coeff == 0:
+            return self._reduced(())
+        return self._reduced({w: coerce(c * coeff) for w, c in self.terms.items()})
 
     def __pow__(self, k: int) -> "AlgebraElement":
         if k < 0:
@@ -339,23 +362,24 @@ class AlgebraElement:
     def star(self) -> "AlgebraElement":
         if self.mode != "B":
             raise UnsupportedModeError("star requires mode B")
-        return AlgebraElement(self.ring, self.q, self.mode,
-                              {word_inverse(w): c for w, c in self.terms.items()})
+        inverse = _inverse_letters(self.q).__getitem__
+        return self._reduced({tuple(map(inverse, reversed(w))): c
+                              for w, c in self.terms.items()})
 
     def gamma_map(self, shift: int = 1) -> "AlgebraElement":
         """Rotate every letter index by the integer ``shift`` modulo q.
-        A rotation keeps every word valid, freely reduced and distinct, so
-        the result takes the constructor's ``reduced`` promise."""
-        return AlgebraElement(self.ring, self.q, self.mode, (
-            (word_gamma(w, shift, self.q), c) for w, c in self.terms.items()),
-            reduced=True)
+        A rotation keeps every word valid, freely reduced and distinct."""
+        return self._reduced(
+            (word_gamma(w, shift, self.q), c) for w, c in self.terms.items())
 
     def collapse_high_letters(self) -> "AlgebraElement":
         """Send x_i to x_1 for i >= 2, keeping signs.  Safe for anything
-        computed through phi, because those generators share one image."""
+        computed through phi, because those generators share one image.
+        The collapsed words are valid, so they are only freely reduced
+        (in mode A, where no letter is inverse, that keeps them)."""
         collapsed = _collapsed_letters(self.q).__getitem__
-        return AlgebraElement(self.ring, self.q, self.mode, (
-            (tuple(map(collapsed, w)), c) for w, c in self.terms.items()))
+        return self._reduced((free_reduce(tuple(map(collapsed, w))), c)
+                             for w, c in self.terms.items())
 
     # decomposition
 
@@ -418,9 +442,11 @@ def _collapsed_letters(q: int) -> LetterMap:
     """The letter that ``collapse_high_letters`` writes for each letter;
     one table per alphabet, so that a process holds the letters of at most
     64 alphabets."""
+    shared = shared_letters(q)
+
     def collapsed(letter):
         i, sign = letter
-        return min(i, 1), sign
+        return shared[min(i, 1), sign]
     return LetterMap(collapsed)
 
 
@@ -473,7 +499,8 @@ def _phi_cells(elem: AlgebraElement, fold) -> dict[tuple[int, int], AlgebraEleme
 
     Each cell is built once, from the fold's reduced words, with the
     constructor's ``reduced`` promise; ``fold`` must keep words valid for
-    ``(elem.q, elem.mode)``, as the wreath folds of this module do.
+    ``(elem.q, elem.mode)`` and write shared letters, as the wreath folds
+    of this module do.
     """
     ring, q, mode = elem.ring, elem.q, elem.mode
     return {cell: AlgebraElement(ring, q, mode, terms, reduced=True)
@@ -551,7 +578,12 @@ def _class_children(root: tuple, rec: WreathRecursion, ring, weights=None):
     (``rec``, ``ring``, ``weights``): a key equal as a tuple has other
     children over another ring or kernel.  The root's children are not
     kept, so a repeated query does not become a cached answer."""
-    memo = _CHILDREN.setdefault(rec, {}).setdefault((ring, weights), _Memo())
+    memos = _CHILDREN.get(rec)
+    if memos is None:
+        memos = _CHILDREN[rec] = {}
+    memo = memos.get((ring, weights))
+    if memo is None:
+        memo = memos[ring, weights] = _Memo()
     fold = rec._fold_key
 
     def children(key: tuple) -> tuple:
@@ -665,16 +697,22 @@ def is_zero(s: AlgebraElement, cap_depth: int = 60) -> Verdict:
 
 
 def sigma(*components: AlgebraElement) -> AlgebraElement:
-    """sigma(s_0, ..., s_{q-1}) = sum_m x_1^m theta(s_m)."""
+    """sigma(s_0, ..., s_{q-1}) = sum_m x_1^m theta(s_m).
+
+    ``theta`` sends a freely reduced word to a freely reduced word, so
+    each word of the result is x_1^m joined at the seam with the blocks
+    of ``theta`` (``words._theta_blocks``); no letter is read again."""
     first = components[0]
     q = first.q
     if len(components) != q:
         raise ValueError(f"sigma needs exactly {q} components")
     for c in components[1:]:
         first._compatible(c)
-    return AlgebraElement(first.ring, q, first.mode, (
-        (((1, 1),) * m + word_theta(w, q), c)
-        for m, comp in enumerate(components) for w, c in comp.terms.items()))
+    blocks = _theta_blocks(q).__getitem__
+    x1 = shared_letters(q)[1, 1]
+    return first._reduced(
+        (_join((x1,) * m, tuple(itertools.chain.from_iterable(map(blocks, w)))), c)
+        for m, comp in enumerate(components) for w, c in comp.terms.items())
 
 
 def big_product_word(q: int) -> Word:
@@ -682,10 +720,13 @@ def big_product_word(q: int) -> Word:
 
 
 def omega_generator(ring, q: int, i: int, k: int, mode: str = "B") -> AlgebraElement:
-    """The element 1 - gamma^i (x_0 x_1 ... x_{q-1})^{q^k}."""
-    word = word_gamma(word_power(big_product_word(q), q ** k), i, q)
-    one = AlgebraElement.one(ring, q, mode)
-    return one - AlgebraElement.monomial(ring, q, word, mode=mode)
+    """The element 1 - gamma^i (x_0 x_1 ... x_{q-1})^{q^k}.  The power of
+    the rotated product of all letters is freely reduced, so the element
+    is built from its two terms with no letter read."""
+    check_alphabet(q)
+    word = word_gamma(big_product_word(q), i, q) * q ** k
+    return AlgebraElement(ring, q, mode, (((), ring.coerce(1)),
+                                          (word, ring.coerce(-1))), reduced=True)
 
 
 def omega_enumerate(ring, q: int, n: int, k_max: int, size_cap: int = 512,

@@ -45,6 +45,7 @@ from .words import (
     inverse,
     power,
     render_word,
+    shared_letters,
 )
 
 
@@ -563,12 +564,19 @@ def _letter_tables(q: int, images: tuple) -> tuple[dict, dict, _NormalForm]:
     position; and the word problem's normal form; for generator images
     given as ``(i, perm images, sections)`` triples.  Every recursion built
     from the same images shares them; they hold no word and no verdict,
-    only the letter tables and the permutation products asked for so far."""
+    only the letter tables and the permutation products asked for so far.
+    The sections are written in the alphabet's shared letters, so every
+    fold writes them too."""
+    shared = shared_letters(q).__getitem__
+
+    def interned(sections):
+        return tuple(tuple(map(shared, s)) for s in sections)
+
     letters = {}
     for i, perm, sections in images:
         inv = WreathElement(sections, Permutation(perm)).inverse()
-        letters[(i, 1)] = (perm, sections)
-        letters[(i, -1)] = (inv.perm.images, inv.sections)
+        letters[(i, 1)] = (perm, interned(sections))
+        letters[(i, -1)] = (inv.perm.images, interned(inv.sections))
     rows = {letter: tuple(zip(*table)) for letter, table in letters.items()}
     return letters, rows, _NormalForm(q, letters)
 

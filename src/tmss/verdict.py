@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     """A certified answer, or ``unknown`` with what stopped the search.
 

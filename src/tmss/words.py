@@ -8,6 +8,9 @@ endomorphism of the free group.  The rotation ``gamma`` sends ``x_i`` to
 ``x_{i+shift}`` and commutes with ``theta``.  Iterating ``theta`` on ``x_0``
 converges to an infinite fixed word; ``tm_prefix`` returns its prefixes, which
 for q = 2 form the Thue-Morse sequence.
+
+Each alphabet has one object per letter (``shared_letters``); ``theta`` and
+``gamma`` write those objects, and so do the elements of the algebra.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ def check_word(word: Word, q: int) -> Word:
     """Validate every letter of ``word`` against the alphabet size ``q``;
     the one letter check of the package."""
     for i, sign in word:
-        if not 0 <= i < q:
+        if not 0 <= i < q or i != int(i):
             raise InvalidLetterError(f"letter x{i} is outside x0..x{q - 1}")
         if sign not in (1, -1):
             raise ValueError(f"letter sign must be +1 or -1, got {sign}")
@@ -84,14 +87,44 @@ class LetterMap(dict):
 
 
 @lru_cache(maxsize=64)
+def shared_letters(q: int) -> LetterMap:
+    """The alphabet's one object for each letter, filled on first use.
+
+    A letter is checked (``check_word``) the first time it is looked up,
+    and maps to the normalized pair ``(int i, +1 or -1)``, so ``(0, True)``
+    enters as ``(0, 1)``.  Every map of this module and every element of
+    the algebra write these objects, so equal letters in their words are
+    one object and words compare letter by letter by identity.  The maps
+    of the last 64 alphabets used are kept; an alphabet whose map was
+    dropped gets new objects, which are still equal to the old ones."""
+    def normalized(letter: Letter) -> Letter:
+        (i, sign), = check_word((letter,), q)
+        return int(i), 1 if sign == 1 else -1
+    return LetterMap(normalized)
+
+
+@lru_cache(maxsize=64)
 def _theta_blocks(q: int) -> LetterMap:
-    """The block that ``theta`` writes for each letter."""
+    """The block that ``theta`` writes for each letter, of shared letters."""
+    shared = shared_letters(q)
+
     def block(letter: Letter) -> Word:
         i, sign = letter
         if sign == 1:
-            return tuple(((i + k) % q, 1) for k in range(q))
-        return tuple(((i + k) % q, -1) for k in range(q - 1, -1, -1))
+            return tuple(shared[(i + k) % q, 1] for k in range(q))
+        return tuple(shared[(i + k) % q, -1] for k in range(q - 1, -1, -1))
     return LetterMap(block)
+
+
+@lru_cache(maxsize=64)
+def _inverse_letters(q: int) -> LetterMap:
+    """The shared inverse of each letter."""
+    shared = shared_letters(q)
+
+    def inverted(letter: Letter) -> Letter:
+        i, sign = letter
+        return shared[i, -sign]
+    return LetterMap(inverted)
 
 
 def theta(word: Word, q: int) -> Word:
@@ -110,10 +143,12 @@ def theta_iter(word: Word, q: int, n: int) -> Word:
 
 @lru_cache(maxsize=256)
 def _gamma_letters(shift: int, q: int) -> LetterMap:
-    """The letter that ``gamma`` writes for each letter."""
+    """The shared letter that ``gamma`` writes for each letter."""
+    shared = shared_letters(q)
+
     def rotated(letter: Letter) -> Letter:
         i, sign = letter
-        return (i + shift) % q, sign
+        return shared[(i + shift) % q, sign]
     return LetterMap(rotated)
 
 

@@ -31,7 +31,7 @@ from tmss.algebra import (
 from tmss import algebra
 from tmss.group import WreathElement, WreathRecursion
 from tmss.verdict import Verdict
-from tmss.words import free_reduce, gamma, parse_word, theta
+from tmss.words import free_reduce, gamma, parse_word, shared_letters, theta
 
 
 def gen(q, i, ring=RATIONALS, mode="B"):
@@ -894,3 +894,96 @@ def test_collapsed_recursion_certificate_raises():
                            match="x2 and x1 have different images"):
             _collapsed_thue_morse.__wrapped__(3)
     assert _collapsed_thue_morse.__wrapped__(3).q == 3
+
+
+# -- the operations against the validating constructor ---------------------------
+
+
+@st.composite
+def operation_cases(draw):
+    """Two elements over a small pool of words, so that sums cancel and
+    products collide, in one of the algebras the operations serve."""
+    q = draw(st.integers(2, 5))
+    ring = draw(st.sampled_from((RATIONALS, INTEGERS, PrimeField(2),
+                                 PrimeField(3))))
+    mode = draw(st.sampled_from(("A", "B")))
+    sign = (1, -1) if mode == "B" else (1,)
+    letter = st.tuples(st.integers(0, q - 1), st.sampled_from(sign))
+    pool = draw(st.lists(st.lists(letter, max_size=4).map(tuple),
+                         min_size=1, max_size=4))
+    coeff = st.integers(-4, 4)
+    if ring == RATIONALS:
+        coeff = st.one_of(coeff, st.fractions(max_denominator=3))
+    terms = st.lists(st.tuples(st.sampled_from(pool), coeff), max_size=5)
+    a = AlgebraElement(ring, q, mode, draw(terms))
+    b = AlgebraElement(ring, q, mode, draw(terms))
+    return a, b, draw(st.integers(-3, 3))
+
+
+def _oracle(like, pairs):
+    return AlgebraElement(like.ring, like.q, like.mode, list(pairs))
+
+
+def _pairs(elem, factor=1):
+    return [(w, factor * c) for w, c in elem.terms.items()]
+
+
+@given(operation_cases())
+@settings(max_examples=300, deadline=None)
+def test_operations_match_the_validating_constructor(case):
+    a, b, k = case
+    ring, q, mode = a.ring, a.q, a.mode
+    products = [(wa + wb, ca * cb) for wa, ca in a.terms.items()
+                for wb, cb in b.terms.items()]
+    components = ([a, b] * q)[:q]
+    pinned = [
+        (a + b, _pairs(a) + _pairs(b)),
+        (a - b, _pairs(a) + _pairs(b, -1)),
+        (-a, _pairs(a, -1)),
+        (a * b, products),
+        (a.collapse_high_letters(),
+         [(tuple((min(i, 1), s) for i, s in w), c) for w, c in a.terms.items()]),
+        (a.gamma_map(k), [(gamma(w, k, q), c) for w, c in a.terms.items()]),
+        (sigma(*components), [(((1, 1),) * m + theta(w, q), c)
+                              for m, s in enumerate(components)
+                              for w, c in s.terms.items()]),
+    ]
+    pinned += [(a.scale(n), _pairs(a, n)) for n in range(-3, 4)]
+    if mode == "B":
+        pinned.append((a.star(), [(free_reduce(tuple((i, -s) for i, s in
+                                                     reversed(w))), c)
+                                  for w, c in a.terms.items()]))
+    power = _oracle(a, [((), 1)])
+    for n in range(3):
+        pinned.append((a ** n, list(power.terms.items())))
+        power = _oracle(a, [(wp + wa, cp * ca) for wp, cp in power.terms.items()
+                            for wa, ca in a.terms.items()])
+    level, shift = abs(k) % 3, k % q
+    pinned.append((omega_generator(ring, q, shift, level, mode),
+                   [((), 1), (gamma(big_product_word(q) * q ** level, shift, q), -1)]))
+    shared = shared_letters(q)
+    for built, pairs in pinned:
+        expected = _oracle(a, pairs)
+        assert _typed(built.terms.items()) == _typed(expected.terms.items())
+        # every letter of a built word is the alphabet's one shared letter
+        assert all(letter is shared[letter]
+                   for word in built.terms for letter in word)
+
+
+@pytest.mark.parametrize("ring", [RATIONALS, INTEGERS, PrimeField(2)])
+def test_letters_enter_as_shared_normalized_pairs(ring):
+    q = 3
+    elem = AlgebraElement.monomial(ring, q, ((0, True), (True, 1), (2, -1.0)))
+    (word,) = elem.terms
+    assert word == ((0, 1), (1, 1), (2, -1))
+    assert all(type(i) is int and type(sign) is int for i, sign in word)
+    assert all(letter is shared_letters(q)[letter] for letter in word)
+    # a letter first met as (0, True) is stored as (0, 1) too
+    fresh = shared_letters.__wrapped__(q)
+    assert [fresh[0, True], fresh[True, -1.0]] == [(0, 1), (1, -1)]
+    assert all(type(x) is int for letter in fresh.values() for x in letter)
+    # equal letters of separately built words are one object
+    other = parse_element("x1 x0", ring, q)
+    assert next(iter(other.terms))[1] is word[0]
+    with pytest.raises(ValueError, match="letter x1.5 is outside"):
+        AlgebraElement.monomial(ring, q, ((1.5, 1),))
