@@ -75,12 +75,6 @@ class Rationals:
     def coerce(self, x):
         return x if type(x) is Fraction else Fraction(x)
 
-    def parse(self, text: str):
-        return Fraction(text)
-
-    def render(self, x) -> str:
-        return str(x)
-
     def invert(self, x):
         return Fraction(1) / x
 
@@ -108,12 +102,6 @@ class Integers:
                 raise ValueError(f"{x} is not an integer")
             return x.numerator
         return int(x)
-
-    def parse(self, text: str):
-        return int(text)
-
-    def render(self, x) -> str:
-        return str(x)
 
     def invert(self, x):
         if x in (1, -1):
@@ -146,12 +134,6 @@ class PrimeField:
         if isinstance(x, Fraction):
             return self.coerce(x.numerator) * self.invert(self.coerce(x.denominator)) % self.p
         return int(x) % self.p
-
-    def parse(self, text: str):
-        return int(text) % self.p
-
-    def render(self, x) -> str:
-        return str(x % self.p)
 
     def invert(self, x):
         x %= self.p
@@ -413,9 +395,9 @@ class AlgebraElement:
             elif word and coeff == -1:
                 text = f"-{body}"
             elif word:
-                text = f"{self.ring.render(coeff)}*{body}"
+                text = f"{coeff}*{body}"
             else:
-                text = self.ring.render(coeff)
+                text = str(coeff)
             if not parts:
                 parts.append(text)
             elif text.startswith("-"):
@@ -432,7 +414,7 @@ class AlgebraElement:
             "mode": self.mode,
             "q": self.q,
             "ring": self.ring.name,
-            "terms": {render_word(w) if w else "1": self.ring.render(c)
+            "terms": {render_word(w) if w else "1": str(c)
                       for w, c in self.sorted_terms()},
         }
 
@@ -833,7 +815,7 @@ def parse_element(text: str, ring, q: int, mode: str = "B") -> AlgebraElement:
                 elif words:
                     raise ValueError(f"coefficient {tok!r} after letters")
                 else:
-                    coeff = coeff * ring.parse(tok)
+                    coeff = coeff * ring.coerce(tok)
             terms.append((tuple(itertools.chain.from_iterable(words)), coeff))
             sign = 1
     if not terms:

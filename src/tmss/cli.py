@@ -347,21 +347,10 @@ def _cmd_verify(args) -> int:
     tower = {"qs": (args.q,)} if "q" in args else {}
     if "kmax" in args:
         tower["k_max"] = args.kmax
-    if args.suite == "lemma-infinitesimal":
-        return _report([verification.check_tower_values(**tower),
-                        verification.check_base_values()])
-    if tower:
+    if tower and args.suite != "lemma-infinitesimal":
         raise ValueError("--q and --kmax are read only by lemma-infinitesimal")
-    if args.suite == "all":
-        return _report(verification.run_all())
-    if args.suite == "lemma-tm":
-        return _report([verification.check_substitution_diagonal()])
-    if args.suite == "lemma-additive":
-        return _report([verification.check_sigma_additivity()])
-    if args.suite == "presentation":
-        return _report([verification.check_word_problem(),
-                        verification.check_algebra_relations()])
-    return _report([verification.check_counting_defect()])  # "counting"
+    return _report([check(**tower) if check is verification.check_tower_values
+                    else check() for check in verification.SUITES[args.suite]])
 
 
 # -- parser -------------------------------------------------------------
@@ -475,9 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     verify = sub.add_parser("verify", help="replay the verification suite")
-    verify.add_argument("suite", choices=(
-        "all", "lemma-tm", "lemma-infinitesimal", "lemma-additive",
-        "presentation", "counting"))
+    verify.add_argument("suite", choices=tuple(verification.SUITES))
     verify.add_argument("--q", type=_q_from_flag, default=argparse.SUPPRESS,
                         help="one alphabet size (default 2, 3 and 5)")
     verify.add_argument("--kmax", default=argparse.SUPPRESS,

@@ -53,6 +53,10 @@ from .words import (
 # the letter loop is faster than folding through the root, at q = 2..5
 _POWER_MIN = 32
 
+# _root_length compares a candidate period this many letters at a time, so
+# that no copy it makes is longer than this
+_ROOT_BLOCK = 1 << 14
+
 
 @lru_cache(maxsize=1024)
 def _prime_factors(n: int) -> tuple[int, ...]:
@@ -78,13 +82,22 @@ def _root_length(word) -> int:
     With d a period of the word, a period p dividing d is a period of the
     whole word exactly when it is one of the prefix of length d, so each
     test compares inside the current period only: O(len(word)) per prime
-    factor of the length."""
+    factor of the length, ``_ROOT_BLOCK`` letters at a time."""
     n = d = len(word)
     for r in _prime_factors(n):
         while d % r == 0:
             p = d // r
-            # last letter of the period reject in O(1); then one slice compare
-            if word[p - 1] != word[d - 1] or word[p:d] != word[:d - p]:
+            # last letter of the period rejects in O(1); then word[p:d] is
+            # compared with word[:m] a block at a time: whole blocks while
+            # more than one is left (one that differs stops the loop short),
+            # then the rest up to m
+            if word[p - 1] != word[d - 1]:
+                break
+            i, m = 0, d - p
+            while m - i > _ROOT_BLOCK and (word[p + i:p + i + _ROOT_BLOCK]
+                                           == word[i:i + _ROOT_BLOCK]):
+                i += _ROOT_BLOCK
+            if m - i > _ROOT_BLOCK or word[p + i:d] != word[i:m]:
                 break
             d = p
     return d
@@ -647,11 +660,6 @@ class WreathRecursion:
         for i in range(1, q):
             images[i] = WreathElement(trivial, Permutation.transposition(q, 0, i))
         return cls(q, images)
-
-    @classmethod
-    def trivial(cls, q: int) -> "WreathRecursion":
-        el = WreathElement.identity(q)
-        return cls(q, {i: el for i in range(q)})
 
     def fold(self, word: Word) -> tuple[tuple[int, ...], tuple[Word, ...]]:
         """Root permutation images and freely reduced sections of ``word``.

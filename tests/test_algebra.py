@@ -537,7 +537,7 @@ def parse_element_by_split_and_repair(text, ring, q, mode="B"):
             elif seen_x:
                 raise ValueError(f"coefficient {tok!r} after letters")
             else:
-                coeff = coeff * ring.parse(tok)
+                coeff = coeff * ring.coerce(tok)
         terms.append((tuple(letters), coeff if sgn > 0 else -coeff))
     return AlgebraElement(ring, q, mode, terms)
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from tmss import cli
+from tmss import cli, verification
 from tmss.algebra import INTEGERS
 from tmss.cli import build_parser, main
 from tmss.group import NucleusResult, WreathRecursion
@@ -472,6 +472,25 @@ def test_verify_suite(capsys):
     lines = out.splitlines()
     assert all(line.startswith("PASS") for line in lines[:-1])
     assert lines[-1] == "2/2 checks passed"
+
+
+@pytest.mark.parametrize("suite, names", [
+    ("all", [name for name, _ in verification.ALL_CHECKS]),
+    ("lemma-tm", ["substitution-diagonal"]),
+    ("lemma-infinitesimal", ["tower-values", "base-values"]),
+    ("lemma-additive", ["sigma-additivity"]),
+    ("presentation", ["word-problem", "algebra-relations"]),
+    ("counting", ["counting-defect"]),
+])
+def test_each_verify_suite_runs_its_checks_in_table_order(capsys, suite, names):
+    registered = {check: name for name, check in verification.ALL_CHECKS}
+    assert [registered[check] for check in verification.SUITES[suite]] == names
+    code, out, _ = run(capsys, "verify", suite)
+    lines = out.splitlines()
+    assert code == 0
+    assert [line.split(":")[0] for line in lines[:-1]] == [
+        f"PASS {name}" for name in names]
+    assert lines[-1] == f"{len(names)}/{len(names)} checks passed"
 
 
 def tour_examples():

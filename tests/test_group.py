@@ -1,5 +1,6 @@
 """Wreath recursion engine: decomposition, action, word problem, nucleus."""
 
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -13,6 +14,7 @@ from tmss.group import (
     WreathElement,
     WreathRecursion,
     _expanded,
+    _prime_factors,
     _root_length,
     canonical,
 )
@@ -367,7 +369,12 @@ def _reaches_limit_classes(rec, word, reps, cap_nodes, cap_states):
     return limit
 
 
-ALL_PRESETS = PRESETS + (WreathRecursion.trivial,)
+def trivial_recursion(q: int) -> WreathRecursion:
+    """Every generator the identity: the nucleus is the one trivial class."""
+    return WreathRecursion(q, {i: WreathElement.identity(q) for i in range(q)})
+
+
+ALL_PRESETS = PRESETS + (trivial_recursion,)
 
 
 def _outcome(compute):
@@ -410,7 +417,7 @@ def test_limit_classes_match_the_reaches_oracle(preset, q, data):
 
 
 def test_trivial_recursion_nucleus():
-    rec = WreathRecursion.trivial(2)
+    rec = trivial_recursion(2)
     result = rec.nucleus()
     assert result.closed and result.representatives == ((),)
 
@@ -610,6 +617,57 @@ def periodic_words():
 @settings(max_examples=400, deadline=None)
 def test_root_length_matches_the_naive_oracle(word):
     assert _root_length(word) == _naive_root_length(word)
+
+
+def _sliced_root_length(word):
+    """The oracle for the block compare: ``_root_length`` as it was, with
+    one slice compare of the whole period."""
+    n = d = len(word)
+    for r in _prime_factors(n):
+        while d % r == 0:
+            p = d // r
+            if word[p - 1] != word[d - 1] or word[p:d] != word[:d - p]:
+                break
+            d = p
+    return d
+
+
+def last_letter_changed():
+    """Proper powers u^m whose last letter alone is changed."""
+    letter = st.sampled_from(((0, 1), (1, 1), (0, -1)))
+
+    @st.composite
+    def build(draw):
+        root = draw(st.lists(letter, min_size=1, max_size=5).map(tuple))
+        word = root * draw(st.integers(2, 12))
+        last = draw(letter.filter(lambda x: x != word[-1]))
+        return word[:-1] + (last,)
+    return build()
+
+
+@given(st.sampled_from((1, 2, 3)),
+       st.one_of(words(3, max_len=40), periodic_words(), last_letter_changed()))
+@settings(max_examples=400, deadline=None)
+def test_root_length_in_blocks_matches_one_slice_compare(block, word):
+    with mock.patch("tmss.group._ROOT_BLOCK", block):
+        assert _root_length(word) == _sliced_root_length(word)
+
+
+@pytest.mark.parametrize("changed", [False, True])
+def test_root_length_copies_no_long_slice(changed):
+    # the whole period's slices would be 2 x 2.8 MB here; a letter changed
+    # at a quarter of the word stops the compare in its first half
+    word = ((0, 1), (1, -1)) * 3 ** 11 * 2
+    if changed:
+        n = len(word) // 4
+        word = word[:n] + ((1, 1),) + word[n + 1:]
+    tracemalloc.start()
+    try:
+        assert _root_length(word) == (len(word) if changed else 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # -- closure key words: long proper powers as Power(root, m) -------------------
