@@ -16,7 +16,7 @@ matrix carries section a at row a, column perm(a).  Under this assignment
 Zero testing asks whether some iterate ``phi^n(s)`` is the literally zero
 matrix.  It walks the class graph of ``closure.Closure``, whose classes are
 the normalized keys of the entries (``_class_key``, with each long proper
-power held as a ``group.Power``), level by level and
+power held as a ``group.Power``), in one pass per level, and
 stops on an empty level (zero), on a nonzero scalar entry, which is a
 permanent obstruction (nonzero), or at the depth cap (unknown).
 ``contraction_depth`` walks the same graph.
@@ -38,12 +38,15 @@ from weakref import WeakKeyDictionary
 
 from .closure import Closure
 from .group import (
+    _POWER_MIN,
     Permutation,
     WreathElement,
     WreathRecursion,
     _held,
     _join,
+    _key_section,
     _Memo,
+    _root_length,
     canonical,
 )
 from .verdict import Verdict
@@ -521,6 +524,28 @@ def _cell_key(terms: list[tuple[Word, object]], ring) -> tuple:
     return tuple(items)
 
 
+def _collapsed_key(elem: AlgebraElement) -> tuple:
+    """``_class_key(elem.collapse_high_letters())``, read straight from the
+    terms of ``elem`` with no element built: each word is collapsed by
+    ``_collapsed_letters`` and freely reduced, but a proper power u^m of
+    at least ``_POWER_MIN`` letters is collapsed through u once and
+    rebuilt in canonical form by ``_key_section``, so a deep tower is not
+    rewritten letter by letter; equal words are summed and the lead is
+    normalized by ``_cell_key``.  () when the collapse is zero."""
+    collapsed = _collapsed_letters(elem.q).__getitem__
+    compact = elem.ring.compact
+    pairs = []
+    for word, coeff in elem.terms.items():
+        n = len(word)
+        if n >= _POWER_MIN and (d := _root_length(word)) < n:
+            root = free_reduce(tuple(map(collapsed, word[:d])))
+            word = _key_section(root, n // d, ())
+        else:
+            word = canonical(free_reduce(tuple(map(collapsed, word))))
+        pairs.append((word, compact(coeff)))
+    return _cell_key(pairs, elem.ring) if pairs else ()
+
+
 def _cell_children(key: tuple, fold, ring, weights=None) -> list:
     """The closure children of the class with key ``key`` (``_class_key``)
     under one decomposition step: a (key, weight, (row, column)) triple
@@ -635,16 +660,19 @@ def is_zero(s: AlgebraElement, cap_depth: int = 60) -> Verdict:
     """Decide whether some phi-iterate of ``s`` is the zero matrix.
 
     Walks the scaling classes of nonzero entries level by level, expanding
-    each class once.  An empty level certifies zero.  A nonzero scalar entry
-    certifies nonzero forever, with its first route as the witness, and
-    ends the walk before the rest of its level is expanded.  The depth cap
-    yields unknown.  The classes are keys, so the witness scalar is found
-    by following the route's cells from ``s``: the entry that first reached
-    each class on the route is the cell of the previous one.  The replay
-    carries the entry as unsummed ``(word, coefficient)`` pairs of
-    canonical words, which the walk has mostly folded already, and sums
-    the empty word's coefficients at the end; by linearity the other
-    words' coefficients cancel there.  It builds no element.
+    each class once, in one pass per level: each child is checked as it is
+    reached, and the next level collects the children in first-occurrence
+    order, with no multiplicities.  An empty level certifies zero.  A
+    nonzero scalar entry certifies nonzero forever, with its first route as
+    the witness, and ends the walk before the rest of its level is
+    expanded.  The depth cap yields unknown.  The classes are keys, so the
+    witness scalar is found by following the route's cells from ``s``: the
+    entry that first reached each class on the route is the cell of the
+    previous one.  The replay carries the entry as unsummed ``(word,
+    coefficient)`` pairs of canonical words, which the walk has mostly
+    folded already, and sums the empty word's coefficients at the end (a
+    lone one is the scalar as it stands); by linearity the other words'
+    coefficients cancel there.  It builds no element.
     """
     if s.is_zero_literal:
         return Verdict("zero", depth=0)
@@ -655,23 +683,30 @@ def is_zero(s: AlgebraElement, cap_depth: int = 60) -> Verdict:
     root = _class_key(s)
     # the root is not scalar, so every scalar entry has a route of its own
     closure = Closure(root, _class_children(root, rec, s.ring))
-    level = {0: 1}
+    expand, keys = closure.expand, closure.keys
+    level = (0,)
     for depth in range(1, cap_depth + 1):
+        grown: dict[int, None] = {}
         for idx in level:
-            for child in closure.expand(idx):
-                key = closure.keys[child]
+            for child in expand(idx):
+                if child in grown:
+                    continue
+                key = keys[child]
                 if len(key) == 1 and not key[0][0]:
                     route = closure.path(child)
                     pairs = [(canonical(w), c) for w, c in s.terms.items()]
                     for cell in route:
                         pairs = _grid(pairs, rec._fold_key)[cell]
-                    scalar = s.ring.coerce(sum(c for w, c in pairs if not w))
+                    scalars = [c for w, c in pairs if not w]
+                    scalar = (scalars[0] if len(scalars) == 1
+                              else s.ring.coerce(sum(scalars)))
                     rows, cols = zip(*route)
                     return Verdict("nonzero", depth=depth,
                                    witness=(rows, cols, scalar))
-        level = closure.step(level)
-        if not level:
+                grown[child] = None
+        if not grown:
             return Verdict("zero", depth=depth)
+        level = grown
     return Verdict.unknown(cap_depth, "cap_depth")
 
 

@@ -26,12 +26,15 @@ its normalized key (``algebra._class_key``), and every closure here reads
 the child keys of one decomposition step from ``algebra._class_children``
 (``_closure_value`` for both kinds of character), so no element is built
 per class; ``count_L`` walks the same class graph level by level with
-unit weights.  The children of every class below a closure's root are
-kept across calls, per recursion, ring and kernel, so related elements
-share the classes they have in common; the solve runs afresh on every
-call.  ``spread_char`` builds no kernel matrix: with no kernel every cell
-weighs 1, so its classes share their children with the zero test's.  No
-floating point is used anywhere in this module.
+unit weights, from a root key read collapsed from the element's terms,
+and stops at the first level whose classes are all countable, so any
+depth costs at most the levels before that one.  The children of every
+class below a closure's root are kept across calls, per recursion, ring
+and kernel, so related elements share the classes they have in common;
+the solve runs afresh on every call.  ``spread_char`` builds no kernel
+matrix: with no kernel every cell weighs 1, so its classes share their
+children with the zero test's.  No floating point is used anywhere in
+this module.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .algebra import (
     AlgebraElement,
     _class_children,
     _class_key,
+    _collapsed_key,
     _collapsed_thue_morse,
     _thue_morse,
     omega_generator,
@@ -265,32 +269,40 @@ def count_L(s: AlgebraElement, k: int, cap_classes: int = 10_000):
     scalar multiple of 1, x_0 or x_1, or an unknown Verdict when more than
     ``cap_classes`` classes are reached.
 
-    The multiset of entry scaling classes is evolved k steps without
-    materializing the q^k x q^k matrix; a class is expanded only once it
-    is reached.  Generators above index 1 are collapsed to x_1
-    throughout: ``s`` is collapsed once, and its entries are folded
-    through the Thue-Morse recursion on that quotient, so they come out
-    collapsed.  The identification is certified once per q by a zero
-    test on the differences x_i - x_1, whose matrix images coincide.
+    The multiset of entry scaling classes is evolved level by level
+    without materializing the q^k x q^k matrix; a class is expanded only
+    once it is reached.  Generators above index 1 are collapsed to x_1
+    throughout: the root key is read collapsed from the terms of ``s``
+    (``_collapsed_key``, which collapses a long power through its root),
+    and the entries are folded through the Thue-Morse recursion on that
+    quotient, so they come out collapsed.  The identification is
+    certified once per q by a zero test on the differences x_i - x_1,
+    whose matrix images coincide.
+
+    On that quotient a countable class c w (|w| <= 1) has exactly q
+    nonzero cells, each countable again, so the walk stops at the first
+    level t whose classes are all countable, and the count is their
+    summed multiplicity times q^(k - t).
     """
     if k < 0:
         raise ValueError("depth must be nonnegative")
     rec = _collapsed_thue_morse(s.q)
-    collapsed = s.collapse_high_letters()
-    if collapsed.is_zero_literal:
+    root = _collapsed_key(s)
+    if not root:
         return 0
-
-    root = _class_key(collapsed)
     try:
         closure = Closure(root, _class_children(root, rec, s.ring),
                           cap_classes)
+        keys = closure.keys
         counts: dict[int, int] = {0: 1}
-        for _ in range(k):
+        for t in range(k):
+            if all(_is_countable(keys[idx]) for idx in counts):
+                return sum(counts.values()) * s.q ** (k - t)
             counts = closure.step(counts)
     except ClassExplosionError:
         return Verdict.unknown(cap_classes, "cap_classes")
     return sum(multiplicity for idx, multiplicity in counts.items()
-               if _is_countable(closure.keys[idx]))
+               if _is_countable(keys[idx]))
 
 
 def growth_constant(s: AlgebraElement, k_min: int, k_max: int,

@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
 
@@ -106,7 +107,26 @@ def _kernel_from_flag(q: int, text: str) -> chars.Kernel:
     return chars.Kernel(json.loads(text))
 
 
-def _emit(args, payload, text: str) -> None:
+@contextmanager
+def _any_digits():
+    """Lift Python's limit on the digits of an int written as text, while
+    an exact answer is printed; input is still parsed under the limit.
+    Pythons without the limit (before 3.10.7) have nothing to lift."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+@_any_digits()
+def _emit(args, payload, text) -> None:
+    """Print ``payload`` as JSON with --json, else ``text``, which may be
+    any object, such as an exact count; integers of any size are written
+    out in full."""
     if args.json:
         print(json.dumps(payload, indent=2, default=str))
     else:
@@ -241,6 +261,7 @@ def _cmd_algebra(args) -> int:
 # -- character commands -------------------------------------------------------------
 
 
+@_any_digits()
 def _exactq_payload(args, value, info) -> tuple[dict, str]:
     if isinstance(value, Verdict):
         return {"verdict": str(value)}, str(value)
@@ -280,7 +301,7 @@ def _cmd_char(args) -> int:
     elif args.action == "count":
         count = chars.count_L(_parse_elem(args, args.elem), args.k,
                               cap_classes=args.cap_classes)
-        _emit(args, {"count": count}, str(count))
+        _emit(args, {"count": count}, count)
         return _verdict_exit(count)
     elif args.action == "growth":
         result = chars.growth_constant(
@@ -289,16 +310,18 @@ def _cmd_char(args) -> int:
         if isinstance(result, Verdict):
             return _emit_verdict(args, result)
         constant, stable = result
-        payload = {"constant": chars.render_exact(constant, args.q),
-                   "stable": stable}
+        with _any_digits():
+            payload = {"constant": chars.render_exact(constant, args.q),
+                       "stable": stable}
         _emit(args, payload, f"{payload['constant']} stable={stable}")
     elif args.action == "additivity":
         parts = [_parse_elem(args, text) for text in args.elems]
         report = chars.additivity_check(parts, cap_classes=args.cap_classes)
         if isinstance(report, Verdict):
             return _emit_verdict(args, report)
-        text = (f"sigma={report['sigma_value']} sum={report['component_sum']} "
-                f"additive={report['additive']}")
+        with _any_digits():
+            text = (f"sigma={report['sigma_value']} "
+                    f"sum={report['component_sum']} additive={report['additive']}")
         _emit(args, report, text)
         return 0 if report["additive"] else 1
     elif args.action == "witness":

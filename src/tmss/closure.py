@@ -90,42 +90,44 @@ class Closure:
     """
 
     def __init__(self, key, children, cap_classes: int | None = None):
+        if cap_classes is not None and cap_classes < 1:
+            raise ClassExplosionError(f"closure exceeded {cap_classes} classes")
         self._children = children
         self._cap = cap_classes
-        self._index: dict = {}
-        self.keys: list = []
-        self.depth: list[int] = []
-        self.parent: list[tuple[int, object] | None] = []
+        self._index: dict = {key: 0}
+        self.keys: list = [key]
+        self.depth: list[int] = [0]
+        self.parent: list[tuple[int, object] | None] = [None]
         self.edges: dict[int, dict | None] = {}
-        self._register(key, None)
-
-    def _register(self, key, parent: tuple[int, object] | None) -> int:
-        idx = self._index.get(key)
-        if idx is None:
-            idx = len(self.keys)
-            if self._cap is not None and idx >= self._cap:
-                raise ClassExplosionError(
-                    f"closure exceeded {self._cap} classes")
-            self._index[key] = idx
-            self.keys.append(key)
-            self.parent.append(parent)
-            self.depth.append(0 if parent is None
-                              else self.depth[parent[0]] + 1)
-        return idx
 
     def expand(self, idx: int) -> dict | None:
         """Class ``idx``'s children as {child index: summed weight}, in
-        first-occurrence order, or None for a base class."""
-        if idx not in self.edges:
-            out = self._children(self.keys[idx])
-            if out is not None:
-                edges: dict = {}
-                for key, weight, label in out:
-                    child = self._register(key, (idx, label))
-                    edges[child] = edges.get(child, 0) + weight
-                out = edges
-            self.edges[idx] = out
-        return self.edges[idx]
+        first-occurrence order, or None for a base class.  A child not
+        met before is registered here, with this class and its label as
+        its first parent."""
+        edges = self.edges
+        if idx in edges:
+            return edges[idx]
+        out = self._children(self.keys[idx])
+        if out is not None:
+            index, keys, cap = self._index, self.keys, self._cap
+            depth = self.depth[idx] + 1
+            grown: dict = {}
+            for key, weight, label in out:
+                child = index.get(key)
+                if child is None:
+                    child = len(keys)
+                    if cap is not None and child >= cap:
+                        raise ClassExplosionError(
+                            f"closure exceeded {cap} classes")
+                    index[key] = child
+                    keys.append(key)
+                    self.parent.append((idx, label))
+                    self.depth.append(depth)
+                grown[child] = grown.get(child, 0) + weight
+            out = grown
+        edges[idx] = out
+        return out
 
     def path(self, idx: int) -> list:
         """The labels along first parents from the root to class ``idx``."""
@@ -139,9 +141,11 @@ class Closure:
         """The next level of a walk by depth: every class of ``level``
         expanded, with its multiplicity times the edge weight summed per
         child, in first-occurrence order.  A base class has no children."""
+        edges = self.edges
         grown: dict[int, int] = {}
         for idx, multiplicity in level.items():
-            for child, weight in (self.expand(idx) or {}).items():
+            out = edges[idx] if idx in edges else self.expand(idx)
+            for child, weight in (out or {}).items():
                 grown[child] = grown.get(child, 0) + multiplicity * weight
         return grown
 

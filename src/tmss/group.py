@@ -571,27 +571,36 @@ class WreathElement:
 
 
 @lru_cache(maxsize=64)
-def _letter_tables(q: int, images: tuple) -> tuple[dict, dict, _NormalForm]:
-    """Root permutation images and sections per signed letter; per signed
-    letter, the row of (image, section) pairs that the fold reads at each
-    position; and the word problem's normal form; for generator images
-    given as ``(i, perm images, sections)`` triples.  Every recursion built
-    from the same images shares them; they hold no word and no verdict,
-    only the letter tables and the permutation products asked for so far.
-    The sections are written in the alphabet's shared letters, so every
-    fold writes them too."""
+def _letter_tables(q: int, images: tuple) -> tuple[dict, _NormalForm]:
+    """Per signed letter, the row of (image, section) pairs that the fold
+    reads at each position, and the word problem's normal form, for
+    generator images given as ``(i, perm images, sections)`` triples.
+    Every recursion built from the same images shares them; they hold no
+    word and no verdict, only the letter tables and the permutation
+    products asked for so far.  The sections are written in the
+    alphabet's shared letters, so every fold writes them too.  Generators
+    with equal images share one table and one row per sign, so
+    ``thue_morse(q)``, whose x_1..x_{q-1} are equal, costs O(q), not
+    O(q^2)."""
     shared = shared_letters(q).__getitem__
 
     def interned(sections):
         return tuple(tuple(map(shared, s)) for s in sections)
 
-    letters = {}
+    # per distinct (perm, sections): the tables of the image and of its
+    # inverse, then their rows
+    distinct: dict = {}
+    letters, rows = {}, {}
     for i, perm, sections in images:
-        inv = WreathElement(sections, Permutation(perm)).inverse()
-        letters[(i, 1)] = (perm, interned(sections))
-        letters[(i, -1)] = (inv.perm.images, interned(inv.sections))
-    rows = {letter: tuple(zip(*table)) for letter, table in letters.items()}
-    return letters, rows, _NormalForm(q, letters)
+        tables = distinct.get((perm, sections))
+        if tables is None:
+            inv = WreathElement(sections, Permutation(perm)).inverse()
+            plus = (perm, interned(sections))
+            minus = (inv.perm.images, interned(inv.sections))
+            tables = distinct[perm, sections] = (
+                plus, minus, tuple(zip(*plus)), tuple(zip(*minus)))
+        letters[i, 1], letters[i, -1], rows[i, 1], rows[i, -1] = tables
+    return rows, _NormalForm(q, letters)
 
 
 @dataclass(frozen=True)
@@ -612,18 +621,19 @@ class WreathRecursion:
         check_alphabet(q)
         if set(images) != set(range(q)):
             raise ValueError("need exactly one image per generator x0..x%d" % (q - 1))
-        for el in images.values():
-            if el.q != q:
-                raise ValueError("generator image arity differs from q")
-            for s in el.sections:
+        if any(el.q != q for el in images.values()):
+            raise ValueError("generator image arity differs from q")
+        # equal images are checked once; an inverse has sections as long
+        growth = 0
+        for sections in {el.sections for el in images.values()}:
+            for s in sections:
                 check_word(s, q)
+                growth = max(growth, len(s))
         self.q = q
-        letters, self._rows, self._nf = _letter_tables(q, tuple(
+        self._rows, self._nf = _letter_tables(q, tuple(
             (i, el.perm.images, el.sections) for i, el in sorted(images.items())))
         # a word shorter than this has only sections shorter than
         # _POWER_MIN, and no Power is this short
-        growth = max(len(s) for _, sections in letters.values()
-                     for s in sections)
         self._short = -(-_POWER_MIN // max(growth, 1))
         self._folds = _Memo()
         # always empty (is_trivial keeps no state); perfbench/tracer.py reads its size

@@ -13,7 +13,10 @@ from tmss.algebra import (
     AlgebraElement,
     PrimeField,
     UnsupportedModeError,
+    _class_children,
+    _class_key,
     _collapsed_thue_morse,
+    _grid,
     _phi_cells,
     _thue_morse,
     big_product_word,
@@ -29,7 +32,8 @@ from tmss.algebra import (
     sigma,
 )
 from tmss import algebra
-from tmss.group import WreathElement, WreathRecursion
+from tmss.closure import Closure
+from tmss.group import WreathElement, WreathRecursion, canonical
 from tmss.verdict import Verdict
 from tmss.words import free_reduce, gamma, parse_word, shared_letters, theta
 
@@ -687,6 +691,61 @@ def walk_inputs(draw):
 @settings(max_examples=300, deadline=None)
 def test_is_zero_matches_the_frontier_oracle(s, cap_depth):
     assert is_zero(s, cap_depth) == _frontier_is_zero(s, cap_depth)
+
+
+def _two_pass_is_zero(s, cap_depth=60):
+    """The oracle: ``is_zero`` as it walked each level twice, once to
+    expand every class and check each child, then again by ``Closure.step``
+    to build the next level with multiplicities that nothing reads."""
+    if s.is_zero_literal:
+        return Verdict("zero", depth=0)
+    if list(s.terms) == [()] and cap_depth >= 1:
+        return Verdict("nonzero", depth=1, witness=((0,), (0,), s.terms[()]))
+    rec = _thue_morse(s.q)
+    root = _class_key(s)
+    closure = Closure(root, _class_children(root, rec, s.ring))
+    level = {0: 1}
+    for depth in range(1, cap_depth + 1):
+        for idx in level:
+            for child in closure.expand(idx):
+                key = closure.keys[child]
+                if len(key) == 1 and not key[0][0]:
+                    route = closure.path(child)
+                    pairs = [(canonical(w), c) for w, c in s.terms.items()]
+                    for cell in route:
+                        pairs = _grid(pairs, rec._fold_key)[cell]
+                    scalar = s.ring.coerce(sum(c for w, c in pairs if not w))
+                    rows, cols = zip(*route)
+                    return Verdict("nonzero", depth=depth,
+                                   witness=(rows, cols, scalar))
+        level = closure.step(level)
+        if not level:
+            return Verdict("zero", depth=depth)
+    return Verdict.unknown(cap_depth, "cap_depth")
+
+
+@st.composite
+def relation_products(draw):
+    """a r b at q = 2 or 3, for a defining relation r of the algebra, which
+    vanish a few levels down, plus, half of the time, a small element."""
+    q = draw(st.sampled_from((2, 3)))
+    small = elements(q, max_terms=2, max_len=3).filter(lambda e: e.terms)
+    u = AlgebraElement.monomial(RATIONALS, q, ((0, 1), (1, -1)) * q)
+    v = AlgebraElement.monomial(RATIONALS, q, ((1, -1), (0, 1)) * q)
+    relation = draw(st.sampled_from(((u - one(q)) * (v - one(q)),
+                                     gen(q, 1) ** q - one(q))))
+    s = draw(small) * relation * draw(small)
+    return s + draw(small) if draw(st.booleans()) else s
+
+
+@given(st.one_of(walk_inputs(), relation_products()), st.integers(1, 8))
+@settings(max_examples=300, deadline=None)
+def test_is_zero_matches_the_two_pass_walk(s, cap_depth):
+    """One pass per level gives the state, depth and witness of two."""
+    verdict, expected = is_zero(s, cap_depth), _two_pass_is_zero(s, cap_depth)
+    assert (verdict.state, verdict.depth, verdict.witness) == (
+        expected.state, expected.depth, expected.witness)
+    assert verdict == expected
 
 
 @given(walk_inputs(), st.integers(0, 8))

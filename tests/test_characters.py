@@ -18,6 +18,7 @@ from tmss.algebra import (
     PrimeField,
     _cell_children,
     _class_key,
+    _collapsed_key,
     _collapsed_thue_morse,
     _phi_cells,
     _thue_morse,
@@ -594,7 +595,8 @@ def counting_cases(draw):
     letter = st.tuples(st.integers(0, q - 1), st.sampled_from(sign))
     word = st.lists(letter, max_size=4).map(tuple)
     terms = draw(st.lists(st.tuples(word, st.integers(-2, 2)), max_size=4))
-    return AlgebraElement(ring, q, mode, terms), draw(st.integers(0, 6))
+    # depths well past the level at which every class is countable
+    return AlgebraElement(ring, q, mode, terms), draw(st.integers(0, 40))
 
 
 @given(counting_cases())
@@ -607,9 +609,10 @@ def test_count_matches_collapsing_after_phi(case):
 @given(counting_cases(), st.integers(1, 40))
 @settings(max_examples=200, deadline=None)
 def test_count_at_a_cap_never_gives_a_different_number(case, cap):
-    """No class is registered for an entry that collapses to zero, so at
-    a cap the count may be a number where the old walk was unknown, but
-    never a different number."""
+    """No class is registered for an entry that collapses to zero, nor
+    below the first level whose classes are all countable, so at a cap
+    the count may be a number where the old walk was unknown, but never a
+    different number."""
     s, k = case
     count = count_L(s, k, cap_classes=cap)
     oracle = _count_collapsing_after_phi(s, k, cap_classes=cap)
@@ -617,6 +620,18 @@ def test_count_at_a_cap_never_gives_a_different_number(case, cap):
         assert count == oracle == Verdict.unknown(cap, "cap_classes")
     elif not isinstance(oracle, Verdict):
         assert count == oracle
+
+
+def test_count_at_a_large_depth_takes_a_few_steps():
+    # x0 is countable at level 0 and the tower element a few levels down,
+    # after which every level has q times the count of the one before
+    k = 10 ** 5
+    s = tower(2, 1)
+    with mock.patch.object(Closure, "step", autospec=True,
+                           side_effect=Closure.step) as step:
+        assert count_L(gen(2, 0), k) == 2 ** k
+        assert count_L(s, k) == 2 ** k * spread_char(s)
+    assert step.call_count <= 5
 
 
 def test_count_drops_the_class_of_an_entry_that_collapses_to_zero():
@@ -644,12 +659,16 @@ def test_count_certifies_the_collapse_once_per_q():
 
 
 def test_count_collapses_only_the_root():
+    """The root key is collapsed from the terms of ``s``: no
+    ``collapse_high_letters`` call and no element is built."""
     s = sigma(one(3), gen(3, 2) - gen(3, 1), one(3) - gen(3, 0) ** 3)
-    original = AlgebraElement.collapse_high_letters
-    with mock.patch.object(AlgebraElement, "collapse_high_letters",
-                           autospec=True, side_effect=original) as spy:
+    _collapsed_thue_morse(3)  # its certificate builds elements, once per q
+    init = AlgebraElement.__init__
+    with mock.patch.object(AlgebraElement, "collapse_high_letters") as collapse, \
+            mock.patch.object(AlgebraElement, "__init__", autospec=True,
+                              side_effect=init) as built:
         count = count_L(s, 5)
-    assert spy.call_count == 1
+    assert collapse.call_count == built.call_count == 0
     assert count == _count_collapsing_after_phi(s, 5)
 
 
@@ -1023,7 +1042,8 @@ def _tuple_path():
     """The oracle: every closure on tuple words, with the root key's words
     as they are and every word folded by ``rec.fold``, once per recursion,
     from empty memos and leaving them empty; yields the (recursion, word)
-    pairs folded, as they are folded."""
+    pairs folded, as they are folded.  ``count_L``'s root is the key of
+    the collapsed element, whose words stay tuples too."""
     folded = {}
 
     def tuple_fold(rec, word):
@@ -1035,6 +1055,8 @@ def _tuple_path():
     try:
         with mock.patch.object(algebra, "canonical", lambda word: word), \
                 mock.patch.object(characters, "canonical", lambda word: word), \
+                mock.patch.object(characters, "_collapsed_key", lambda s: (
+                    _class_key(s.collapse_high_letters()))), \
                 mock.patch.object(WreathRecursion, "_fold_key", tuple_fold):
             yield folded
     finally:
@@ -1121,6 +1143,62 @@ def test_power_keys_match_the_tuple_path(case):
                    for key in closure for w, _ in key)
     assert all(canonical(_expanded(w)) == w for closure in keys
                for key in closure for w, _ in key)
+
+
+@st.composite
+def collapsing_powers(draw):
+    """An element at q = 3..5 whose long powers have roots mostly in
+    x_1..x_{q-1}, so that the collapse x_i -> x_1 shortens a root, makes
+    it a power or not cyclically reduced, or cancels it, as it does
+    (x2 x1^-1)^m; bare, conjugated or followed by a tail, beside short
+    words."""
+    q = draw(st.integers(3, 5))
+    ring = draw(st.sampled_from((RATIONALS, INTEGERS, PrimeField(2),
+                                 PrimeField(3))))
+    sign = st.sampled_from((1, -1))
+    letter = st.one_of(st.tuples(st.integers(1, q - 1), sign),
+                       st.tuples(st.integers(0, q - 1), sign))
+    short = st.lists(letter, max_size=3).map(tuple)
+    root = st.one_of(st.lists(letter, min_size=1, max_size=4).map(tuple),
+                     st.sampled_from((((2, 1), (1, -1)), ((1, 1), (2, -1)),
+                                      ((2, 1), (0, 1), (1, -1)))))
+    m = st.integers(2, 5 ** 4)
+    # an edge is empty two times in three, so about half the powers are bare
+    edge = st.one_of(st.just(()), st.just(()), short)
+    long_word = st.builds(lambda t, u, m, tail: t + u * m + tail + tuple(
+        (i, -e) for i, e in reversed(t)), edge, root, m, edge)
+    terms = draw(st.lists(st.tuples(st.one_of(short, long_word, long_word),
+                                    st.integers(-3, 3)), max_size=4))
+    return AlgebraElement(ring, q, "B", terms)
+
+
+def _typed_key(key):
+    return [(w, type(c), c) for w, c in key]
+
+
+@given(st.one_of(power_cases().map(lambda case: case[0]), collapsing_powers()))
+@settings(max_examples=300, deadline=None)
+def test_collapsed_root_key_is_the_key_of_the_collapse(s):
+    """``count_L``'s root key, read from the terms of ``s``, is the class
+    key of ``s.collapse_high_letters()``: the same canonical words, a
+    ``Power`` where that has one, and the same coefficients and types."""
+    assert _typed_key(_collapsed_key(s)) == _typed_key(
+        _class_key(s.collapse_high_letters()))
+
+
+@pytest.mark.parametrize("q, word", [
+    (3, ((2, 1), (1, -1)) * 40),
+    (4, ((0, 1),) + ((3, 1), (1, -1), (2, 1)) * 27 + ((0, -1),)),
+    (5, ((2, 1), (4, 1)) * 5 ** 4),
+], ids=["cancels", "conjugated", "becomes a power"])
+def test_collapsed_root_key_of_long_powers(q, word):
+    s = one(q) - AlgebraElement.monomial(RATIONALS, q, word)
+    key = _collapsed_key(s)
+    assert key == _class_key(s.collapse_high_letters())
+    if q == 3:  # x2 x1^-1 collapses to 1, and 1 - 1 is zero
+        assert key == () and count_L(s, 4) == 0
+    if q == 5:
+        assert key[1][0] == Power(((1, 1),), 2 * 5 ** 4)
 
 
 def _tower_cases():

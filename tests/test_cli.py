@@ -5,6 +5,7 @@ import importlib.metadata as md
 import json
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -223,6 +224,35 @@ def test_char_group(capsys):
 def test_char_count(capsys):
     code, out, _ = run(capsys, "char", "count", "1 - x0", "3")
     assert code == 0 and out == "16"
+
+
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+def test_char_count_prints_counts_of_any_size(capsys, flags):
+    # every entry of phi^15000(x0) is countable, and 2^15000 has 4,516
+    # digits, past Python's default limit of 4,300 for int-to-text
+    code, out, err = run(capsys, "char", "count", "x0", "15000", "--q", "2",
+                         *flags)
+    assert code == 0 and err == ""
+    if _DIGIT_LIMIT:
+        sys.set_int_max_str_digits(0)
+    try:
+        count = json.loads(out)["count"] if flags else int(out)
+    finally:
+        if _DIGIT_LIMIT:
+            sys.set_int_max_str_digits(_DIGIT_LIMIT)
+    assert count == 2 ** 15000
+    # the limit is lifted for the output only
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == _DIGIT_LIMIT
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="this Python has no digit limit")
+def test_char_count_parses_its_input_under_the_digit_limit(capsys):
+    code, out, err = run(capsys, "char", "count", "1" * (_DIGIT_LIMIT + 1)
+                         + " x0", "3")
+    assert code == 1 and out == "" and "limit" in err
 
 
 def test_char_growth(capsys):

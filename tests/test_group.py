@@ -6,6 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tmss import group
 from tmss.algebra import _collapsed_thue_morse
 from tmss.group import (
     _POWER_MIN,
@@ -999,6 +1000,30 @@ def test_recursions_with_equal_images_share_their_letter_tables():
     assert WreathRecursion(3, images)._rows is rows
     assert WreathRecursion.thue_morse(3)._rows is rows
     assert WreathRecursion.inverted_variant(3)._rows is not rows
+
+
+def test_letters_with_equal_images_share_one_row():
+    rows = WreathRecursion.thue_morse(5)._rows
+    for sign in (1, -1):
+        assert all(rows[i, sign] is rows[1, sign] for i in range(2, 5))
+    assert rows[0, 1] is not rows[1, 1] and rows[1, 1] is not rows[1, -1]
+    # the inverted variant's x_i differ in their transpositions
+    rows = WreathRecursion.inverted_variant(5)._rows
+    assert len({id(rows[i, 1]) for i in range(5)}) == 5
+
+
+def test_thue_morse_at_a_large_alphabet_holds_linear_tables():
+    # one (image, section) row per sign for x_1..x_999, not one per letter:
+    # 166 MB of tables by tracemalloc when each letter had its own
+    group._letter_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        rec = WreathRecursion.thue_morse(1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+    assert rec.fold(((999, 1), (0, -1))) == rec.fold(((1, 1), (0, -1)))
 
 
 @given(st.sampled_from((4, 5)), st.data())
