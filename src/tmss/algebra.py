@@ -22,10 +22,12 @@ permanent obstruction (nonzero), or at the depth cap (unknown).
 ``contraction_depth`` walks the same graph.
 
 Related elements, such as those of the sigma tower, share most classes
-below their roots, so the children of every class below a closure's root
-(``_class_children``) and the fold of every key word
-(``WreathRecursion._fold_key``) are kept across calls, in memos bounded by
-the letters they hold (``group._Memo``).
+below their roots.  So every class key is numbered once, in a class table
+per recursion, ring and kernel (``_ClassTable``), which also keeps the
+children of every class below a closure's root as ids
+(``_class_children``); the closures walk the ids.  The fold of every key
+word (``WreathRecursion._fold_key``) is kept in a memo (``group._Memo``).
+Both are kept across calls and bounded by the letters they hold.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from weakref import WeakKeyDictionary
 
+from . import group
 from .closure import Closure
 from .group import (
     _POWER_MIN,
@@ -45,7 +48,6 @@ from .group import (
     _held,
     _join,
     _key_section,
-    _Memo,
     _root_length,
     canonical,
 )
@@ -54,11 +56,11 @@ from .words import (
     LetterMap,
     Word,
     _inverse_letters,
+    _parse_token,
     _theta_blocks,
     check_alphabet,
     free_reduce,
     gamma as word_gamma,
-    parse_word,
     render_word,
     shared_letters,
 )
@@ -223,11 +225,11 @@ class AlgebraElement:
             self.terms = out = {}
             repeated = set()
             for word, coeff in terms:
-                if word in out:
-                    out[word] += coeff
+                n = len(out)
+                first = out.setdefault(word, coeff)  # a new word is hashed once
+                if len(out) == n:
+                    out[word] = first + coeff
                     repeated.add(word)
-                else:
-                    out[word] = coeff
             for word in repeated:
                 if (coeff := ring.coerce(out[word])) != 0:
                     out[word] = coeff
@@ -531,17 +533,23 @@ def _collapsed_key(elem: AlgebraElement) -> tuple:
     at least ``_POWER_MIN`` letters is collapsed through u once and
     rebuilt in canonical form by ``_key_section``, so a deep tower is not
     rewritten letter by letter; equal words are summed and the lead is
-    normalized by ``_cell_key``.  () when the collapse is zero."""
+    normalized by ``_cell_key``.  () when the collapse is zero.  A word
+    of the element is freely reduced already, so one that the collapse
+    leaves as it is, as every word at q = 2, is not reduced again."""
     collapsed = _collapsed_letters(elem.q).__getitem__
+
+    def collapse(word):
+        out = tuple(map(collapsed, word))
+        return word if out == word else free_reduce(out)
+
     compact = elem.ring.compact
     pairs = []
     for word, coeff in elem.terms.items():
         n = len(word)
         if n >= _POWER_MIN and (d := _root_length(word)) < n:
-            root = free_reduce(tuple(map(collapsed, word[:d])))
-            word = _key_section(root, n // d, ())
+            word = _key_section(collapse(word[:d]), n // d, ())
         else:
-            word = canonical(free_reduce(tuple(map(collapsed, word))))
+            word = canonical(collapse(word))
         pairs.append((word, compact(coeff)))
     return _cell_key(pairs, elem.ring) if pairs else ()
 
@@ -570,39 +578,93 @@ def _cell_children(key: tuple, fold, ring, weights=None) -> list:
     return out
 
 
-# the children memos of ``_class_children``, per recursion, which they do
-# not keep alive, and per (ring, weights)
+class _ClassTable:
+    """The classes of the closures of one (recursion, ring, kernel), each
+    numbered once (hash-consing: Filliâtre and Conchon, "Type-safe modular
+    hash-consing", ML Workshop 2006).  ``ids`` maps a class key to its id,
+    ``keys`` lists the keys by id, and ``children`` lists by id the
+    children of a class below some closure's root, as a tuple of (child
+    id, weight, (row, column)) triples, or None where none are stored.
+    Most triples and key pairs recur under many classes (a scalar or a
+    letter reached at the same cell, a term of many keys), so ``parts``
+    keeps one object for each distinct triple and ``(word, coefficient)``
+    pair, which every stored tuple and key shares.
+
+    A closure hashes its root's key to find its id; any other key is
+    hashed only when the children of a class are computed, so a walk over
+    stored children reads ids alone.  The table holds each key's
+    ``_held`` letters once, in ``letters``.  A table that holds more than
+    ``group._MEMO_LETTERS`` letters leaves ``_CHILDREN``: the call in
+    flight keeps it and its ids, and the next call starts a new one."""
+
+    __slots__ = ("ids", "keys", "children", "parts", "letters", "_home",
+                 "_slot")
+
+    def __init__(self, home: dict, slot):
+        self.ids: dict = {}
+        self.keys: list = []
+        self.children: list = []
+        self.parts: dict = {}
+        self.letters = 0
+        self._home, self._slot = home, slot
+        home[slot] = self
+
+    def id(self, key: tuple) -> int:
+        """The id of the class with key ``key``, numbered on first use."""
+        cid = self.ids.get(key)
+        if cid is None:
+            share = self.parts.setdefault
+            key = tuple([share(pair, pair) for pair in key])
+            cid = self.ids[key] = len(self.keys)
+            self.keys.append(key)
+            self.children.append(None)
+            self.letters += sum(_held(w) for w, _ in key)
+            if (self.letters > group._MEMO_LETTERS
+                    and self._home.get(self._slot) is self):
+                del self._home[self._slot]
+        return cid
+
+
+# the class tables of ``_class_children``, per recursion, which they do not
+# keep alive, and per (ring, weights)
 _CHILDREN: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def _class_children(root: tuple, rec: WreathRecursion, ring, weights=None):
-    """The child map of a closure from the class key ``root``: the
-    ``_cell_children`` of a class key, as a tuple, with the fold of ``rec``
-    (``WreathRecursion._fold_key``, which keeps its folds across calls).
+    """The class table of (``rec``, ``ring``, ``weights``), the id of the
+    class key ``root`` in it, and the child map of a closure from there on
+    ids: the ``_cell_children`` of a class, with the fold of ``rec``
+    (``WreathRecursion._fold_key``, which keeps its folds across calls)
+    and every child key replaced by its id.
 
     Related elements share most classes below their roots, so the children
-    of every class but the root are kept across calls, in one ``_Memo`` per
+    of every class but the root are kept across calls, in the table of
     (``rec``, ``ring``, ``weights``): a key equal as a tuple has other
-    children over another ring or kernel.  The root's children are not
-    kept, so a repeated query does not become a cached answer."""
-    memos = _CHILDREN.get(rec)
-    if memos is None:
-        memos = _CHILDREN[rec] = {}
-    memo = memos.get((ring, weights))
-    if memo is None:
-        memo = memos[ring, weights] = _Memo()
+    children over another ring or kernel.  The root is numbered like any
+    other class, so a root that its closure reaches again is one class,
+    but its children are not kept, so a repeated query does not become a
+    cached answer."""
+    tables = _CHILDREN.get(rec)
+    if tables is None:
+        tables = _CHILDREN[rec] = {}
+    table = tables.get((ring, weights))
+    if table is None:
+        table = _ClassTable(tables, (ring, weights))
+    root_id = table.id(root)
+    keys, stored, number = table.keys, table.children, table.id
+    shared = table.parts.setdefault
     fold = rec._fold_key
 
-    def children(key: tuple) -> tuple:
-        out = memo.get(key)
+    def children(cid: int) -> tuple:
+        out = stored[cid]
         if out is None:
-            out = tuple(_cell_children(key, fold, ring, weights))
-            if key is not root:
-                memo.keep(key, out, sum(_held(w) for w, _ in key) + sum(
-                    _held(w) for child, _, _ in out for w, _ in child))
+            out = tuple([(number(child), weight, cell) for child, weight, cell
+                         in _cell_children(keys[cid], fold, ring, weights)])
+            if cid != root_id:
+                stored[cid] = out = tuple([shared(t, t) for t in out])
         return out
 
-    return children
+    return table, root_id, children
 
 
 # -- matrices ---------------------------------------------------------------
@@ -665,10 +727,10 @@ def is_zero(s: AlgebraElement, cap_depth: int = 60) -> Verdict:
     order, with no multiplicities.  An empty level certifies zero.  A
     nonzero scalar entry certifies nonzero forever, with its first route as
     the witness, and ends the walk before the rest of its level is
-    expanded.  The depth cap yields unknown.  The classes are keys, so the
-    witness scalar is found by following the route's cells from ``s``: the
-    entry that first reached each class on the route is the cell of the
-    previous one.  The replay carries the entry as unsummed ``(word,
+    expanded.  The depth cap yields unknown.  The classes are the ids of
+    keys, so the witness scalar is found by following the route's cells
+    from ``s``: the entry that first reached each class on the route is
+    the cell of the previous one.  The replay carries the entry as unsummed ``(word,
     coefficient)`` pairs of canonical words, which the walk has mostly
     folded already, and sums the empty word's coefficients at the end (a
     lone one is the scalar as it stands); by linearity the other words'
@@ -680,10 +742,10 @@ def is_zero(s: AlgebraElement, cap_depth: int = 60) -> Verdict:
         # phi(c) is c times the identity matrix, with entry c at (0, 0)
         return Verdict("nonzero", depth=1, witness=((0,), (0,), s.terms[()]))
     rec = _thue_morse(s.q)
-    root = _class_key(s)
+    table, root, children = _class_children(_class_key(s), rec, s.ring)
     # the root is not scalar, so every scalar entry has a route of its own
-    closure = Closure(root, _class_children(root, rec, s.ring))
-    expand, keys = closure.expand, closure.keys
+    closure = Closure(root, children, table=table)
+    expand, key_of = closure.expand, closure.key
     level = (0,)
     for depth in range(1, cap_depth + 1):
         grown: dict[int, None] = {}
@@ -691,7 +753,7 @@ def is_zero(s: AlgebraElement, cap_depth: int = 60) -> Verdict:
             for child in expand(idx):
                 if child in grown:
                     continue
-                key = keys[child]
+                key = key_of(child)
                 if len(key) == 1 and not key[0][0]:
                     route = closure.path(child)
                     pairs = [(canonical(w), c) for w, c in s.terms.items()]
@@ -785,11 +847,12 @@ def omega_enumerate(ring, q: int, n: int, k_max: int, size_cap: int = 512,
 def contraction_depth(s: AlgebraElement, cap_depth: int = 12):
     """Least n with every entry of phi^n(s) in the span of 1 and single
     generators, or an unknown Verdict past the cap."""
-    root = _class_key(s)
-    closure = Closure(root, _class_children(root, _thue_morse(s.q), s.ring))
+    table, root, children = _class_children(_class_key(s), _thue_morse(s.q),
+                                            s.ring)
+    closure = Closure(root, children, table=table)
     level = {0: 1}
     for depth in range(cap_depth + 1):
-        if all(len(word) <= 1 for idx in level for word, _ in closure.keys[idx]):
+        if all(len(word) <= 1 for idx in level for word, _ in closure.key(idx)):
             return depth
         level = closure.step(level)
     return Verdict.unknown(cap_depth, "cap_depth")
@@ -828,31 +891,53 @@ def parse_element(text: str, ring, q: int, mode: str = "B") -> AlgebraElement:
     is coefficients, which multiply, followed by ``parse_word`` tokens,
     with no coefficient after an ``x`` token; ``*`` reads as a space
     outside an exponent, and an exponent may stand apart from its ``^``,
-    as in ``x1^ -1``."""
+    as in ``x1^ -1``.
+
+    A term's tokens are merged as (letter, exponent) runs, cancelling at
+    the seams, so its word is freely reduced as it is read; it is written
+    out once, in shared letters, and the element takes it as it stands.
+    A power token such as ``x0^1953125`` is thus never read letter by
+    letter.  In mode A a negative exponent raises UnsupportedModeError."""
     check_alphabet(q)
     if starred := _STARRED_EXPONENT.search(text):
         raise ValueError(f"'*' between '^' and its exponent in {starred[0]!r}")
     pieces = _TERM_SIGN.split(_EXPONENT.sub(r"^\1", text.replace("*", " ")))
     if len(pieces) > 1 and not pieces[-1].split():
         raise ValueError("trailing sign without a term")
-    terms: list[tuple[Word, object]] = []
-    sign = 1
+    terms: list[tuple[list[tuple[int, int]], object]] = []
+    negative, sign = False, 1
     for n, piece in enumerate(pieces):
         if n % 2:  # a sign
             sign = -sign if piece == "-" else sign
         elif tokens := piece.split():
-            coeff, words = ring.coerce(sign), []
+            coeff, runs, lettered = ring.coerce(sign), [], False
             for tok in tokens:
                 if tok == "1":  # the empty word
                     continue
                 if tok.startswith("x"):
-                    words.append(parse_word(tok, q))
-                elif words:
+                    i, exponent = _parse_token(tok, q)
+                    lettered, negative = True, negative or exponent < 0
+                    if runs and runs[-1][0] == i:
+                        exponent += runs.pop()[1]
+                    if exponent:
+                        runs.append((i, exponent))
+                elif lettered:
                     raise ValueError(f"coefficient {tok!r} after letters")
                 else:
                     coeff = coeff * ring.coerce(tok)
-            terms.append((tuple(itertools.chain.from_iterable(words)), coeff))
+            terms.append((runs, coeff))
             sign = 1
     if not terms:
         raise ValueError("empty element")
-    return AlgebraElement(ring, q, mode, terms)
+    if negative and mode == "A":
+        raise UnsupportedModeError("mode A admits positive letters only")
+    shared = shared_letters(q)
+
+    def word(runs) -> Word:
+        blocks = [(shared[i, 1 if e > 0 else -1],) * abs(e) for i, e in runs]
+        return blocks[0] if len(blocks) == 1 else tuple(
+            itertools.chain.from_iterable(blocks))
+
+    return AlgebraElement(ring, q, mode, (
+        (word(runs), c) for runs, coeff in terms
+        if (c := ring.coerce(coeff)) != 0), reduced=True)

@@ -22,13 +22,14 @@ Fraction, integral or not.  A group word w is the monomial with key
 and the empty word is the scalar base class.
 
 The class graph and its solve live in ``closure.Closure``.  A class is
-its normalized key (``algebra._class_key``), and every closure here reads
-the child keys of one decomposition step from ``algebra._class_children``
-(``_closure_value`` for both kinds of character), so no element is built
-per class; ``count_L`` walks the same class graph level by level with
-unit weights, from a root key read collapsed from the element's terms,
-and stops at the first level whose classes are all countable, so any
-depth costs at most the levels before that one.  The children of every
+its normalized key (``algebra._class_key``), numbered once in a class
+table, and every closure here walks the ids of the children of one
+decomposition step from ``algebra._class_children`` (``_closure_value``
+for both kinds of character), so no element is built per class;
+``count_L`` walks the same class graph level by level with unit weights,
+from a root key read collapsed from the element's terms, and stops at the
+first level whose classes are all countable, so any depth costs at most
+the levels before that one.  The class tables and the children of every
 class below a closure's root are kept across calls, per recursion, ring
 and kernel, so related elements share the classes they have in common;
 the solve runs afresh on every call.  ``spread_char`` builds no kernel
@@ -184,15 +185,18 @@ def _closure_value(root, rec, ring, weights, monomial_base: bool,
     if not root:
         info = {"classes_used": 0, "depth": 0, "largest_component": 0}
         return (Fraction(0), info) if with_info else Fraction(0)
-    cells = _class_children(root, rec, ring, weights)
+    table, root, cells = _class_children(root, rec, ring, weights)
+    keys = table.keys
 
-    def children(key: tuple):
+    def children(cid: int):
+        key = keys[cid]
         if len(key) == 1 and (monomial_base or not key[0][0]):
             return None
-        return cells(key)
+        return cells(cid)
 
     try:
-        value, info = Closure(root, children, cap_classes).solve(rec.q)
+        closure = Closure(root, children, cap_classes, table=table)
+        value, info = closure.solve(rec.q)
     except ClassExplosionError:
         value, info = Verdict.unknown(cap_classes, "cap_classes"), None
     return (value, info) if with_info else value
@@ -290,19 +294,18 @@ def count_L(s: AlgebraElement, k: int, cap_classes: int = 10_000):
     root = _collapsed_key(s)
     if not root:
         return 0
+    table, root, children = _class_children(root, rec, s.ring)
     try:
-        closure = Closure(root, _class_children(root, rec, s.ring),
-                          cap_classes)
-        keys = closure.keys
+        closure = Closure(root, children, cap_classes, table=table)
         counts: dict[int, int] = {0: 1}
         for t in range(k):
-            if all(_is_countable(keys[idx]) for idx in counts):
+            if all(_is_countable(closure.key(idx)) for idx in counts):
                 return sum(counts.values()) * s.q ** (k - t)
             counts = closure.step(counts)
     except ClassExplosionError:
         return Verdict.unknown(cap_classes, "cap_classes")
     return sum(multiplicity for idx, multiplicity in counts.items()
-               if _is_countable(keys[idx]))
+               if _is_countable(closure.key(idx)))
 
 
 def growth_constant(s: AlgebraElement, k_min: int, k_max: int,

@@ -2,14 +2,17 @@
 
 An object is decomposed one level, its pieces are identified up to a key
 (the normalized key of a scaling class, a nucleus representative), and
-each class is decomposed once.  A class is its key: the child map reads
-a class's key and names each child by its key.  A scaling class's key is
-the ``key()`` of its element once each ``group.Power`` in it, a long
-proper power held as its root and exponent, is expanded.  ``Closure``
-keeps the classes with their first parent, the weighted edges, a level
-step, the strongly connected components and the exact solve over them.  The
-characters, the zero test, the contraction depth, the counting of ``L``
-and the nucleus limit classes all walk it.
+each class is decomposed once.  The child map names a class and each of
+its children by a key.  A nucleus representative is its own key.  A
+scaling class is numbered once in a class table (``algebra._ClassTable``)
+and named by that small int, its id, so that no walk hashes a class key
+again; the table reads the key back where a walk looks at its shape.  A
+scaling class's key is the ``key()`` of its element once each
+``group.Power`` in it, a long proper power held as its root and exponent,
+is expanded.  ``Closure`` keeps the classes with their first parent, the
+weighted edges, a level step, the strongly connected components and the
+exact solve over them.  The characters, the zero test, the contraction
+depth, the counting of ``L`` and the nucleus limit classes all walk it.
 """
 
 from __future__ import annotations
@@ -86,14 +89,18 @@ class Closure:
     returns None for a base class or an iterable of (key, weight, label)
     triples, and ``expand`` calls it at most once per class.  A
     class keeps the class and label it was first reached from, so ``path``
-    reads back a route from the root.
+    reads back a route from the root.  When the keys are the ids of a
+    class table, ``table`` is that table, and ``key`` reads a class's key
+    back from it.
     """
 
-    def __init__(self, key, children, cap_classes: int | None = None):
+    def __init__(self, key, children, cap_classes: int | None = None,
+                 table=None):
         if cap_classes is not None and cap_classes < 1:
             raise ClassExplosionError(f"closure exceeded {cap_classes} classes")
         self._children = children
         self._cap = cap_classes
+        self.table = table
         self._index: dict = {key: 0}
         self.keys: list = [key]
         self.depth: list[int] = [0]
@@ -128,6 +135,11 @@ class Closure:
             out = grown
         edges[idx] = out
         return out
+
+    def key(self, idx: int):
+        """The key of class ``idx``, read back from the table if there is one."""
+        key = self.keys[idx]
+        return key if self.table is None else self.table.keys[key]
 
     def path(self, idx: int) -> list:
         """The labels along first parents from the root to class ``idx``."""

@@ -175,7 +175,8 @@ def canonical(word):
     return _power_key(word, 1)
 
 
-# the most letters that one memo of the closures holds (``_Memo``)
+# the most letters that one memo of the closures holds: a fold memo
+# (``_Memo``) or a class table (``algebra._ClassTable``)
 _MEMO_LETTERS = 1 << 18
 
 
@@ -186,18 +187,24 @@ def _held(word) -> int:
 
 class _Memo(dict):
     """Results of a pure function of closure key words, kept across calls:
-    the folds of one recursion, or the children of the classes of one
-    (recursion, ring, kernel).  It holds at most ``_MEMO_LETTERS`` letters,
+    the folds of one recursion.  It holds at most ``_MEMO_LETTERS`` letters,
     each result counted as the ``_held`` letters of its key and its value.
     A result larger than the bound is not kept, and one that would pass
     the bound empties the memo first.  The values are shared with every
-    caller, so they are immutable."""
+    caller, so they are immutable.  Folds of related words have equal
+    parts (a permutation, a section), so ``parts`` keeps one object for
+    each distinct part of the results kept, until the memo is emptied."""
 
-    __slots__ = ("letters",)
+    __slots__ = ("letters", "parts")
 
     def __init__(self):
         super().__init__()
         self.letters = 0
+        self.parts: dict = {}
+
+    def share(self, part):
+        """The one object kept for ``part``: ``part`` itself if it is new."""
+        return self.parts.setdefault(part, part)
 
     def keep(self, key, value, letters: int):
         """Remember ``value`` for ``key``, counted as ``letters``; return it."""
@@ -210,6 +217,7 @@ class _Memo(dict):
 
     def clear(self) -> None:
         super().clear()
+        self.parts.clear()
         self.letters = 0
 
 
@@ -750,7 +758,8 @@ class WreathRecursion:
         section of ``_POWER_MIN`` letters goes straight to the letter loop.
 
         Related closures share most of their words, so every fold is kept
-        across calls in the recursion's memo ``_folds`` (``_Memo``).
+        across calls in the recursion's memo ``_folds`` (``_Memo``), with
+        equal permutations and sections shared.
         """
         out = self._folds.get(word)
         if out is not None:
@@ -762,8 +771,11 @@ class WreathRecursion:
         else:
             images, sections = self._fold_letters(word)
             out = images, tuple(map(canonical, sections))
-        return self._folds.keep(word, out,
-                                _held(word) + sum(map(_held, out[1])))
+        letters = _held(word) + sum(map(_held, out[1]))
+        if letters <= _MEMO_LETTERS:  # a fold that is kept shares its parts
+            share = self._folds.share
+            out = share(out[0]), tuple(map(share, out[1]))
+        return self._folds.keep(word, out, letters)
 
     def decompose(self, word: Word) -> WreathElement:
         images, sections = self.fold(word)

@@ -16,6 +16,7 @@ Each alphabet has one object per letter (``shared_letters``); ``theta`` and
 from __future__ import annotations
 
 import re
+import sys
 from functools import lru_cache
 from itertools import chain
 
@@ -181,23 +182,30 @@ def tm_prefix(q: int, n: int) -> tuple[int, ...]:
 _TOKEN = re.compile(r"^x(\d+)(?:\^(-?\d+))?$")
 
 
+def _parse_token(tok: str, q: int) -> tuple[int, int]:
+    """The letter index and the signed exponent of one ``parse_word`` token
+    other than ``"1"``, such as ``"x1^-3"``; ValueError for a malformed
+    token, a letter outside the alphabet or an exponent too large for a
+    word to hold."""
+    m = _TOKEN.match(tok)
+    if m is None:
+        raise ValueError(f"cannot parse word token {tok!r}")
+    i = int(m.group(1))
+    check_word(((i, 1),), q)
+    exponent = int(m.group(2)) if m.group(2) is not None else 1
+    if abs(exponent) > sys.maxsize:
+        raise ValueError(f"exponent of word token {tok!r} is too large")
+    return i, exponent
+
+
 def parse_word(text: str, q: int) -> Word:
     """Parse ``"x0 x1^-1 x2"`` style input; ``"1"`` stands for the empty word."""
     check_alphabet(q)
     out: list[Letter] = []
     for tok in text.split():
-        if tok == "1":
-            continue
-        m = _TOKEN.match(tok)
-        if m is None:
-            raise ValueError(f"cannot parse word token {tok!r}")
-        exponent = int(m.group(2)) if m.group(2) is not None else 1
-        letter = (int(m.group(1)), 1 if exponent >= 0 else -1)
-        try:
-            out.extend(check_word((letter,), q) * abs(exponent))
-        except OverflowError:
-            raise ValueError(
-                f"exponent of word token {tok!r} is too large") from None
+        if tok != "1":
+            i, exponent = _parse_token(tok, q)
+            out.extend(((i, 1 if exponent >= 0 else -1),) * abs(exponent))
     return tuple(out)
 
 

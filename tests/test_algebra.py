@@ -573,6 +573,65 @@ def test_parse_element_matches_the_split_and_repair_oracle(q, ring, mode, text):
         assert parse_element(text, ring, q, mode) == expected
 
 
+@st.composite
+def token_texts(draw):
+    """Terms of a leading coefficient or none and ``parse_word`` tokens,
+    joined by ``+`` and ``-``: letters mostly x0 and x1 with exponents of
+    both signs, so that runs of one letter meet and cancel at the seams
+    (``x0^3 x0^-3 x1``), the token ``1``, ``x0^0``, and x3, which is
+    outside q = 2, 3."""
+    power = st.builds("x{}^{}".format, st.sampled_from((0, 0, 0, 1, 1, 2, 3)),
+                      st.integers(-3, 3))
+    token = st.one_of(power, st.sampled_from(("1", "x0", "x1", "x0^-1")))
+    term = st.tuples(st.sampled_from(("", "", "2", "1/2", "0", "3")),
+                     st.lists(token, max_size=6)).filter(any)
+    terms = draw(st.lists(st.tuples(st.sampled_from("+-"), term), min_size=1,
+                          max_size=4))
+    return " ".join(f"{sign} {coeff} {' '.join(tokens)}"
+                    for sign, (coeff, tokens) in terms), terms
+
+
+def _parse_by_words(terms, ring, q, mode):
+    """``parse_element``'s oracle on ``token_texts``: every term's tokens
+    read by ``parse_word`` and its letters handed to the validating
+    constructor."""
+    pairs = []
+    for sign, (coeff, tokens) in terms:
+        c = ring.coerce(-1 if sign == "-" else 1)
+        if coeff:
+            c = c * ring.coerce(coeff)
+        pairs.append((parse_word(" ".join(tokens), q), c))
+    return AlgebraElement(ring, q, mode, pairs)
+
+
+@given(st.sampled_from((2, 3)),
+       st.sampled_from((RATIONALS, INTEGERS, PrimeField(3))),
+       st.sampled_from("AB"), token_texts())
+@settings(max_examples=600, deadline=None)
+def test_parse_element_matches_the_validating_constructor(q, ring, mode, case):
+    text, terms = case
+    try:
+        expected = _parse_by_words(terms, ring, q, mode)
+    except ValueError as fault:
+        with pytest.raises(type(fault)):
+            parse_element(text, ring, q, mode)
+        return
+    s = parse_element(text, ring, q, mode)
+    assert s == expected
+    shared = shared_letters(q)
+    assert all(letter is shared[letter] for word in s.terms for letter in word)
+
+
+def test_parse_element_cancels_runs_at_the_seams():
+    q = 3
+    assert parse_element("x0^3 x0^-3 x1", RATIONALS, q) == gen(q, 1)
+    assert parse_element("x1 x0^2 1 x0^-1 x0^-1 x1^-1", RATIONALS, q) == one(q)
+    assert parse_element("2 x0^2 x1^0 x0 - x0^3", RATIONALS, q) == (
+        AlgebraElement.monomial(RATIONALS, q, ((0, 1),) * 3))
+    with pytest.raises(UnsupportedModeError):
+        parse_element("x0^3 x0^-3", RATIONALS, q, "A")
+
+
 @given(st.sampled_from((2, 3)), st.data())
 def test_render_parse_roundtrip(q, data):
     s = data.draw(elements(q))
@@ -702,13 +761,13 @@ def _two_pass_is_zero(s, cap_depth=60):
     if list(s.terms) == [()] and cap_depth >= 1:
         return Verdict("nonzero", depth=1, witness=((0,), (0,), s.terms[()]))
     rec = _thue_morse(s.q)
-    root = _class_key(s)
-    closure = Closure(root, _class_children(root, rec, s.ring))
+    table, root, children = _class_children(_class_key(s), rec, s.ring)
+    closure = Closure(root, children, table=table)
     level = {0: 1}
     for depth in range(1, cap_depth + 1):
         for idx in level:
             for child in closure.expand(idx):
-                key = closure.keys[child]
+                key = closure.key(child)
                 if len(key) == 1 and not key[0][0]:
                     route = closure.path(child)
                     pairs = [(canonical(w), c) for w, c in s.terms.items()]

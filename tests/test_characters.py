@@ -850,10 +850,15 @@ def _empty_memos():
     algebra._CHILDREN.clear()
 
 
+def _class_keys(closure):
+    """The key of every class of ``closure``, in index order."""
+    return [closure.key(idx) for idx in range(len(closure.keys))]
+
+
 def _expanded_words(closures):
     """The class keys of ``closures`` whose children were read, and the
     words of those keys."""
-    keys = {closure.keys[idx] for closure in closures
+    keys = {closure.key(idx) for closure in closures
             for idx, edges in closure.edges.items() if edges is not None}
     return keys, {word for key in keys for word, _ in key}
 
@@ -1117,7 +1122,7 @@ def _results_and_keys(s, kernel, rec, word):
                 rec, word, kernel, cap_classes=2_000, with_info=True)),
             count_L(s, 3, cap_classes=2_000), count_L(s, 6, cap_classes=2_000),
             contraction_depth(s, 8), is_zero(s, 30)]
-    return results, [closure.keys for closure in seen], seen
+    return results, [_class_keys(closure) for closure in seen], seen
 
 
 def _expanded_keys(closures):
@@ -1232,7 +1237,7 @@ def test_deep_towers_stay_compressed(s, value, word):
             assert is_zero(s).state == "nonzero"
     assert read  # the counter ran
     classes = sum(len(closure.keys) for closure in seen)
-    long_words = [w for closure in seen for key in closure.keys
+    long_words = [w for closure in seen for key in _class_keys(closure)
                   for w, _ in key if len(w) >= _POWER_MIN]
     assert long_words and all(type(w) is Power for w in long_words)
     assert len(read) <= classes and max(read) < _POWER_MIN
@@ -1291,11 +1296,11 @@ def memo_sessions(draw):
 
 def _outcome(compute):
     """The result of ``compute``, with a SingularSystemError as a result,
-    and the class keys of every closure it built.  A Verdict compares its
-    state, depth and witness."""
+    and the class keys of every closure it built, not their ids.  A
+    Verdict compares its state, depth and witness."""
     with _recorded_keys() as seen:
         result = _value_or_singular(compute)
-    return result, [closure.keys for closure in seen]
+    return result, [_class_keys(closure) for closure in seen]
 
 
 def _session_outcome(session, call):
@@ -1356,18 +1361,32 @@ def _word_letters(word):
 
 
 def _memos():
-    """Every fold memo and children memo that a closure has used, with its
+    """Every fold memo and class table that a closure has used, with its
     letters counted afresh: a fold memo holds a word and its sections, a
-    children memo a key and its children's keys."""
+    class table each of its keys once.  A table numbers each key once, by
+    its index in ``keys``, and stores children as tuples of those ids.
+    The parts that a memo or table shares are parts of what it keeps, so
+    its bound covers them."""
     out = []
-    for rec, memos in algebra._CHILDREN.items():
-        out.append((rec._folds, sum(
+    for rec, tables in algebra._CHILDREN.items():
+        folds = rec._folds
+        assert set(folds.parts) <= {part for images, sections in folds.values()
+                                    for part in (images, *sections)}
+        out.append((folds, sum(
             _word_letters(word) + sum(map(_word_letters, sections))
-            for word, (_, sections) in rec._folds.items())))
-        out += [(memo, sum(
-            sum(_word_letters(w) for w, _ in key) + sum(
-                _word_letters(w) for child, _, _ in children for w, _ in child)
-            for key, children in memo.items())) for memo in memos.values()]
+            for word, (_, sections) in folds.items())))
+        for table in tables.values():
+            n = len(table.keys)
+            assert table.ids == {key: cid for cid, key in enumerate(table.keys)}
+            stored = [triple for children in table.children
+                      if children is not None for triple in children]
+            assert len(table.children) == n
+            assert all(type(child) is int and 0 <= child < n
+                       for child, _, _ in stored)
+            assert set(table.parts) <= set(stored) | {
+                pair for key in table.keys for pair in key}
+            out.append((table, sum(_word_letters(w) for key in table.keys
+                                   for w, _ in key)))
     return out
 
 
@@ -1391,18 +1410,85 @@ def test_memos_hold_their_bound_and_keep_the_results():
     _empty_memos()
 
 
+@pytest.mark.parametrize("bound", [6, 12, 24])
+def test_a_table_that_passes_its_bound_in_a_call_keeps_the_results(bound):
+    """A table that passes the bound while a closure walks it leaves
+    ``_CHILDREN`` and still serves that closure; the results are those of
+    empty tables, and every table left holds at most the bound after every
+    call."""
+    elems = omega_enumerate(RATIONALS, 2, 1, 1, size_cap=8)
+    calls = [f for s in elems for f in (
+        lambda s=s: is_zero(s), lambda s=s: count_L(s, 5),
+        lambda s=s: contraction_depth(s),
+        lambda s=s: spread_char(s, with_info=True))]
+    expected = []
+    for f in calls:
+        _empty_memos()
+        expected.append(_outcome(f))
+    _empty_memos()
+    number = algebra._ClassTable.id
+    in_call = []  # whether a closure was built when a table was detached
+    seen = []
+
+    def numbering(table, key):
+        attached = table._home.get(table._slot) is table
+        cid = number(table, key)
+        if attached and table._home.get(table._slot) is not table:
+            in_call.append(bool(seen))
+        return cid
+
+    with mock.patch.object(group, "_MEMO_LETTERS", bound), \
+            mock.patch.object(algebra._ClassTable, "id", numbering):
+        for f, result in zip(calls, expected):
+            with _recorded_keys() as seen:
+                outcome = _value_or_singular(f)
+            assert (outcome, [_class_keys(c) for c in seen]) == result
+            for memo, letters in _memos():
+                assert memo.letters == letters <= bound
+    assert True in in_call
+    _empty_memos()
+
+
 def test_roots_stay_out_of_the_children_memos():
-    # a repeated query computes its root again: no memo holds an answer
+    # a repeated query computes its root again: no root has stored children
     s = tower(3, 2)
     roots = {_class_key(s), _class_key(s.collapse_high_letters())}
     _empty_memos()
     is_zero(s), contraction_depth(s), count_L(s, 4), spread_char(s)
     algebra_char(s, Kernel.identity(3))
-    memos = [memo for memos in algebra._CHILDREN.values()
-             for memo in memos.values()]
-    # the spread character shares the zero test's memo, keyed (ring, None)
-    assert len(memos) == 3 and all(memos)
-    assert not any(root in memo for memo in memos for root in roots)
+    tables = [table for tables in algebra._CHILDREN.values()
+              for table in tables.values()]
+    # the spread character shares the zero test's table, keyed (ring, None)
+    assert len(tables) == 3 and all(any(table.children) for table in tables)
+    numbered = [(table, table.ids[root]) for table in tables for root in roots
+                if root in table.ids]
+    assert len(numbered) == 3
+    assert all(table.children[cid] is None for table, cid in numbered)
+
+
+def test_a_root_that_its_closure_reaches_is_one_class():
+    """x0 at q = 2 is its own entry at (0, 1): the root and that entry are
+    one class, from empty tables and from filled ones.  ``count_L`` counts
+    x0 at its root, which is countable, so its closure is the root alone."""
+    x0 = gen(2, 0)
+    calls = (lambda: is_zero(x0),
+             lambda: algebra_char(x0, Kernel.ones(2), with_info=True),
+             lambda: group_char(_thue_morse(2), ((0, 1),), Kernel.ones(2),
+                                with_info=True),
+             lambda: count_L(x0, 6))
+    _empty_memos()
+    for _ in range(2):
+        results = []
+        for f in calls:
+            with _recorded_keys() as seen:
+                results.append(f())
+            closure, = seen
+            keys = _class_keys(closure)
+            assert len(set(keys)) == len(keys) and keys[0] == _class_key(x0)
+            assert len(keys) == 1 or 0 in closure.edges[0]
+        info = {"classes_used": 3, "depth": 2, "largest_component": 1}
+        assert results == [Verdict("nonzero", depth=2, witness=((1, 0), (0, 1), 1)),
+                           (1, info), (1, info), 2 ** 6]
 
 
 def test_memos_do_not_keep_a_recursion_alive():
