@@ -23,7 +23,6 @@ from .algebra import (
     omega_enumerate,
     omega_generator,
     parse_element,
-    phi,
     phi_iterate,
     row_col_bound_profile,
     sigma,

@@ -696,10 +696,6 @@ def mat_to_json(m: Matrix) -> list[list[str]]:
     return [[e.render() for e in row] for row in m]
 
 
-def phi(s: AlgebraElement) -> Matrix:
-    return s.phi()
-
-
 def phi_iterate(s: AlgebraElement, n: int) -> dict[tuple[int, int], AlgebraElement]:
     """Sparse q^n x q^n matrix of phi^n(s), keyed by (row, column) index.
 

@@ -512,7 +512,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, OverflowError) as exc:  # bad or oversize input
+    except (ValueError, OverflowError, RecursionError) as exc:
+        # bad, oversize or too deep input (a portrait recurses per level)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ZeroDivisionError as exc:

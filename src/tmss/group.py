@@ -264,19 +264,15 @@ def _join(left: Word, right: Word) -> Word:
     return left[:len(left) - i] + right[i:]
 
 
-def _power_section(product: Word, laps: int, tail: Word) -> Word:
-    """A strand's section of a proper power: ``product^laps`` followed by
-    ``tail``, both freely reduced, as a freely reduced tuple."""
-    return _join(_reduced_power(product, laps), tail)
-
-
 def _key_section(product: Word, laps: int, tail: Word):
-    """``_power_section`` in its canonical form, with no materialized power
-    when ``product`` is cyclically reduced and ``tail`` is empty."""
+    """A strand's section of a proper power, ``product^laps`` followed by
+    ``tail`` (both freely reduced), in its canonical form, with no
+    materialized power when ``product`` is cyclically reduced and ``tail``
+    is empty."""
     if (not tail and product and (product[0][0] != product[-1][0]
                                   or product[0][1] != -product[-1][1])):
         return _power_key(product, laps)
-    return canonical(_power_section(product, laps, tail))
+    return canonical(_join(_reduced_power(product, laps), tail))
 
 
 class _Row(dict):
@@ -549,10 +545,6 @@ class WreathElement:
         if len(self.sections) != len(self.perm.images):
             raise ValueError("need one section per point of the permutation")
 
-    @staticmethod
-    def identity(q: int) -> "WreathElement":
-        return WreathElement(((),) * q, Permutation.identity(q))
-
     @property
     def q(self) -> int:
         return len(self.sections)
@@ -680,30 +672,19 @@ class WreathRecursion:
         return cls(q, images)
 
     def fold(self, word: Word) -> tuple[tuple[int, ...], tuple[Word, ...]]:
-        """Root permutation images and freely reduced sections of ``word``.
-
-        A proper power ``u^m`` of at least ``_POWER_MIN`` letters is
-        folded through its primitive root: ``u`` is read by the letter loop
-        once, and strand a's section of ``u^m`` is built from the cycle of
-        ``perm(u)`` through a.  With L the cycle length and C the product
-        of u's sections around it, the section is ``C^(m // L)`` followed
-        by the first ``m % L`` factors of C.  For bounded images that costs
-        O(q * |u|) to read u and O(q) of u's sections per strand, plus the
-        output; finding u costs a C-speed comparison of the word per
-        prime factor of its length.  Other words are read by the letter
-        loop ``_fold_letters`` in O(q * len(word)).
-        """
-        n = len(word)
-        if n >= _POWER_MIN:
-            d = _root_length(word)
-            if d < n:
-                return self._fold_power(word[:d], n // d)
-        return self._fold_letters(word)
+        """Root permutation images and freely reduced sections of ``word``:
+        ``_fold_key`` of its canonical form, with the sections written out.
+        So a proper power u^m of at least ``_POWER_MIN`` letters is found
+        by a C-speed comparison per prime factor of its length and folded
+        through u (``_fold_power``); other words are read by the letter
+        loop ``_fold_letters`` in O(q * len(word))."""
+        images, sections = self._fold_key(canonical(word))
+        return images, tuple(map(_expanded, sections))
 
     def _fold_letters(self, word: Word) -> tuple[tuple[int, ...], tuple[Word, ...]]:
-        """``fold`` strand by strand: strand a follows the rows of the
-        word's letters from a, each row giving the next position and the
-        section read there, and collects its section on a stack that
+        """The fold of ``word`` strand by strand: strand a follows the rows
+        of the word's letters from a, each row giving the next position and
+        the section read there, and collects its section on a stack that
         cancels on push.  The stack holds the generator sections' own
         letter objects, so no letter is built."""
         rows = self._rows
@@ -728,12 +709,14 @@ class WreathRecursion:
             out.append(tuple(stack))
         return tuple(perm), tuple(out)
 
-    def _fold_power(self, root: Word, m: int, section=_power_section
-                    ) -> tuple[tuple[int, ...], tuple]:
-        """``fold(root * m)`` from one fold of ``root``, cycle by cycle of
-        its root permutation: strand a's section is ``section(C, laps,
-        tail)``, with C the product of root's sections around the cycle
-        from a, laps its full turns and tail the leftover factors."""
+    def _fold_power(self, root: Word, m: int) -> tuple[tuple[int, ...], tuple]:
+        """The fold of ``root * m`` from one fold of ``root``, cycle by
+        cycle of its root permutation.  With L the cycle length and C the
+        product of root's sections around the cycle from strand a, a's
+        section is ``C^(m // L)`` followed by the first ``m % L`` factors
+        of C (``_key_section``).  For bounded images that costs O(q *
+        |root|) to read root and O(q) of its sections per strand, plus the
+        output."""
         images, sections = self._fold_letters(root)
         q = self.q
         perm: list[int] = [-1] * q
@@ -743,12 +726,12 @@ class WreathRecursion:
             for i, a in enumerate(cycle):
                 perm[a] = cycle[(i + m) % len(cycle)]
                 order = cycle[i:] + cycle[:i]
-                out[a] = section(_product(sections, order), laps,
-                                 _product(sections, order[:rest]))
+                out[a] = _key_section(_product(sections, order), laps,
+                                      _product(sections, order[:rest]))
         return tuple(perm), tuple(out)
 
     def _fold_key(self, word) -> tuple[tuple[int, ...], tuple]:
-        """``fold`` on the canonical words of closure keys (``canonical``),
+        """The fold of a canonical word of a closure key (``canonical``),
         with the sections in canonical form too.  A ``Power`` is folded
         through its root, and a section that is a power of a cyclically
         reduced cycle product is a ``Power`` built from that product, so a
@@ -767,7 +750,7 @@ class WreathRecursion:
         if len(word) < self._short:
             out = self._fold_letters(word)
         elif type(word) is Power:
-            out = self._fold_power(word.root, word.m, _key_section)
+            out = self._fold_power(word.root, word.m)
         else:
             images, sections = self._fold_letters(word)
             out = images, tuple(map(canonical, sections))
@@ -864,13 +847,11 @@ class WreathRecursion:
         while queue and visited < cap_states:
             path, w = queue.popleft()
             visited += 1
-            el = self.decompose(w)
-            if not el.perm.is_identity:
-                a = min(a for a in range(self.q) if el.perm(a) != a)
-                return path + (a,)
-            for a in range(self.q):
-                if el.sections[a]:
-                    queue.append((path + (a,), el.sections[a]))
+            images, sections = self.fold(w)
+            moved = [a for a, b in enumerate(images) if b != a]
+            if moved:
+                return path + (moved[0],)
+            queue.extend((path + (a,), s) for a, s in enumerate(sections) if s)
         return None
 
     def boundedness_profile(self, word: Word, depth: int,
@@ -886,15 +867,15 @@ class WreathRecursion:
             counts.append(len(alive))
             if n == depth:
                 break
-            level = [s for w in alive for s in self.decompose(w).sections]
+            level = [s for w in alive for s in self.fold(w)[1]]
         return tuple(counts)
 
     def portrait(self, word: Word, depth: int) -> dict:
         """Depth-truncated tree of root permutations of all sections."""
-        el = self.decompose(word)
-        node: dict = {"perm": list(el.perm.images)}
+        images, sections = self.fold(word)
+        node: dict = {"perm": list(images)}
         if depth > 0:
-            node["children"] = [self.portrait(s, depth - 1) for s in el.sections]
+            node["children"] = [self.portrait(s, depth - 1) for s in sections]
         return node
 
     # -- nucleus ---------------------------------------------------------
@@ -923,7 +904,7 @@ class WreathRecursion:
         section graph of ``word``: everything reachable from a cycle."""
         def children(u: Word):
             sections = [self._canonical(s, reps, cap_states)
-                        for s in self.decompose(u).sections]
+                        for s in self.fold(u)[1]]
             return [(s, 1, a) for a, s in enumerate(sections)]
 
         graph = Closure(self._canonical(word, reps, cap_states), children,

@@ -2,11 +2,13 @@
 
 import re
 from fractions import Fraction
+from functools import partial
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import strategies
 from tmss.algebra import (
     INTEGERS,
     RATIONALS,
@@ -26,14 +28,13 @@ from tmss.algebra import (
     omega_enumerate,
     omega_generator,
     parse_element,
-    phi,
     phi_iterate,
     row_col_bound_profile,
     sigma,
 )
 from tmss import algebra
 from tmss.closure import Closure
-from tmss.group import WreathElement, WreathRecursion, canonical
+from tmss.group import Permutation, WreathElement, WreathRecursion, canonical
 from tmss.verdict import Verdict
 from tmss.words import free_reduce, gamma, parse_word, shared_letters, theta
 
@@ -46,13 +47,7 @@ def one(q, ring=RATIONALS, mode="B"):
     return AlgebraElement.one(ring, q, mode=mode)
 
 
-def elements(q, max_terms=3, max_len=4, mode="B", ring=RATIONALS):
-    sign = (1, -1) if mode == "B" else (1,)
-    letter = st.tuples(st.integers(0, q - 1), st.sampled_from(sign))
-    word = st.lists(letter, max_size=max_len).map(tuple)
-    term = st.tuples(word, st.integers(-3, 3))
-    return st.lists(term, max_size=max_terms).map(
-        lambda terms: AlgebraElement(ring, q, mode, terms))
+elements = partial(strategies.elements, max_terms=3, max_len=4, coeff=3)
 
 
 # -- ring scaffolding ----------------------------------------------------------
@@ -119,7 +114,7 @@ def test_constructor_reduces_sums_of_reduced_words_in_the_ring():
 
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_phi_of_x0(q):
-    block = phi(gen(q, 0))
+    block = gen(q, 0).phi()
     for a in range(q):
         for b in range(q):
             entry = block[a][b]
@@ -132,7 +127,7 @@ def test_phi_of_x0(q):
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_phi_of_high_generators(q):
     for i in range(1, q):
-        block = phi(gen(q, i))
+        block = gen(q, i).phi()
         for a in range(q):
             for b in range(q):
                 entry = block[a][b]
@@ -144,7 +139,7 @@ def test_phi_of_high_generators(q):
 
 def test_phi_of_x0_inverse():
     q = 3
-    block = phi(AlgebraElement.monomial(RATIONALS, q, ((0, -1),)))
+    block = AlgebraElement.monomial(RATIONALS, q, ((0, -1),)).phi()
     for b in range(q):
         for c in range(q):
             entry = block[b][c]
@@ -170,7 +165,7 @@ def test_phi_and_decompose_follow_one_wreath_fold(preset, q, data):
     word = data.draw(unreduced_words(q))
     # oracle: the product of the single-letter decompositions, letter by letter
     rec = getattr(WreathRecursion, preset)(q)
-    expected = WreathElement.identity(q)
+    expected = WreathElement(((),) * q, Permutation.identity(q))
     for letter in word:
         expected = expected * rec.decompose((letter,))
     assert rec.decompose(word) == expected
@@ -179,7 +174,7 @@ def test_phi_and_decompose_follow_one_wreath_fold(preset, q, data):
     positive = tuple((i, 1) for i, _ in word)
     for mode, w in (("B", word), ("A", positive)):
         el = tm.decompose(w)
-        block = phi(AlgebraElement.monomial(RATIONALS, q, w, mode=mode))
+        block = AlgebraElement.monomial(RATIONALS, q, w, mode=mode).phi()
         for a in range(q):
             for b in range(q):
                 if b == el.perm(a):
@@ -193,11 +188,11 @@ def test_phi_and_decompose_follow_one_wreath_fold(preset, q, data):
 def test_phi_is_a_homomorphism(q, data):
     s = data.draw(elements(q))
     t = data.draw(elements(q))
-    left = phi(s * t)
-    right = mat_mul(phi(s), phi(t))
+    left = (s * t).phi()
+    right = mat_mul(s.phi(), t.phi())
     assert left == right
-    assert phi(s + t) == tuple(
-        tuple(phi(s)[i][j] + phi(t)[i][j] for j in range(q)) for i in range(q))
+    assert (s + t).phi() == tuple(
+        tuple(s.phi()[i][j] + t.phi()[i][j] for j in range(q)) for i in range(q))
 
 
 def _theta_map(s):
@@ -209,7 +204,7 @@ def _theta_map(s):
 @given(st.sampled_from((2, 3)), st.data())
 def test_phi_of_substitution_is_diagonal(q, data):
     s = data.draw(elements(q))
-    block = phi(_theta_map(s))
+    block = _theta_map(s).phi()
     for i in range(q):
         for j in range(q):
             if i == j:
@@ -220,7 +215,7 @@ def test_phi_of_substitution_is_diagonal(q, data):
 
 def test_high_generators_share_one_image():
     q = 4
-    images = [phi(gen(q, i)) for i in range(1, q)]
+    images = [gen(q, i).phi() for i in range(1, q)]
     assert all(m == images[0] for m in images)
     assert is_zero(gen(q, 2) - gen(q, 1)).is_zero
     assert is_zero(gen(q, 3) - gen(q, 1)).is_zero
@@ -280,7 +275,7 @@ def test_sigma_arity_is_checked():
 def test_sigma_example_is_diagonal():
     q = 2
     s0 = one(q) - gen(q, 0) * gen(q, 1)
-    block = phi(sigma(s0, AlgebraElement.zero(RATIONALS, q)))
+    block = sigma(s0, AlgebraElement.zero(RATIONALS, q)).phi()
     assert block[0][0] == s0
     assert block[1][1] == one(q) - gen(q, 1) * gen(q, 0)
     assert block[0][1].is_zero_literal and block[1][0].is_zero_literal
@@ -289,7 +284,7 @@ def test_sigma_example_is_diagonal():
 @given(st.sampled_from((2, 3)), st.data())
 def test_sigma_block_structure(q, data):
     parts = [data.draw(elements(q, max_terms=2, max_len=3)) for _ in range(q)]
-    block = phi(sigma(*parts))
+    block = sigma(*parts).phi()
     for i in range(q):
         for j in range(q):
             assert block[i][j] == parts[(i - j) % q].gamma_map(j)
@@ -363,7 +358,7 @@ def test_phi_iterate_matches_blockwise_expansion():
         for _ in range(n):
             grown = {}
             for (u, v), entry in oracle.items():
-                block = phi(entry)
+                block = entry.phi()
                 for i in range(q):
                     for j in range(q):
                         if not block[i][j].is_zero_literal:

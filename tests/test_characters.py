@@ -4,12 +4,14 @@ import gc
 import weakref
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, product
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import strategies
 from tmss import algebra, characters, group
 from tmss.algebra import (
     INTEGERS,
@@ -81,12 +83,7 @@ def fixed_fraction(rec, word, depth):
     return Fraction(fixed, total)
 
 
-def elements(q, max_terms=3, max_len=3):
-    letter = st.tuples(st.integers(0, q - 1), st.sampled_from((1, -1)))
-    word = st.lists(letter, max_size=max_len).map(tuple)
-    term = st.tuples(word, st.integers(-2, 2))
-    return st.lists(term, max_size=max_terms).map(
-        lambda terms: AlgebraElement(RATIONALS, q, "B", terms))
+elements = partial(strategies.elements, max_terms=3, max_len=3, coeff=2)
 
 
 # -- spread values on the tower -------------------------------------------------
@@ -1045,15 +1042,16 @@ def _recorded_keys():
 @contextmanager
 def _tuple_path():
     """The oracle: every closure on tuple words, with the root key's words
-    as they are and every word folded by ``rec.fold``, once per recursion,
-    from empty memos and leaving them empty; yields the (recursion, word)
-    pairs folded, as they are folded.  ``count_L``'s root is the key of
-    the collapsed element, whose words stay tuples too."""
+    as they are and every word folded by the letter loop
+    ``rec._fold_letters``, once per recursion, from empty memos and leaving
+    them empty; yields the (recursion, word) pairs folded, as they are
+    folded.  ``count_L``'s root is the key of the collapsed element, whose
+    words stay tuples too."""
     folded = {}
 
     def tuple_fold(rec, word):
         if (rec, word) not in folded:
-            folded[rec, word] = rec.fold(word)
+            folded[rec, word] = rec._fold_letters(word)
         return folded[rec, word]
 
     _empty_memos()

@@ -1,11 +1,13 @@
 """Wreath recursion engine: decomposition, action, word problem, nucleus."""
 
 import tracemalloc
+from functools import partial
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import strategies
 from tmss import group
 from tmss.algebra import _collapsed_thue_morse
 from tmss.group import (
@@ -32,9 +34,7 @@ from tmss.words import (
 )
 
 
-def words(q: int, max_len: int = 8):
-    letter = st.tuples(st.integers(0, q - 1), st.sampled_from((1, -1)))
-    return st.lists(letter, max_size=max_len).map(tuple)
+words = partial(strategies.words, max_len=8)
 
 
 def vertices(q: int, max_len: int = 6):
@@ -89,7 +89,7 @@ def test_decompose_x1_squared_is_plainly_trivial():
 
 def test_decompose_empty_word():
     rec = WreathRecursion.thue_morse(3)
-    assert rec.decompose(()) == WreathElement.identity(3)
+    assert rec.decompose(()) == WreathElement(((),) * 3, Permutation.identity(3))
 
 
 def test_sections_of_x0_list_the_generators():
@@ -188,7 +188,7 @@ def test_decompose_respects_inverse(q, data):
     w = data.draw(words(q))
     assert rec.decompose(inverse(w)) == rec.decompose(w).inverse()
     product = rec.decompose(w) * rec.decompose(w).inverse()
-    assert product == WreathElement.identity(q)
+    assert product == WreathElement(((),) * q, Permutation.identity(q))
 
 
 @given(st.sampled_from((2, 3)), st.data())
@@ -372,7 +372,8 @@ def _reaches_limit_classes(rec, word, reps, cap_nodes, cap_states):
 
 def trivial_recursion(q: int) -> WreathRecursion:
     """Every generator the identity: the nucleus is the one trivial class."""
-    return WreathRecursion(q, {i: WreathElement.identity(q) for i in range(q)})
+    identity = WreathElement(((),) * q, Permutation.identity(q))
+    return WreathRecursion(q, {i: identity for i in range(q)})
 
 
 ALL_PRESETS = PRESETS + (trivial_recursion,)
@@ -737,7 +738,7 @@ def test_key_fold_matches_the_fold_on_canonical_words(preset, q, data):
     rec = preset(q)
     word = data.draw(reduced_powers(q))
     perm, sections = rec._fold_key(canonical(word))
-    assert (perm, tuple(map(_expanded, sections))) == rec.fold(word)
+    assert (perm, tuple(map(_expanded, sections))) == rec._fold_letters(word)
     assert all(canonical(_expanded(s)) == s for s in sections)
 
 
@@ -759,7 +760,7 @@ def test_key_fold_of_a_power_whose_cycle_product_is_not_cyclically_reduced(
     assert type(key) is Power and key.root == root
     perm, sections = rec._fold_key(key)
     assert not all(type(s) is Power for s in sections)
-    assert (perm, tuple(map(_expanded, sections))) == rec.fold(word)
+    assert (perm, tuple(map(_expanded, sections))) == rec._fold_letters(word)
     assert all(canonical(_expanded(s)) == s for s in sections)
 
 
@@ -852,7 +853,7 @@ def _fold_directly(rec, state):
     product's section words are then read as states."""
     nf, q = rec._nf, rec.q
     letters = {code: letter for letter, code in nf.ops.items() if code < 0}
-    product = WreathElement.identity(q)
+    product = WreathElement(((),) * q, Permutation.identity(q))
     for j, op in enumerate(state):
         product = product * (rec.decompose((letters[op],)) if j % 2 else
                              WreathElement(((),) * q,

@@ -6,10 +6,12 @@ were computed from that rule by hand before the implementation existed.
 """
 
 import re
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import strategies
 from tmss.algebra import RATIONALS, AlgebraElement, parse_element
 from tmss.group import WreathRecursion
 from tmss.words import (
@@ -38,9 +40,7 @@ def digit_sum_letter(q: int, n: int) -> int:
     return total % q
 
 
-def words(q: int, max_len: int = 10):
-    letter = st.tuples(st.integers(0, q - 1), st.sampled_from((1, -1)))
-    return st.lists(letter, max_size=max_len).map(tuple)
+words = partial(strategies.words, max_len=10)
 
 
 # -- frozen values ------------------------------------------------------------
