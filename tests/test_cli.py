@@ -486,8 +486,10 @@ def test_julia_unknown_map(capsys):
      "argument --viewport: a viewport width must be positive"),
     ("julia render --points -1", "argument --points: a point count must be at least 0"),
     ("julia render --burn-in x", "argument --burn-in: a burn-in must be an integer"),
-    # a portrait recurses once per level, so its depth is bounded by Python's
-    ("group portrait x1 --depth 600 --q 2", "maximum recursion depth exceeded"),
+    # a portrait recurses once per level, so a depth beyond Python's
+    # recursion limit fails on its first descent, on every Python version
+    (f"group portrait x1 --depth {2 * sys.getrecursionlimit()} --q 2",
+     "maximum recursion depth exceeded"),
 ])
 def test_input_out_of_bounds_exits_1_naming_its_bound(capsys, argv, reason):
     code, out, err = run(capsys, *shlex.split(argv))
