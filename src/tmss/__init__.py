@@ -41,6 +41,7 @@ from .characters import (
 from .closure import SingularSystemError
 from .dynamics import (
     PRESETS,
+    PixelGrid,
     PointCloud,
     RationalMap,
     RenderConfig,

@@ -513,7 +513,7 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     except (ValueError, OverflowError, RecursionError) as exc:
-        # bad, oversize or too deep input (a portrait recurses per level)
+        # bad, oversize or too deep input
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ZeroDivisionError as exc:

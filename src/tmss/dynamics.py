@@ -2,15 +2,19 @@
 
 A rational map is stored as ascending complex coefficient lists.  Points
 are generated by walking preimages backwards from a repelling fixed point:
-every step solves f(w) = z for w, picks one root at random, and emits the
-point once a burn-in prefix has been discarded.  Backward orbits
-accumulate on the Julia set regardless of escape behaviour, which suits
-maps with no polynomial escape structure.
+every step draws which of the d roots of f(w) = z to keep, finds and
+Newton-polishes that root only, and emits the point once a burn-in prefix
+has been discarded.  Backward orbits accumulate on the Julia set
+regardless of escape behaviour, which suits maps with no polynomial
+escape structure.
 
-Roots of degree 3 and more are found by Laguerre's method with synthetic
-deflation, the last two by the quadratic formula, all in pure Python.  A
-point cloud is returned as a ``PointCloud``, a sequence of complex points
-packed two floats a point.
+Roots come one at a time from a lazy sequence: Laguerre's method with
+synthetic deflation down to a quadratic, then the quadratic formula, all
+in pure Python.  ``preimages`` reads the whole sequence; a step of
+``julia_points`` stops it at the root it drew.  A point cloud is returned
+as a ``PointCloud``, a sequence of complex points packed two floats a
+point, and ``render`` bins it into a ``PixelGrid``, a sequence of byte rows
+that holds each pixel's hit count in 2 bits.
 
 This is the only module that uses floating-point arithmetic; chains are
 generated sequentially from a single seeded generator, so equal seeds give
@@ -22,8 +26,9 @@ from __future__ import annotations
 import cmath
 import random
 from array import array
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import islice
 
 
 def _polyval(coeffs, z: complex) -> complex:
@@ -60,10 +65,11 @@ def _laguerre(desc, reach: float) -> complex:
     ``preimages`` asks for.
     """
     n = len(desc) - 1
+    lead, tail = desc[0], desc[1:]
     x = 0j
     for it in range(1, 81):
-        p, dp, half_ddp = desc[0], 0j, 0j
-        for c in desc[1:]:
+        p, dp, half_ddp = lead, 0j, 0j
+        for c in tail:
             half_ddp = half_ddp * x + dp
             dp = dp * x + p
             p = p * x + c
@@ -85,6 +91,46 @@ def _laguerre(desc, reach: float) -> complex:
         if abs(step) <= 1e-7 * abs(x):
             return x
     return x
+
+
+def _trimmed(coeffs) -> list[complex]:
+    """The ascending ``coeffs`` in descending order, leading near-zeros
+    trimmed; its length less one is the degree the roots are found for."""
+    desc = list(reversed(coeffs))
+    scale = max(map(abs, desc)) or 1.0
+    while desc and abs(desc[0]) < 1e-14 * scale:
+        desc.pop(0)
+    return desc
+
+
+def _root_sequence(desc) -> Iterator[complex]:
+    """The roots of the trimmed descending ``desc``, one at a time: Laguerre
+    and deflation down to a quadratic, then its two roots.  Nothing past
+    the root a reader stops at is computed."""
+    if len(desc) < 2:
+        return
+    if len(desc) == 2:
+        b, c = desc
+        yield -c / b
+        return
+    if len(desc) > 3:
+        # every root lies within the Fujiwara bound 2 max |a_k / a_0|^(1/k)
+        # of 0, so no useful Laguerre step is longer than twice that
+        lead = abs(desc[0])
+        reach = 4 * max((abs(c) / lead) ** (1 / k)
+                        for k, c in enumerate(desc[1:], 1))
+    while len(desc) > 3:
+        root = _laguerre(desc, reach)
+        yield root
+        desc = _deflate(desc, root)
+    a, b, c = desc
+    disc = cmath.sqrt(b * b - 4 * a * c)
+    if abs(b - disc) > abs(b + disc):
+        disc = -disc
+    top = -(b + disc) / 2
+    first = top / a
+    yield first
+    yield c / top if top != 0 else -b / a - first
 
 
 def _deflate(desc, r):
@@ -139,61 +185,64 @@ class RationalMap:
             return complex("inf")
         return (dn * d - n * dd) / (d * d)
 
-    def _roots(self, coeffs) -> list[complex]:
-        # descending order, leading near-zeros trimmed
-        desc = list(reversed(coeffs))
-        scale = max(abs(c) for c in desc) or 1.0
-        while desc and abs(desc[0]) < 1e-14 * scale:
-            desc.pop(0)
-        if len(desc) < 2:
-            return []
-        if len(desc) == 2:
-            b, c = desc
-            return [-c / b]
-        # every root lies within the Fujiwara bound 2 max |a_k / a_0|^(1/k)
-        # of 0, so no useful Laguerre step is longer than twice that
-        lead = abs(desc[0])
-        reach = 4 * max((abs(c) / lead) ** (1 / k)
-                        for k, c in enumerate(desc[1:], 1))
-        roots = []
-        while len(desc) > 3:
-            roots.append(_laguerre(desc, reach))
-            desc = _deflate(desc, roots[-1])
-        a, b, c = desc
-        disc = cmath.sqrt(b * b - 4 * a * c)
-        if abs(b - disc) > abs(b + disc):
-            disc = -disc
-        top = -(b + disc) / 2
-        first = top / a
-        second = c / top if top != 0 else -b / a - first
-        roots += (first, second)
-        return roots
+    def _roots(self, coeffs) -> Iterator[complex]:
+        """The roots of the ascending ``coeffs``, lazily, in the order
+        ``_root_sequence`` finds them."""
+        return _root_sequence(_trimmed(coeffs))
 
-    def preimages(self, z: complex) -> list[complex]:
-        """All w with f(w) = z, Newton-polished to a residual below 1e-9."""
+    def _shifted(self, z: complex) -> list[complex]:
+        """Ascending coefficients of num(w) - z den(w), whose roots are the
+        preimages of z."""
         coeffs = list(self.num) + [0j] * max(0, len(self.den) - len(self.num))
         for k, c in enumerate(self.den):
             coeffs[k] -= z * c
-        polished = []
-        for w in self._roots(coeffs):
-            val = self(w) - z
-            for _ in range(12):
-                if abs(val) < 1e-9:
-                    break
-                dv = self.derivative(w)
-                if dv == 0 or not cmath.isfinite(dv):
-                    break
-                w = w - val / dv
-                val = self(w) - z
+        return coeffs
+
+    def _polished(self, w: complex, z: complex) -> complex | None:
+        """``w`` after up to 12 Newton steps on f(w) = z, or None unless
+        its residual is then below 1e-9."""
+        val = self(w) - z
+        for _ in range(12):
             if abs(val) < 1e-9:
-                polished.append(w)
-        return polished
+                return w
+            dv = self.derivative(w)
+            if dv == 0 or not cmath.isfinite(dv):
+                return None
+            w = w - val / dv
+            val = self(w) - z
+        return w if abs(val) < 1e-9 else None
+
+    def preimages(self, z: complex) -> list[complex]:
+        """All w with f(w) = z, Newton-polished to a residual below 1e-9."""
+        polished = (self._polished(w, z) for w in self._roots(self._shifted(z)))
+        return [w for w in polished if w is not None]
+
+    def _backward_step(self, z: complex, rng: random.Random) -> complex | None:
+        """One preimage of z, uniform over those ``preimages`` returns, or
+        None when there is none.
+
+        Draws k below the degree d first and finds and polishes only root k.
+        If that root fails the 1e-9 gate, draws again over ``preimages(z)``,
+        so each of the d - f roots that pass is kept with probability
+        1/d + (f/d) 1/(d - f) = 1/(d - f).  When every root passes, the draw
+        and the point are those of ``preimages(z)[rng.randrange(d)]``."""
+        desc = _trimmed(self._shifted(z))
+        if len(desc) < 2:
+            return None
+        k = rng.randrange(len(desc) - 1)
+        w = self._polished(next(islice(_root_sequence(desc), k, None)), z)
+        if w is None:
+            roots = self.preimages(z)
+            if not roots:
+                return None
+            w = roots[rng.randrange(len(roots))]
+        return w
 
     def fixed_points(self) -> list[complex]:
         coeffs = list(self.num) + [0j] * (len(self.den) + 1 - len(self.num))
         for k, c in enumerate(self.den):
             coeffs[k + 1] -= c
-        return self._roots(coeffs)
+        return list(self._roots(coeffs))
 
     def repelling_fixed_point(self) -> complex:
         fixed = self.fixed_points()
@@ -279,45 +328,119 @@ def julia_points(f: RationalMap, cfg: RenderConfig) -> PointCloud:
     allowed_skips = max(100, steps // 5)
     done = 0
     while done < steps:
-        roots = f.preimages(z)
-        if not roots:
+        w = f._backward_step(z, rng)
+        if w is None:
             skips += 1
             if skips > allowed_skips:
                 raise RuntimeError(
                     f"root finding failed {skips} times after {done} steps")
             z = f.repelling_fixed_point()
             continue
-        z = roots[rng.randrange(len(roots))]
+        z = w
         done += 1
         if done > cfg.burn_in:
             xy.append(z.real)
             xy.append(z.imag)
-    return PointCloud(xy)
+    # the grown array over-allocates; its copy holds exactly 2 * points
+    return PointCloud(xy[:])
 
 
-def render(points, cfg: RenderConfig) -> list[bytearray]:
-    """Bin points into a grayscale grid; more hits darken a pixel."""
-    half = cfg.width / 2
-    height = cfg.width * cfg.pixels_y / cfg.pixels_x
-    x0 = cfg.center.real - half
+# the shade of a pixel hit 0, 1, 2 and 3 or more times: 255 less 96 a hit
+_SHADES = (255, 159, 63, 0)
+# _UNPACK[i] maps a byte of four 2-bit hit counts to the shade of count i
+_UNPACK = tuple(bytes(_SHADES[b >> 2 * i & 3] for b in range(256))
+                for i in range(4))
+
+
+class PixelGrid(Sequence):
+    """Immutable grayscale image: a sequence of ``bytes`` rows of shades,
+    top row first.  Holds each pixel's hit
+    count (0 to 3) in 2 bits, four pixels a byte, each row padded to whole
+    bytes: a 96 x 96 grid holds 2,337 bytes, against 15,896 for a list of
+    ``bytearray`` rows.  Compares equal to a pixel grid, list or tuple with
+    the same rows in the same order."""
+
+    __slots__ = ("_counts", "_width")
+
+    def __init__(self, counts: bytes, width: int):
+        self._counts = counts
+        self._width = width
+
+    def _shades(self, start: int, stop: int) -> bytearray:
+        """Rows ``start`` to ``stop``, padding included, as one buffer."""
+        stride = (self._width + 3) // 4
+        packed = self._counts[start * stride:stop * stride]
+        out = bytearray(4 * len(packed))
+        for i, table in enumerate(_UNPACK):
+            out[i::4] = packed.translate(table)
+        return out
+
+    def __len__(self) -> int:
+        return len(self._counts) // ((self._width + 3) // 4)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        n = len(self)
+        if not -n <= k < n:
+            raise IndexError("row index out of range")
+        k %= n
+        return bytes(self._shades(k, k + 1)[:self._width])
+
+    def __iter__(self):
+        width, stride = self._width, 4 * ((self._width + 3) // 4)
+        shades = self._shades(0, len(self))
+        return (bytes(shades[i:i + width])
+                for i in range(0, len(shades), stride))
+
+    def __eq__(self, other):
+        if isinstance(other, PixelGrid):
+            return self._width == other._width and self._counts == other._counts
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"PixelGrid({list(self)!r})"
+
+
+def render(points, cfg: RenderConfig) -> PixelGrid:
+    """Bin points into a grayscale grid; more hits darken a pixel.
+
+    Counts hits in one flat ``bytearray``, top row first and each row
+    padded to a multiple of 4 pixels, saturating at 3, and packs the counts
+    four to a byte; the grid maps them to the shades 255, 159, 63 and 0
+    with ``bytes.translate`` as its rows are read.  Points outside the
+    viewport are dropped."""
+    px, py, width = cfg.pixels_x, cfg.pixels_y, cfg.width
+    height = width * py / px
+    x0 = cfg.center.real - width / 2
     y0 = cfg.center.imag - height / 2
-    counts = [[0] * cfg.pixels_x for _ in range(cfg.pixels_y)]
+    stride = 4 * ((px + 3) // 4)
+    counts = bytearray(stride * py)
     for p in points:
-        px = int((p.real - x0) / cfg.width * cfg.pixels_x)
-        py = int((p.imag - y0) / height * cfg.pixels_y)
-        if 0 <= px < cfg.pixels_x and 0 <= py < cfg.pixels_y:
-            counts[cfg.pixels_y - 1 - py][px] += 1
-    return [bytearray(max(0, 255 - 96 * c) for c in row) for row in counts]
+        ix = int((p.real - x0) / width * px)
+        iy = int((p.imag - y0) / height * py)
+        if 0 <= ix < px and 0 <= iy < py:
+            k = (py - 1 - iy) * stride + ix
+            if counts[k] < 3:
+                counts[k] += 1
+    # no count exceeds 3, so the four shifted counts of a byte never overlap
+    packed = 0
+    for i in range(4):
+        packed |= int.from_bytes(counts[i::4], "little") << 2 * i
+    return PixelGrid(packed.to_bytes(len(counts) // 4, "little"), px)
 
 
-def write_pgm(path: str, grid: list[bytearray]) -> None:
-    """Binary portable graymap, one byte per pixel."""
+def write_pgm(path: str, grid: Sequence[bytes]) -> None:
+    """Binary portable graymap, one byte per pixel, of a ``PixelGrid`` or
+    any sequence of equal rows; the pixels are written in one call."""
     height = len(grid)
     width = len(grid[0]) if height else 0
+    pixels = b"".join(grid)
     with open(path, "wb") as handle:
         handle.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-        for row in grid:
-            handle.write(bytes(row))
+        handle.write(pixels)
 
 
 PRESETS: dict[str, RationalMap] = {

@@ -57,6 +57,10 @@ _POWER_MIN = 32
 # that no copy it makes is longer than this
 _ROOT_BLOCK = 1 << 14
 
+# the most nodes a portrait draws: (q^(d+1) - 1)/(q - 1) at depth d, so
+# depth 15 at q = 2 (65,535 nodes) and depth 10 at q = 3 (88,573) still draw
+_PORTRAIT_NODES = 100_000
+
 
 @lru_cache(maxsize=1024)
 def _prime_factors(n: int) -> tuple[int, ...]:
@@ -871,12 +875,29 @@ class WreathRecursion:
         return tuple(counts)
 
     def portrait(self, word: Word, depth: int) -> dict:
-        """Depth-truncated tree of root permutations of all sections."""
-        images, sections = self.fold(word)
-        node: dict = {"perm": list(images)}
-        if depth > 0:
-            node["children"] = [self.portrait(s, depth - 1) for s in sections]
-        return node
+        """Depth-truncated tree of root permutations of all sections.
+
+        Raises ``ValueError`` before any fold when the tree would have more
+        than ``_PORTRAIT_NODES`` nodes; the count stops at the first level
+        past the bound, so a huge depth costs nothing."""
+        nodes = level = 1
+        for _ in range(depth):
+            level *= self.q
+            nodes += level
+            if nodes > _PORTRAIT_NODES:
+                raise ValueError(
+                    f"a portrait of depth {depth} at q={self.q} has "
+                    f"(q^(depth+1) - 1)/(q - 1) nodes, more than "
+                    f"{_PORTRAIT_NODES}")
+
+        def draw(w: Word, d: int) -> dict:
+            images, sections = self.fold(w)
+            node: dict = {"perm": list(images)}
+            if d > 0:
+                node["children"] = [draw(s, d - 1) for s in sections]
+            return node
+
+        return draw(word, depth)
 
     # -- nucleus ---------------------------------------------------------
 

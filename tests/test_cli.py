@@ -486,10 +486,18 @@ def test_julia_unknown_map(capsys):
      "argument --viewport: a viewport width must be positive"),
     ("julia render --points -1", "argument --points: a point count must be at least 0"),
     ("julia render --burn-in x", "argument --burn-in: a burn-in must be an integer"),
-    # a portrait recurses once per level, so a depth beyond Python's
-    # recursion limit fails on its first descent, on every Python version
+    # a portrait of more than 100,000 nodes, (q^(d+1) - 1)/(q - 1) at depth
+    # d, is refused before any fold, even at a depth beyond Python's
+    # recursion limit; depth 16 at q = 2 and depth 11 at q = 3 are the first
+    # past the bound
     (f"group portrait x1 --depth {2 * sys.getrecursionlimit()} --q 2",
-     "maximum recursion depth exceeded"),
+     "nodes, more than 100000"),
+    ("group portrait x1 --depth 16 --q 2",
+     "a portrait of depth 16 at q=2 has (q^(depth+1) - 1)/(q - 1) nodes, "
+     "more than 100000"),
+    ("group portrait x1 --depth 11 --q 3",
+     "a portrait of depth 11 at q=3 has (q^(depth+1) - 1)/(q - 1) nodes, "
+     "more than 100000"),
 ])
 def test_input_out_of_bounds_exits_1_naming_its_bound(capsys, argv, reason):
     code, out, err = run(capsys, *shlex.split(argv))

@@ -5,6 +5,8 @@ import os
 import random
 import subprocess
 import sys
+from array import array
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from tmss.dynamics import (
     PRESETS,
+    PixelGrid,
     PointCloud,
     RationalMap,
     RenderConfig,
@@ -136,6 +139,125 @@ def test_point_cloud_is_a_sequence_of_the_chain():
     assert repr(cloud) == f"PointCloud({points!r})"
 
 
+def _all_roots_chain(f, cfg):
+    """The step loop ``julia_points`` had when it solved for every root: all
+    preimages, then a uniform draw over them."""
+    rng = random.Random(cfg.seed)
+    z = f.repelling_fixed_point()
+    out = []
+    while len(out) < cfg.burn_in + cfg.points:
+        roots = f.preimages(z)
+        if not roots:
+            z = f.repelling_fixed_point()
+            continue
+        z = roots[rng.randrange(len(roots))]
+        out.append(z)
+    return out[cfg.burn_in:]
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_lazy_pick_matches_the_all_roots_chain_bit_for_bit(name):
+    f = PRESETS[name]
+    for seed in range(10):
+        cfg = RenderConfig(points=300, burn_in=50, seed=seed)
+        cloud = julia_points(f, cfg)
+        assert [(p.real, p.imag) for p in cloud] == [
+            (p.real, p.imag) for p in _all_roots_chain(f, cfg)]
+
+
+def test_cloud_holds_exactly_its_points():
+    # the array is copied at the end, not preallocated from cfg.points
+    cloud = julia_points(PRESETS["f3"], RenderConfig(points=300, burn_in=50))
+    assert cloud._xy.buffer_info()[1] == 600
+    assert sys.getsizeof(cloud._xy) == sys.getsizeof(array("d")) + 8 * 600
+
+
+_POLISHED = RationalMap._polished
+
+
+def _failing_once(monkeypatch):
+    """Make the first ``_polished`` call fail the gate; return its calls."""
+    calls = []
+
+    def patched(self, w, z):
+        calls.append(w)
+        return None if len(calls) == 1 else _POLISHED(self, w, z)
+
+    monkeypatch.setattr(RationalMap, "_polished", patched)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_a_chosen_root_that_fails_falls_back_to_a_draw_over_preimages(
+        name, monkeypatch):
+    f = PRESETS[name]
+    z = f.repelling_fixed_point()
+    roots = f.preimages(z)
+    assert len(roots) == f.degree
+    for seed in range(5):
+        calls = _failing_once(monkeypatch)
+        cloud = julia_points(f, RenderConfig(points=1, burn_in=0, seed=seed))
+        # one failed pick, then preimages(z) polishes every root again
+        assert len(calls) == 1 + f.degree
+        rng = random.Random(seed)
+        rng.randrange(f.degree)
+        assert list(cloud) == [roots[rng.randrange(len(roots))]]
+
+
+class _Draws:
+    """A generator of scripted draws that records each range asked for."""
+
+    def __init__(self, *draws):
+        self.draws, self.ranges = list(draws), []
+
+    def randrange(self, n):
+        self.ranges.append(n)
+        return self.draws.pop(0)
+
+
+@pytest.mark.parametrize("name, failing", [
+    ("f2", {1}), ("f3", {0}), ("f4", {1, 3}), ("f5", {0, 2, 4}), ("f5", {4})])
+def test_the_pick_stays_uniform_over_the_roots_that_pass(name, failing,
+                                                         monkeypatch):
+    # with f of d roots failing, a passing root is kept with probability
+    # 1/d + (f/d) 1/(d - f) = 1/(d - f), and a failing one never
+    f = PRESETS[name]
+    z = f.repelling_fixed_point()
+    roots = f.preimages(z)
+    d, bad = len(roots), {roots[k] for k in failing}
+
+    def gate(self, w, z):
+        w = _POLISHED(self, w, z)
+        return None if w in bad else w
+
+    monkeypatch.setattr(RationalMap, "_polished", gate)
+    passing = f.preimages(z)
+    assert passing == [w for w in roots if w not in bad]
+    chance = dict.fromkeys(roots, Fraction(0))
+    for k in range(d):
+        if k in failing:
+            for j in range(len(passing)):
+                draws = _Draws(k, j)
+                chance[f._backward_step(z, draws)] += Fraction(
+                    1, d * len(passing))
+                assert draws.ranges == [d, len(passing)]
+        else:
+            draws = _Draws(k)
+            assert f._backward_step(z, draws) == roots[k]
+            chance[roots[k]] += Fraction(1, d)
+            assert draws.ranges == [d]
+    assert chance == {w: Fraction(0) if w in bad else Fraction(1, d - len(bad))
+                      for w in roots}
+
+
+def test_a_step_with_no_passing_root_draws_once_and_gives_none(monkeypatch):
+    f = PRESETS["f3"]
+    monkeypatch.setattr(RationalMap, "_polished", lambda self, w, z: None)
+    draws = _Draws(2)
+    assert f._backward_step(0.3 + 0.1j, draws) is None
+    assert draws.ranges == [3]
+
+
 def test_zero_points_gives_empty_cloud():
     cfg = RenderConfig(points=0)
     assert julia_points(PRESETS["z2"], cfg) == []
@@ -194,6 +316,93 @@ def test_config_rejects_a_non_finite_viewport(center, width):
         RenderConfig(center=center, width=width)
 
 
+def _bin_points(points, center, width, px, py):
+    """The list of rows ``render`` returned before it packed its grid."""
+    height = width * py / px
+    x0 = center.real - width / 2
+    y0 = center.imag - height / 2
+    counts = [[0] * px for _ in range(py)]
+    for p in points:
+        ix = int((p.real - x0) / width * px)
+        iy = int((p.imag - y0) / height * py)
+        if 0 <= ix < px and 0 <= iy < py:
+            counts[py - 1 - iy][ix] += 1
+    return [bytearray(max(0, 255 - 96 * c) for c in row) for row in counts]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_render_matches_a_binning_reference(seed):
+    rng = random.Random(seed)
+    px, py = rng.randrange(1, 40), rng.randrange(1, 40)
+    cfg = RenderConfig(center=complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                       width=rng.uniform(0.5, 4), pixels_x=px, pixels_y=py)
+    # wider than the viewport, so some points are clipped, and many per
+    # pixel, so some pixels saturate
+    cloud = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+             for _ in range(8 * px * py)]
+    cloud += [cfg.center] * 5
+    grid = render(cloud, cfg)
+    expected = _bin_points(cloud, cfg.center, cfg.width, px, py)
+    assert isinstance(grid, PixelGrid) and grid == expected
+    shades = {v for row in expected for v in row}
+    assert 0 in shades and 255 in shades
+
+
+def test_render_of_a_julia_cloud_matches_the_binning_reference():
+    cfg = RenderConfig(points=3000, seed=42, pixels_x=64, pixels_y=48,
+                       center=0.2 - 0.1j, width=3.0)
+    cloud = julia_points(PRESETS["f3"], cfg)
+    assert render(cloud, cfg) == _bin_points(cloud, cfg.center, cfg.width,
+                                             64, 48)
+
+
+def _grid(hits):
+    """The grid ``render`` draws from ``hits[r][c]`` points on the pixel in
+    row r (from the top) and column c: each pixel is a unit square."""
+    py, px = len(hits), len(hits[0])
+    cfg = RenderConfig(width=float(px), pixels_x=px, pixels_y=py, points=0)
+    return render([complex(c + 0.5 - px / 2, py / 2 - r - 0.5)
+                   for r, row in enumerate(hits)
+                   for c, n in enumerate(row) for _ in range(n)], cfg)
+
+
+def test_pixel_grid_is_a_sequence_of_byte_rows():
+    grid = _grid([[0, 1, 2], [3, 0, 0], [2, 2, 4], [1, 3, 0]])
+    rows = [bytes([255, 159, 63]), bytes([0, 255, 255]), bytes([63, 63, 0]),
+            bytes([159, 0, 255])]
+    assert isinstance(grid, PixelGrid)
+    assert len(grid) == 4 and list(grid) == rows
+    assert all(type(row) is bytes for row in grid)
+    assert [grid[k] for k in range(-4, 4)] == rows + rows
+    assert grid[1:3] == rows[1:3] and grid[::-3] == rows[::-3]
+    assert grid[5:] == []
+    for k in (4, -5):
+        with pytest.raises(IndexError):
+            grid[k]
+    assert grid.index(rows[2]) == 2 and rows[3] in grid
+    assert repr(grid) == f"PixelGrid({rows!r})"
+    # four pixels a byte, each row padded to whole bytes
+    assert len(grid._counts) == 4
+    assert len(_grid([[1] * 96] * 96)._counts) == 96 * 96 // 4
+
+
+def test_pixel_grids_compare_by_rows():
+    hits = [[0, 1, 2, 3, 0], [3, 0, 0, 1, 1]]
+    grid = _grid(hits)
+    rows = [bytes([255, 159, 63, 0, 255]), bytes([0, 255, 255, 159, 159])]
+    as_bytearrays = [bytearray(row) for row in rows]
+    assert grid == as_bytearrays and as_bytearrays == grid
+    assert grid == tuple(rows) and grid == _grid(hits)
+    assert not grid != as_bytearrays
+    # the same pixels in another shape; one pixel off; a row short; not rows
+    assert grid != _grid([hits[0] + hits[1]])
+    assert grid != _grid([[0, 1, 2, 3, 0], [3, 0, 0, 1, 0]])
+    assert grid != [bytearray(rows[0]), bytearray(rows[1][:-1] + b"\xfe")]
+    assert grid != as_bytearrays[:1] and grid != tuple(rows[:1])
+    assert grid != _grid(hits[:1])
+    assert grid != b"".join(rows) and grid != "rows"
+
+
 def test_render_bins_points():
     cfg = RenderConfig(center=0j, width=4.0, pixels_x=4, pixels_y=4, points=0)
     grid = render([0.1 + 0.1j], cfg)
@@ -224,8 +433,11 @@ def test_pgm_output(tmp_path):
     target = tmp_path / "out.pgm"
     write_pgm(str(target), grid)
     blob = target.read_bytes()
-    assert blob.startswith(b"P5\n4 2\n255\n")
+    assert blob == b"P5\n4 2\n255\n" + b"".join(grid)
     assert len(blob) == len(b"P5\n4 2\n255\n") + 8
+    # a list of rows is written the same way
+    write_pgm(str(target), [bytearray(row) for row in grid])
+    assert target.read_bytes() == blob
 
 
 def _same_roots(mine, ref, tol):
@@ -255,7 +467,7 @@ def test_roots_match_numpy_on_separated_roots(roots, modulus, angle):
     for r in roots:
         # multiply the ascending coefficients by (w - r)
         coeffs = [a - r * b for a, b in zip([0j] + coeffs, coeffs + [0j])]
-    mine = RationalMap([1], [1])._roots(coeffs)
+    mine = list(RationalMap([1], [1])._roots(coeffs))
     _same_roots(mine, np.roots(list(reversed(coeffs))), 1e-7)
     _same_roots(mine, roots, 1e-7)
 
@@ -275,7 +487,7 @@ def test_roots_match_numpy_on_separated_roots(roots, modulus, angle):
 ])
 def test_roots_of_awkward_polynomials_match_numpy(coeffs, tol):
     coeffs = [complex(c) for c in coeffs]
-    mine = RationalMap([1], [1])._roots(coeffs)
+    mine = list(RationalMap([1], [1])._roots(coeffs))
     _same_roots(mine, np.roots(list(reversed(coeffs))), tol)
 
 
@@ -288,7 +500,7 @@ def test_preset_preimage_roots_match_numpy(name):
     for _ in range(200):
         z = cmath.rect(rng.uniform(0.05, 3), rng.uniform(-3.2, 3.2))
         coeffs = [c - z * den[0]] + [-z * d for d in den[1:]]
-        _same_roots(f._roots(coeffs), np.roots(list(reversed(coeffs))), 1e-9)
+        _same_roots(list(f._roots(coeffs)), np.roots(list(reversed(coeffs))), 1e-9)
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))

@@ -453,6 +453,32 @@ def test_portrait_shapes():
     assert [c["perm"] for c in square["children"]] == [[0, 1], [0, 1]]
 
 
+def _nodes(tree: dict) -> int:
+    return 1 + sum(_nodes(child) for child in tree.get("children", ()))
+
+
+@pytest.mark.parametrize("q, depth", [(2, 15), (3, 10)])
+def test_the_deepest_portrait_inside_the_node_bound_draws(q, depth):
+    rec = WreathRecursion.thue_morse(q)
+    tree = rec.portrait(((1, 1),), depth)
+    assert _nodes(tree) == (q ** (depth + 1) - 1) // (q - 1) <= 100_000
+
+
+@pytest.mark.parametrize("q, depth", [(2, 16), (3, 11), (2, 10 ** 9), (5, 10 ** 18)])
+def test_a_portrait_past_the_node_bound_raises_before_any_fold(q, depth,
+                                                               monkeypatch):
+    rec = WreathRecursion.thue_morse(q)
+
+    def no_fold(word):
+        raise AssertionError("portrait folded before checking its bound")
+
+    monkeypatch.setattr(rec, "fold", no_fold)
+    with pytest.raises(ValueError, match=(
+            rf"a portrait of depth {depth} at q={q} has "
+            r"\(q\^\(depth\+1\) - 1\)/\(q - 1\) nodes, more than 100000")):
+        rec.portrait(((1, 1),), depth)
+
+
 def test_transposed_variant_runs():
     rec = WreathRecursion.transposed_variant(2)
     elem = rec.decompose(((0, 1),))
