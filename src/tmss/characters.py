@@ -105,7 +105,8 @@ class Kernel:
         Fractions, floats or rational strings such as ``"1/2"``).
 
         ``weights`` holds the same matrix with every integral entry as an
-        ``int``, so that the closures sum integer edge weights."""
+        ``int``, so that the closures sum integer edge weights; it is None
+        only for ``Kernel.ones``."""
         if not isinstance(entries, (list, tuple)) or not all(
                 isinstance(row, (list, tuple)) for row in entries):
             raise ValueError("kernel must be a list of rows of numbers")
@@ -121,7 +122,14 @@ class Kernel:
 
     @classmethod
     def ones(cls, q: int) -> "Kernel":
-        return cls([[1] * q for _ in range(q)])
+        """The all-ones kernel, built in O(q): its rows are one tuple, and
+        its weights are None, so that its closures give every cell weight
+        1 and share the class table of ``spread_char``."""
+        kernel = cls.__new__(cls)
+        kernel.entries = ((Fraction(1),) * q,) * q
+        kernel.weights = None
+        kernel.q = q
+        return kernel
 
     @classmethod
     def identity(cls, q: int) -> "Kernel":
@@ -145,7 +153,7 @@ def _rational(entry) -> Fraction:
     if not isinstance(entry, bool):
         try:
             return Fraction(entry)
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
             pass
     raise ValueError(f"kernel entry {entry!r} is not a rational number")
 

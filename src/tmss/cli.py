@@ -19,15 +19,13 @@ from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
 
-from . import algebra as alg
-from . import characters as chars
-from . import dynamics, verification
-from .group import WreathRecursion
 from .verdict import Verdict
 from .words import gamma, parse_word, render_word, theta_iter, tm_prefix
 
 
 def _ring_from_flag(text: str):
+    from . import algebra as alg
+
     if text == "Q":
         return alg.RATIONALS
     if text == "Z":
@@ -84,27 +82,45 @@ def _pixels_from_flag(text: str) -> tuple[int, int]:
     return px, py
 
 
+# each --preset, by the WreathRecursion constructor it names
 _PRESETS = {
-    "tm": WreathRecursion.thue_morse,
-    "inverted": WreathRecursion.inverted_variant,
-    "transposed": WreathRecursion.transposed_variant,
+    "tm": "thue_morse",
+    "inverted": "inverted_variant",
+    "transposed": "transposed_variant",
 }
 
 
-def _make_rec(args) -> WreathRecursion:
-    return _PRESETS[args.preset](args.q)
+def _make_rec(args):
+    from .group import WreathRecursion
+
+    return getattr(WreathRecursion, _PRESETS[args.preset])(args.q)
 
 
-def _parse_elem(args, text: str) -> alg.AlgebraElement:
-    return alg.parse_element(text, args.ring, args.q, args.mode)
+def _parse_elem(args, text: str):
+    from .algebra import parse_element
+
+    return parse_element(text, args.ring, args.q, args.mode)
 
 
-def _kernel_from_flag(q: int, text: str) -> chars.Kernel:
+def _kernel_from_flag(text: str):
+    """``id``, ``ones`` or a JSON matrix of rationals, as a function from
+    the alphabet size to the kernel; the library checks the size."""
+    from .characters import Kernel
+
     if text in ("id", "identity"):
-        return chars.Kernel.identity(q)
+        return Kernel.identity
     if text == "ones":
-        return chars.Kernel.ones(q)
-    return chars.Kernel(json.loads(text))
+        return Kernel.ones
+    try:
+        entries = json.loads(text)
+    except (ValueError, RecursionError):
+        raise argparse.ArgumentTypeError(
+            f"a kernel must be id, ones or a JSON matrix, got {text!r}") from None
+    try:
+        kernel = Kernel(entries)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return lambda q: kernel
 
 
 @contextmanager
@@ -225,6 +241,8 @@ def _cmd_group(args) -> int:
 
 
 def _cmd_algebra(args) -> int:
+    from . import algebra as alg
+
     if args.action == "phi":
         matrix = _parse_elem(args, args.elem).phi()
         data = alg.mat_to_json(matrix)
@@ -263,15 +281,18 @@ def _cmd_algebra(args) -> int:
 
 @_any_digits()
 def _exactq_payload(args, value, info) -> tuple[dict, str]:
+    from .characters import exact_json
+
     if isinstance(value, Verdict):
         return {"verdict": str(value)}, str(value)
-    payload = chars.exact_json(value, args.q, info["classes_used"],
-                               info["depth"])
+    payload = exact_json(value, args.q, info["classes_used"], info["depth"])
     payload["largest_component"] = info["largest_component"]
     return payload, payload["value"]
 
 
 def _cmd_char(args) -> int:
+    from . import characters as chars
+
     if args.action == "spread":
         value, info = chars.spread_char(_parse_elem(args, args.elem),
                                         cap_classes=args.cap_classes,
@@ -280,17 +301,17 @@ def _cmd_char(args) -> int:
         _emit(args, payload, text)
         return _verdict_exit(value)
     elif args.action == "kernel":
-        kernel = _kernel_from_flag(args.q, args.kernel)
+        kernel = args.kernel(args.q)
         value, info = chars.algebra_char(_parse_elem(args, args.elem), kernel,
                                          cap_classes=args.cap_classes,
                                          with_info=True)
         payload, text = _exactq_payload(args, value, info)
-        if not isinstance(value, Verdict):
+        if args.json and not isinstance(value, Verdict):
             payload["kernel_psd"] = kernel.psd_report()
         _emit(args, payload, text)
         return _verdict_exit(value)
     elif args.action == "group":
-        kernel = _kernel_from_flag(args.q, args.kernel)
+        kernel = args.kernel(args.q)
         rec = _make_rec(args)
         value, info = chars.group_char(rec, parse_word(args.word, args.q),
                                        kernel, cap_classes=args.cap_classes,
@@ -340,6 +361,8 @@ def _cmd_char(args) -> int:
 
 
 def _cmd_julia(args) -> int:
+    from . import dynamics
+
     center, width = args.viewport
     px, py = args.pixels
     cfg = dynamics.RenderConfig(center=center, width=width,
@@ -366,6 +389,8 @@ def _report(results) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verification
+
     # --q and --kmax are in ``args`` only when given
     tower = {"qs": (args.q,)} if "q" in args else {}
     if "kmax" in args:
@@ -381,23 +406,75 @@ def _cmd_verify(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """A parser that reports an argument it does not take itself, so that a
-    subcommand's stray flag is shown under that subcommand's usage line."""
+    subcommand's stray flag is shown under that subcommand's usage line.
+
+    A parser made with ``fill`` has it add the parser's arguments when it
+    first parses or prints its usage or help: ``julia render`` and
+    ``verify`` read their choices from the engines that only they load."""
+
+    def __init__(self, *args, fill=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._fill = fill
+
+    def _filled(self) -> None:
+        fill, self._fill = self._fill, None
+        if fill is not None:
+            fill(self)
 
     def parse_known_args(self, args=None, namespace=None):
+        self._filled()
         args, extras = super().parse_known_args(args, namespace)
         if extras:
             self.error("unrecognized arguments: " + " ".join(extras))
         return args, extras
 
+    def format_usage(self) -> str:
+        self._filled()
+        return super().format_usage()
+
+    def format_help(self) -> str:
+        self._filled()
+        return super().format_help()
+
+
+def _julia_render_arguments(p: argparse.ArgumentParser) -> None:
+    from .dynamics import PRESETS
+
+    p.add_argument("--map", choices=sorted(PRESETS), default="f2")
+    p.add_argument("--out", default="julia.pgm")
+    p.add_argument("--points", default=100_000, type=partial(
+        _int_from_flag, least=0, what="a point count"))
+    p.add_argument("--viewport", default="0,0,4", type=_viewport_from_flag,
+                   help="cx,cy,width")
+    p.add_argument("--pixels", default="400,400", type=_pixels_from_flag,
+                   help="px,py")
+    p.add_argument("--burn-in", default=100, dest="burn_in", type=partial(
+        _int_from_flag, least=0, what="a burn-in"))
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    from .verification import SUITES
+
+    p.add_argument("suite", choices=tuple(SUITES))
+    p.add_argument("--q", type=_q_from_flag, default=argparse.SUPPRESS,
+                   help="one alphabet size (default 2, 3 and 5)")
+    p.add_argument("--kmax", default=argparse.SUPPRESS,
+                   type=partial(_int_from_flag, least=1, what="a tower exponent"),
+                   help="largest tower exponent (default 5)")
+
 
 def build_parser() -> argparse.ArgumentParser:
-    """The ``tmss`` parser; each subcommand takes only the flags it reads."""
+    """The ``tmss`` parser; each subcommand takes only the flags it reads.
+    Building it loads no engine: ``--ring`` and ``--kernel`` are converted,
+    and ``julia render`` and ``verify`` filled, only for the subcommand
+    that runs."""
     base = argparse.ArgumentParser(add_help=False)
     base.add_argument("--q", type=_q_from_flag, default=2,
                       help="alphabet size (default 2)")
     base.add_argument("--json", action="store_true")
     ring = argparse.ArgumentParser(add_help=False)
-    ring.add_argument("--ring", type=_ring_from_flag, default=alg.RATIONALS,
+    ring.add_argument("--ring", type=_ring_from_flag, default="Q",
                       help="coefficient ring: Q, Z or Fp:<p>")
     ring.add_argument("--mode", choices=("A", "B"), default="B",
                       help="positive-letter or group-algebra monomials")
@@ -461,9 +538,10 @@ def build_parser() -> argparse.ArgumentParser:
     exact = [base, ring, classes]
     command(cs, "spread", exact, "elem")
     command(cs, "kernel", exact, "elem").add_argument(
-        "--kernel", default="ones", help="id, ones, or a JSON matrix")
+        "--kernel", default="ones", type=_kernel_from_flag,
+        help="id, ones, or a JSON matrix")
     command(cs, "group", [base, preset, classes], "word").add_argument(
-        "--kernel", default="id")
+        "--kernel", default="id", type=_kernel_from_flag)
     command(cs, "count", exact, "elem").add_argument("k", type=int)
     p = command(cs, "growth", exact, "elem")
     p.add_argument("--kmin", type=int, default=3)
@@ -473,26 +551,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     julia = sub.add_parser("julia", help="Julia set rendering")
     js = julia.add_subparsers(dest="action", required=True)
-    p = js.add_parser("render")
-    p.add_argument("--map", choices=sorted(dynamics.PRESETS), default="f2")
-    p.add_argument("--out", default="julia.pgm")
-    p.add_argument("--points", default=100_000, type=partial(
-        _int_from_flag, least=0, what="a point count"))
-    p.add_argument("--viewport", default="0,0,4", type=_viewport_from_flag,
-                   help="cx,cy,width")
-    p.add_argument("--pixels", default="400,400", type=_pixels_from_flag,
-                   help="px,py")
-    p.add_argument("--burn-in", default=100, dest="burn_in", type=partial(
-        _int_from_flag, least=0, what="a burn-in"))
-    p.add_argument("--seed", type=int, default=0)
-
-    verify = sub.add_parser("verify", help="replay the verification suite")
-    verify.add_argument("suite", choices=tuple(verification.SUITES))
-    verify.add_argument("--q", type=_q_from_flag, default=argparse.SUPPRESS,
-                        help="one alphabet size (default 2, 3 and 5)")
-    verify.add_argument("--kmax", default=argparse.SUPPRESS,
-                        type=partial(_int_from_flag, least=1, what="a tower exponent"),
-                        help="largest tower exponent (default 5)")
+    js.add_parser("render", fill=_julia_render_arguments)
+    sub.add_parser("verify", help="replay the verification suite",
+                   fill=_verify_arguments)
 
     return parser
 

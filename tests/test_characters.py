@@ -905,10 +905,26 @@ def children_cases(draw):
 @given(children_cases())
 @settings(max_examples=150, deadline=None)
 def test_spread_char_is_the_all_ones_kernel_character(case):
-    # the oracle builds the kernel matrix, and keeps its own children memo
+    # the oracle builds the kernel matrix, and keeps its own children memo;
+    # Kernel.ones has no weights matrix, and shares the table of spread_char
     s = case[0]
-    assert spread_char(s, with_info=True) == algebra_char(
-        s, Kernel.ones(s.q), monomial_base=True, with_info=True)
+    dense = Kernel([[1] * s.q for _ in range(s.q)])
+    assert dense.weights is not None
+    expected = algebra_char(s, dense, monomial_base=True, with_info=True)
+    assert spread_char(s, with_info=True) == expected
+    for monomial_base in (True, False):
+        assert algebra_char(s, Kernel.ones(s.q), monomial_base=monomial_base,
+                            with_info=True) == algebra_char(
+            s, dense, monomial_base=monomial_base, with_info=True)
+
+
+def test_the_all_ones_kernel_is_built_in_linear_space():
+    kernel = Kernel.ones(1000)
+    assert kernel.weights is None and kernel.q == 1000
+    assert len({id(row) for row in kernel.entries}) == 1
+    assert kernel[999, 0] == 1 and type(kernel[0, 999]) is Fraction
+    assert Kernel.ones(3).psd_report() == {"symmetric": True, "psd": True}
+    assert Kernel.ones(3).entries == Kernel([[1] * 3] * 3).entries
 
 
 def test_spread_char_builds_no_kernel():

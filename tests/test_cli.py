@@ -7,11 +7,13 @@ import re
 import shlex
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from tmss import cli, verification
 from tmss.algebra import INTEGERS
+from tmss.characters import Kernel
 from tmss.cli import build_parser, main
 from tmss.group import NucleusResult, WreathRecursion
 
@@ -200,6 +202,12 @@ def test_char_kernel_reports_psd(capsys):
     assert payload["kernel_psd"] == {"symmetric": True, "psd": True}
 
 
+def test_char_kernel_checks_psd_only_for_json(capsys):
+    with mock.patch.object(Kernel, "psd_report", side_effect=AssertionError):
+        code, out, _ = run(capsys, "char", "kernel", "1 - x0", "--kernel", "id")
+    assert code == 0 and out == "1"
+
+
 @pytest.mark.parametrize("argv", [
     ["char", "kernel", "x0", "--kernel", "5"],
     ["char", "kernel", "x0", "--kernel", "[[1,null],[1,1]]"],
@@ -211,9 +219,11 @@ def test_char_kernel_reports_psd(capsys):
     ["char", "group", "x0", "--kernel", "[[1,[1]],[1,1]]"],
 ])
 def test_malformed_kernel_exits_1_without_a_traceback(capsys, argv):
+    # a usage error of --kernel, under its subcommand's usage line
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
-    assert err.startswith("error: kernel") and "Traceback" not in err
+    assert err.startswith(f"usage: tmss char {argv[1]} [-h]")
+    assert "error: argument --kernel: kernel" in err and "Traceback" not in err
 
 
 def test_char_group(capsys):
@@ -486,6 +496,19 @@ def test_julia_unknown_map(capsys):
      "argument --viewport: a viewport width must be positive"),
     ("julia render --points -1", "argument --points: a point count must be at least 0"),
     ("julia render --burn-in x", "argument --burn-in: a burn-in must be an integer"),
+    ("char kernel x0 --q 2 --kernel nan",
+     "argument --kernel: a kernel must be id, ones or a JSON matrix, got 'nan'"),
+    ("char group x0 --kernel '[[1, 1]'",
+     "argument --kernel: a kernel must be id, ones or a JSON matrix"),
+    ("""char kernel x0 --kernel '[[1, "a"], [1, 1]]'""",
+     "argument --kernel: kernel entry 'a' is not a rational number"),
+    ("""char group x0 --kernel '[["1/0", 1], [1, 1]]'""",
+     "argument --kernel: kernel entry '1/0' is not a rational number"),
+    ("char kernel x0 --kernel '[[1, 2], [3]]'",
+     "argument --kernel: kernel must be square"),
+    # the size of a well-formed kernel is checked against --q by the library
+    ("char kernel x0 --q 3 --kernel '[[1, 0], [0, 1]]'",
+     "error: kernel size does not match the alphabet"),
     # a portrait of more than 100,000 nodes, (q^(d+1) - 1)/(q - 1) at depth
     # d, is refused before any fold, even at a depth beyond Python's
     # recursion limit; depth 16 at q = 2 and depth 11 at q = 3 are the first
