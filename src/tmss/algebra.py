@@ -23,8 +23,8 @@ permanent obstruction (nonzero), or at the depth cap (unknown).
 
 Related elements, such as those of the sigma tower, share most classes
 below their roots.  So every class key is numbered once, in a class table
-per recursion, ring and kernel (``_ClassTable``), which also keeps the
-children of every class below a closure's root as ids
+per recursion and ring (``_ClassTable``) that every kernel shares, which
+also keeps the children of every class below a closure's root as ids
 (``_class_children``); the closures walk the ids.  The fold of every key
 word (``WreathRecursion._fold_key``) is kept in a memo (``group._Memo``).
 Both are kept across calls and bounded by the letters they hold.
@@ -35,8 +35,8 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from functools import cache, lru_cache
-from weakref import WeakKeyDictionary
+from functools import lru_cache
+from weakref import WeakKeyDictionary, ref
 
 from . import group
 from .closure import Closure
@@ -437,13 +437,14 @@ def _collapsed_letters(q: int) -> LetterMap:
     return LetterMap(collapsed)
 
 
-@cache
+@lru_cache(maxsize=64)
 def _thue_morse(q: int) -> WreathRecursion:
-    """The wreath recursion that ``phi`` folds monomials with."""
+    """The wreath recursion that ``phi`` folds monomials with, kept for at
+    most 64 alphabets: an evicted one frees its class table and folds."""
     return WreathRecursion.thue_morse(q)
 
 
-@cache
+@lru_cache(maxsize=64)
 def _collapsed_thue_morse(q: int) -> WreathRecursion:
     """The Thue-Morse recursion on the quotient x_i -> x_1 (i >= 2):
     x_0 = <x_0, x_1, ..., x_1> rho and x_i = <1, ..., 1> rho.
@@ -554,13 +555,12 @@ def _collapsed_key(elem: AlgebraElement) -> tuple:
     return _cell_key(pairs, elem.ring) if pairs else ()
 
 
-def _cell_children(key: tuple, fold, ring, weights=None) -> list:
+def _cell_children(key: tuple, fold, ring) -> list:
     """The closure children of the class with key ``key`` (``_class_key``)
-    under one decomposition step: a (key, weight, (row, column)) triple
-    for every cell of ``_grid(key, fold)`` that is not literally zero, in
-    row-major order, with ``weights[row][column]`` as its weight (1
-    without ``weights``) and cells of weight 0 left out.  No element is
-    built.
+    under one decomposition step: a (key, 1, (row, column)) triple for
+    every cell of ``_grid(key, fold)`` that is not literally zero, in
+    row-major order.  No element is built; a kernel weighs the cells as
+    its closure walks them (``characters._closure_value``).
 
     Every closure over the algebra reads its children here, through
     ``_class_children``: the zero test, the contraction depth, the
@@ -570,23 +570,19 @@ def _cell_children(key: tuple, fold, ring, weights=None) -> list:
     witness and the class indices depend on.
     """
     grid = _grid(key, fold)
-    out = []
-    for cell in sorted(grid):
-        weight = 1 if weights is None else weights[cell[0]][cell[1]]
-        if weight and (child := _cell_key(grid[cell], ring)):
-            out.append((child, weight, cell))
-    return out
+    return [(child, 1, cell) for cell in sorted(grid)
+            if (child := _cell_key(grid[cell], ring))]
 
 
 class _ClassTable:
-    """The classes of the closures of one (recursion, ring, kernel), each
+    """The classes of the closures of one recursion over one ring, each
     numbered once (hash-consing: Filliâtre and Conchon, "Type-safe modular
     hash-consing", ML Workshop 2006).  ``ids`` maps a class key to its id,
     ``keys`` lists the keys by id, and ``children`` lists by id the
     children of a class below some closure's root, as a tuple of (child
-    id, weight, (row, column)) triples, or None where none are stored.
-    Most triples and key pairs recur under many classes (a scalar or a
-    letter reached at the same cell, a term of many keys), so ``parts``
+    id, 1, (row, column)) triples, or None where none are stored; every
+    kernel shares them.  Most triples and key pairs recur under many
+    classes (a scalar or a letter reached at the same cell), so ``parts``
     keeps one object for each distinct triple and ``(word, coefficient)``
     pair, which every stored tuple and key shares.
 
@@ -597,17 +593,15 @@ class _ClassTable:
     ``group._MEMO_LETTERS`` letters leaves ``_CHILDREN``: the call in
     flight keeps it and its ids, and the next call starts a new one."""
 
-    __slots__ = ("ids", "keys", "children", "parts", "letters", "_home",
-                 "_slot")
+    __slots__ = ("ids", "keys", "children", "parts", "letters", "ring", "_rec")
 
-    def __init__(self, home: dict, slot):
+    def __init__(self, rec: WreathRecursion, ring):
         self.ids: dict = {}
         self.keys: list = []
         self.children: list = []
         self.parts: dict = {}
         self.letters = 0
-        self._home, self._slot = home, slot
-        home[slot] = self
+        self.ring, self._rec = ring, ref(rec)
 
     def id(self, key: tuple) -> int:
         """The id of the class with key ``key``, numbered on first use."""
@@ -620,36 +614,33 @@ class _ClassTable:
             self.children.append(None)
             self.letters += sum(_held(w) for w, _ in key)
             if (self.letters > group._MEMO_LETTERS
-                    and self._home.get(self._slot) is self):
-                del self._home[self._slot]
+                    and _CHILDREN.get(rec := self._rec()) is self):
+                del _CHILDREN[rec]
         return cid
 
 
-# the class tables of ``_class_children``, per recursion, which they do not
-# keep alive, and per (ring, weights)
+# the class table of ``_class_children`` per recursion, which it does not
+# keep alive
 _CHILDREN: WeakKeyDictionary = WeakKeyDictionary()
 
 
-def _class_children(root: tuple, rec: WreathRecursion, ring, weights=None):
-    """The class table of (``rec``, ``ring``, ``weights``), the id of the
-    class key ``root`` in it, and the child map of a closure from there on
-    ids: the ``_cell_children`` of a class, with the fold of ``rec``
+def _class_children(root: tuple, rec: WreathRecursion, ring):
+    """The class table of (``rec``, ``ring``), the id of the class key
+    ``root`` in it, and the child map of a closure from there on ids: the
+    ``_cell_children`` of a class, with the fold of ``rec``
     (``WreathRecursion._fold_key``, which keeps its folds across calls)
     and every child key replaced by its id.
 
     Related elements share most classes below their roots, so the children
-    of every class but the root are kept across calls, in the table of
-    (``rec``, ``ring``, ``weights``): a key equal as a tuple has other
-    children over another ring or kernel.  The root is numbered like any
-    other class, so a root that its closure reaches again is one class,
-    but its children are not kept, so a repeated query does not become a
-    cached answer."""
-    tables = _CHILDREN.get(rec)
-    if tables is None:
-        tables = _CHILDREN[rec] = {}
-    table = tables.get((ring, weights))
-    if table is None:
-        table = _ClassTable(tables, (ring, weights))
+    of every class but the root are kept across calls, in the one table of
+    ``rec``; a call over another ring starts a new one, since a key equal
+    as a tuple has other children over another ring.  The root is numbered
+    like any other class, so a root that its closure reaches again is one
+    class, but its children are not kept, so a repeated query does not
+    become a cached answer."""
+    table = _CHILDREN.get(rec)
+    if table is None or table.ring != ring:
+        table = _CHILDREN[rec] = _ClassTable(rec, ring)
     root_id = table.id(root)
     keys, stored, number = table.keys, table.children, table.id
     shared = table.parts.setdefault
@@ -658,8 +649,8 @@ def _class_children(root: tuple, rec: WreathRecursion, ring, weights=None):
     def children(cid: int) -> tuple:
         out = stored[cid]
         if out is None:
-            out = tuple([(number(child), weight, cell) for child, weight, cell
-                         in _cell_children(keys[cid], fold, ring, weights)])
+            out = tuple([(number(child), 1, cell) for child, _, cell
+                         in _cell_children(keys[cid], fold, ring)])
             if cid != root_id:
                 stored[cid] = out = tuple([shared(t, t) for t in out])
         return out

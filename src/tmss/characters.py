@@ -29,13 +29,12 @@ for both kinds of character), so no element is built per class;
 ``count_L`` walks the same class graph level by level with unit weights,
 from a root key read collapsed from the element's terms, and stops at the
 first level whose classes are all countable, so any depth costs at most
-the levels before that one.  The class tables and the children of every
-class below a closure's root are kept across calls, per recursion, ring
-and kernel, so related elements share the classes they have in common;
-the solve runs afresh on every call.  ``spread_char`` builds no kernel
-matrix: with no kernel every cell weighs 1, so its classes share their
-children with the zero test's.  No floating point is used anywhere in
-this module.
+the levels before that one.  The class table and the children of every
+class below a closure's root are kept across calls, per recursion and
+ring, so related elements and every kernel share them; the kernel weighs
+each cell as the closure walks it, and the solve runs afresh on every
+call.  ``spread_char`` and ``Kernel.ones`` build no kernel matrix: every
+cell weighs 1, as stored.  No floating point is used in this module.
 """
 
 from __future__ import annotations
@@ -123,8 +122,8 @@ class Kernel:
     @classmethod
     def ones(cls, q: int) -> "Kernel":
         """The all-ones kernel, built in O(q): its rows are one tuple, and
-        its weights are None, so that its closures give every cell weight
-        1 and share the class table of ``spread_char``."""
+        its weights are None, so that its closures take the stored
+        children, each of weight 1, as they are."""
         kernel = cls.__new__(cls)
         kernel.entries = ((Fraction(1),) * q,) * q
         kernel.weights = None
@@ -133,7 +132,12 @@ class Kernel:
 
     @classmethod
     def identity(cls, q: int) -> "Kernel":
-        return cls([[1 if i == j else 0 for j in range(q)] for i in range(q)])
+        """The identity kernel, unparsed: two shared Fractions, int weights."""
+        kernel = cls.ones(q)
+        kernel.entries, kernel.weights = (
+            tuple((zero,) * i + (one,) + (zero,) * (q - 1 - i) for i in range(q))
+            for zero, one in ((Fraction(0), Fraction(1)), (0, 1)))
+        return kernel
 
     def __getitem__(self, idx: tuple[int, int]) -> Fraction:
         return self.entries[idx[0]][idx[1]]
@@ -189,18 +193,22 @@ def _closure_value(root, rec, ring, weights, monomial_base: bool,
     ``rec.q`` x ``rec.q`` kernel ``weights`` (all ones when None), with the
     children of ``_class_children`` through ``rec``, or an unknown Verdict
     at the cap.  The key () of zero has value 0; a scalar, or with
-    ``monomial_base`` any single term, is a base class."""
+    ``monomial_base`` any single term, is a base class.  The kernel weighs
+    the stored cells, each of weight 1, and leaves out those of weight 0."""
     if not root:
         info = {"classes_used": 0, "depth": 0, "largest_component": 0}
         return (Fraction(0), info) if with_info else Fraction(0)
-    table, root, cells = _class_children(root, rec, ring, weights)
+    table, root, cells = _class_children(root, rec, ring)
     keys = table.keys
 
     def children(cid: int):
         key = keys[cid]
         if len(key) == 1 and (monomial_base or not key[0][0]):
             return None
-        return cells(cid)
+        if weights is None:
+            return cells(cid)
+        return [(child, weight, cell) for child, _, cell in cells(cid)
+                if (weight := weights[cell[0]][cell[1]])]
 
     try:
         closure = Closure(root, children, cap_classes, table=table)

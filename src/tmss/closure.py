@@ -5,14 +5,15 @@ An object is decomposed one level, its pieces are identified up to a key
 each class is decomposed once.  The child map names a class and each of
 its children by a key.  A nucleus representative is its own key.  A
 scaling class is numbered once in a class table (``algebra._ClassTable``)
-and named by that small int, its id, so that no walk hashes a class key
-again; the table reads the key back where a walk looks at its shape.  A
-scaling class's key is the ``key()`` of its element once each
-``group.Power`` in it, a long proper power held as its root and exponent,
-is expanded.  ``Closure`` keeps the classes with their first parent, the
-weighted edges, a level step, the strongly connected components and the
-exact solve over them.  The characters, the zero test, the contraction
-depth, the counting of ``L`` and the nucleus limit classes all walk it.
+per recursion and ring, and named by that small int, its id, so that no
+walk hashes a class key again; the table reads the key back where a walk
+looks at its shape.  A scaling class's key is the ``key()`` of its
+element once each ``group.Power`` in it, a long proper power held as its
+root and exponent, is expanded.  ``Closure`` keeps the classes with their
+first parent, the weighted edges, a level step, the strongly connected
+components and the exact solve over them.  The characters, the zero
+test, the contraction depth, the counting of ``L`` and the nucleus limit
+classes all walk it.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Self-similar characters: spread values, counting, additivity, witnesses."""
 
 import gc
+import random
 import weakref
 from contextlib import contextmanager
 from fractions import Fraction
@@ -468,6 +469,19 @@ def test_kernel_keeps_integral_weights_as_ints():
     assert type(kernel[0, 0]) is Fraction and kernel[1, 0] == 2
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
+def test_the_identity_kernel_is_the_parsed_one(q):
+    kernel = Kernel.identity(q)
+    parsed = Kernel([[1 if i == j else 0 for j in range(q)] for i in range(q)])
+    assert kernel.q == parsed.q == q
+    for mine, theirs in ((kernel.entries, parsed.entries),
+                         (kernel.weights, parsed.weights)):
+        assert mine == theirs
+        assert [type(e) for row in mine for e in row] == [
+            type(e) for row in theirs for e in row]
+    assert len({id(e) for row in kernel.entries for e in row}) == 2
+
+
 def test_psd_report():
     assert Kernel.ones(3).psd_report() == {"symmetric": True, "psd": True}
     assert Kernel.identity(3).psd_report() == {"symmetric": True, "psd": True}
@@ -821,22 +835,39 @@ def test_exact_json():
 # -- the sparse children of every algebra closure against the dense grid ----------
 
 
-def _dense_children(key, fold, ring, weights=None):
+def _dense_children(key, fold, ring):
     """The oracle: the class's element is rebuilt from its key, and every
     cell of the dense q x q matrix ``phi`` of that element is tested in
-    row-major order, with the cell's ``key()`` as its key and the kernel
-    weight as a Fraction.  ``fold`` gives only q, as the
-    length of the empty word's permutation; ``phi`` folds through the
-    Thue-Morse recursion.  Key words are freely reduced, so mode B holds
-    the element whatever the mode of the root."""
+    row-major order, with the cell's ``key()`` as its key and weight 1.
+    ``fold`` gives only q, as the length of the empty word's permutation;
+    ``phi`` folds through the Thue-Morse recursion.  Key words are freely
+    reduced, so mode B holds the element whatever the mode of the root."""
     elem = AlgebraElement(ring, len(fold(())[0]), "B", key)
-    out = []
-    for i, row in enumerate(elem.phi()):
-        for j, entry in enumerate(row):
-            weight = 1 if weights is None else Fraction(weights[i][j])
-            if weight != 0 and not entry.is_zero_literal:
-                out.append((entry.key(), weight, (i, j)))
-    return out
+    return [(entry.key(), 1, (i, j)) for i, row in enumerate(elem.phi())
+            for j, entry in enumerate(row) if not entry.is_zero_literal]
+
+
+def _algebra_char_on_the_dense_grid(s, kernel, monomial_base, cap_classes):
+    """``algebra_char``'s oracle with the kernel in the children: a class is
+    the ``key()`` of an element, and cell (i, j) of its dense ``phi``
+    (``_dense_children``) is a child of weight k(i, j), as a Fraction,
+    unless that weight is 0; a scalar, or with ``monomial_base`` any single
+    term, is a base class."""
+    fold = _thue_morse(s.q).fold
+
+    def children(key):
+        if len(key) == 1 and (monomial_base or not key[0][0]):
+            return None
+        return [(child, kernel[cell], cell) for child, _, cell
+                in _dense_children(key, fold, s.ring) if kernel[cell] != 0]
+
+    if s.is_zero_literal:
+        return Fraction(0), {"classes_used": 0, "depth": 0,
+                             "largest_component": 0}
+    try:
+        return Closure(s.key(), children, cap_classes).solve(s.q)
+    except ClassExplosionError:
+        return Verdict.unknown(cap_classes, "cap_classes"), None
 
 
 def _empty_memos():
@@ -905,8 +936,8 @@ def children_cases(draw):
 @given(children_cases())
 @settings(max_examples=150, deadline=None)
 def test_spread_char_is_the_all_ones_kernel_character(case):
-    # the oracle builds the kernel matrix, and keeps its own children memo;
-    # Kernel.ones has no weights matrix, and shares the table of spread_char
+    # the oracle's dense matrix weighs every stored cell 1 in its closure;
+    # Kernel.ones has no weights matrix and takes the stored cells as they are
     s = case[0]
     dense = Kernel([[1] * s.q for _ in range(s.q)])
     assert dense.weights is not None
@@ -934,16 +965,21 @@ def test_spread_char_builds_no_kernel():
             assert spread_char(AlgebraElement.zero(RATIONALS, q)) == 0
 
 
-@given(children_cases())
+@given(children_cases(), st.booleans(), st.integers(1, 200))
 @settings(max_examples=150, deadline=None)
-def test_cell_children_match_the_dense_grid(case):
+def test_cell_children_match_the_dense_grid(case, monomial_base, cap_classes):
+    """The stored children are the dense grid's, each of int weight 1; a
+    kernel weighs them in the closure, and its values and info are those
+    of the closure with the kernel in the dense children."""
     s, kernel = case
     fold = _thue_morse(s.q).fold
-    for weights in (None, kernel.weights):
-        sparse = _cell_children(_class_key(s), fold, s.ring, weights)
-        assert sparse == _dense_children(_class_key(s), fold, s.ring, weights)
-        assert all(type(w) is int for _, w, _ in sparse
-                   if Fraction(w).denominator == 1)
+    sparse = _cell_children(_class_key(s), fold, s.ring)
+    assert sparse == _dense_children(_class_key(s), fold, s.ring)
+    assert all(type(w) is int and w == 1 for _, w, _ in sparse)
+    assert _value_or_singular(lambda: algebra_char(
+        s, kernel, cap_classes, monomial_base, with_info=True)) == (
+        _value_or_singular(lambda: _algebra_char_on_the_dense_grid(
+            s, kernel, monomial_base, cap_classes)))
 
 
 @given(children_cases(), st.booleans())
@@ -952,23 +988,21 @@ def test_class_keys_are_the_keys_of_the_phi_cells(case, collapsed):
     """Every child key equals, and hashes like, ``key()`` of its cell;
     its coefficients are ints where they are integral, and a one-term key
     over a field has coefficient 1."""
-    s, kernel = case
+    s, _ = case
     fold = (_collapsed_thue_morse if collapsed else _thue_morse)(s.q).fold
     cells = _phi_cells(s, fold)
     key = _class_key(s)
     assert key == s.key() and hash(key) == hash(s.key())
-    for weights in (None, kernel.weights):
-        children = _cell_children(key, fold, s.ring, weights)
-        assert [cell for *_, cell in children] == sorted(
-            cell for cell, entry in cells.items() if not entry.is_zero_literal
-            and (weights is None or weights[cell[0]][cell[1]] != 0))
-        for child, _, cell in children:
-            assert child == cells[cell].key()
-            assert hash(child) == hash(cells[cell].key())
-            assert all(type(c) is int for _, c in child
-                       if Fraction(c).denominator == 1)
-            if s.ring.is_field and len(child) == 1:
-                assert child[0][1] == 1
+    children = _cell_children(key, fold, s.ring)
+    assert [cell for *_, cell in children] == sorted(
+        cell for cell, entry in cells.items() if not entry.is_zero_literal)
+    for child, _, cell in children:
+        assert child == cells[cell].key()
+        assert hash(child) == hash(cells[cell].key())
+        assert all(type(c) is int for _, c in child
+                   if Fraction(c).denominator == 1)
+        if s.ring.is_field and len(child) == 1:
+            assert child[0][1] == 1
 
 
 def _witness_scalar(s, rows, cols):
@@ -1275,6 +1309,30 @@ def user_recursions(draw, q):
     return WreathRecursion(q, images)
 
 
+def _session_terms(draw):
+    """The q, mode, word strategy and term lists of a session; each term
+    list is an element."""
+    q = draw(st.integers(2, 5))
+    mode = draw(st.sampled_from(("A", "B")))
+    sign = (1,) if mode == "A" else (1, -1)
+    letter = st.tuples(st.integers(0, q - 1), st.sampled_from(sign))
+    word = st.lists(letter, max_size=4).map(tuple)
+    terms = st.lists(st.tuples(word, st.integers(-3, 3)), min_size=1,
+                     max_size=3)
+    return q, mode, word, draw(st.lists(terms, min_size=1, max_size=3))
+
+
+def _session_call(kind, q, term_lists, kernels, recs, word):
+    """A call of a session on an element, the zero element or a sigma of
+    them, shifted by gamma, with a kernel and a recursion for group_char;
+    without its ring."""
+    which = st.integers(0, len(term_lists))  # the last is the zero element
+    return st.tuples(kind, which,
+                     st.lists(which, min_size=q, max_size=q) | st.none(),
+                     st.integers(0, q - 1), st.integers(0, len(kernels) - 1),
+                     st.integers(0, len(recs) - 1), word)
+
+
 @st.composite
 def memo_sessions(draw):
     """Closure calls on related elements at one q and mode: each term list
@@ -1283,27 +1341,37 @@ def memo_sessions(draw):
     tuples across two rings; two kernels, integral or not; and a recursion
     for group_char, a user's, the Thue-Morse one of the zero test or the
     collapsed one of count_L."""
-    q = draw(st.integers(2, 5))
-    mode = draw(st.sampled_from(("A", "B")))
-    sign = (1,) if mode == "A" else (1, -1)
-    letter = st.tuples(st.integers(0, q - 1), st.sampled_from(sign))
-    word = st.lists(letter, max_size=4).map(tuple)
-    terms = st.lists(st.tuples(word, st.integers(-3, 3)), min_size=1,
-                     max_size=3)
-    term_lists = draw(st.lists(terms, min_size=1, max_size=3))
+    q, mode, word, term_lists = _session_terms(draw)
     kernels = (draw(_kernels(q)), draw(_kernels(q)))
     recs = (draw(user_recursions(q)), _thue_morse(q), _collapsed_thue_morse(q))
     kind = st.sampled_from(("is_zero", "contraction_depth", "count_L",
                             "spread_char", "algebra_char", "group_char"))
-    which = st.integers(0, len(term_lists))  # the last is the zero element
-    call = st.tuples(kind, which,
-                     st.lists(which, min_size=q, max_size=q) | st.none(),
-                     st.integers(0, q - 1), st.integers(0, 1),
-                     st.integers(0, 2), word)
+    call = _session_call(kind, q, term_lists, kernels, recs, word)
     rings = draw(st.permutations(_RINGS))[:2]
     calls = [(ring,) + call for call in draw(st.lists(call, min_size=1,
                                                       max_size=5))
              for ring in rings]
+    order = draw(st.permutations(range(len(calls))))
+    return q, mode, term_lists, kernels, recs, calls, order
+
+
+@st.composite
+def kernel_sessions(draw):
+    """Sessions like ``memo_sessions`` with many kernels: ``algebra_char``
+    with any of 2 to 8 kernels (the identity, all ones or random), and
+    ``group_char`` with them on one of two user recursions, between
+    ``spread_char``, ``is_zero`` and ``count_L`` calls, each call over its
+    own ring among Q, Z, F2 and F3.  Every kernel shares the table of its
+    recursion, and a switch of ring replaces it."""
+    q, mode, word, term_lists = _session_terms(draw)
+    kernels = tuple(draw(st.lists(_kernels(q), min_size=2, max_size=8)))
+    recs = (draw(user_recursions(q)), draw(user_recursions(q)))
+    _collapsed_thue_morse(q)  # its certificate is a closure, run once per q
+    kind = st.sampled_from(("algebra_char", "algebra_char", "group_char",
+                            "spread_char", "is_zero", "count_L"))
+    call = _session_call(kind, q, term_lists, kernels, recs, word)
+    calls = [(draw(st.sampled_from(_RINGS)),) + c
+             for c in draw(st.lists(call, min_size=2, max_size=10))]
     order = draw(st.permutations(range(len(calls))))
     return q, mode, term_lists, kernels, recs, calls, order
 
@@ -1338,9 +1406,7 @@ def _session_outcome(session, call):
     return _outcome(compute)
 
 
-@given(memo_sessions())
-@settings(max_examples=120, deadline=None)
-def test_shared_memos_give_the_results_of_empty_ones(session):
+def _shared_memos_give_the_results_of_empty_ones(session):
     calls, order = session[5], session[6]
     expected = []
     for call in calls:
@@ -1351,6 +1417,40 @@ def test_shared_memos_give_the_results_of_empty_ones(session):
     # the opposite order, with every memo filled by the others
     for i in list(order) + list(reversed(order)):
         assert _session_outcome(session, calls[i]) == expected[i]
+
+
+@given(memo_sessions())
+@settings(max_examples=120, deadline=None)
+def test_shared_memos_give_the_results_of_empty_ones(session):
+    _shared_memos_give_the_results_of_empty_ones(session)
+
+
+@given(kernel_sessions())
+@settings(max_examples=80, deadline=None)
+def test_kernels_and_rings_over_shared_tables_give_the_results_of_empty_ones(
+        session):
+    _shared_memos_give_the_results_of_empty_ones(session)
+
+
+def test_kernels_on_one_element_share_one_table():
+    """Kernels weigh the cells of one class table: after many of them on
+    one element, the Thue-Morse recursion has one table, which holds only
+    the classes of the all-ones closure."""
+    s = parse_element("1 - x0^9 + x1 x2^-1 - 2*x2", RATIONALS, 3)
+    _empty_memos()
+    with _recorded_keys() as seen:
+        algebra_char(s, Kernel.ones(3))
+    ones, = seen
+    rng = random.Random(1)
+    entries = (-1, 0, 0, Fraction(1, 2), 1, 2, Fraction(-1, 3))
+    kernels = [Kernel([[rng.choice(entries) for _ in range(3)]
+                       for _ in range(3)]) for _ in range(200)]
+    for kernel in kernels + [Kernel.identity(3)]:
+        _value_or_singular(lambda: algebra_char(s, kernel, with_info=True))
+    table, = algebra._CHILDREN.values()
+    assert table._rec() is _thue_morse(3)
+    assert set(range(len(table.keys))) == set(ones.keys)
+    _empty_memos()
 
 
 def test_equal_keys_over_two_rings_keep_their_own_children():
@@ -1382,25 +1482,25 @@ def _memos():
     The parts that a memo or table shares are parts of what it keeps, so
     its bound covers them."""
     out = []
-    for rec, tables in algebra._CHILDREN.items():
+    for rec, table in algebra._CHILDREN.items():
         folds = rec._folds
         assert set(folds.parts) <= {part for images, sections in folds.values()
                                     for part in (images, *sections)}
         out.append((folds, sum(
             _word_letters(word) + sum(map(_word_letters, sections))
             for word, (_, sections) in folds.items())))
-        for table in tables.values():
-            n = len(table.keys)
-            assert table.ids == {key: cid for cid, key in enumerate(table.keys)}
-            stored = [triple for children in table.children
-                      if children is not None for triple in children]
-            assert len(table.children) == n
-            assert all(type(child) is int and 0 <= child < n
-                       for child, _, _ in stored)
-            assert set(table.parts) <= set(stored) | {
-                pair for key in table.keys for pair in key}
-            out.append((table, sum(_word_letters(w) for key in table.keys
-                                   for w, _ in key)))
+        n = len(table.keys)
+        assert table._rec() is rec
+        assert table.ids == {key: cid for cid, key in enumerate(table.keys)}
+        stored = [triple for children in table.children
+                  if children is not None for triple in children]
+        assert len(table.children) == n
+        assert all(type(child) is int and 0 <= child < n and weight == 1
+                   for child, weight, _ in stored)
+        assert set(table.parts) <= set(stored) | {
+            pair for key in table.keys for pair in key}
+        out.append((table, sum(_word_letters(w) for key in table.keys
+                               for w, _ in key)))
     return out
 
 
@@ -1445,9 +1545,9 @@ def test_a_table_that_passes_its_bound_in_a_call_keeps_the_results(bound):
     seen = []
 
     def numbering(table, key):
-        attached = table._home.get(table._slot) is table
+        attached = algebra._CHILDREN.get(table._rec()) is table
         cid = number(table, key)
-        if attached and table._home.get(table._slot) is not table:
+        if attached and algebra._CHILDREN.get(table._rec()) is not table:
             in_call.append(bool(seen))
         return cid
 
@@ -1470,13 +1570,13 @@ def test_roots_stay_out_of_the_children_memos():
     _empty_memos()
     is_zero(s), contraction_depth(s), count_L(s, 4), spread_char(s)
     algebra_char(s, Kernel.identity(3))
-    tables = [table for tables in algebra._CHILDREN.values()
-              for table in tables.values()]
-    # the spread character shares the zero test's table, keyed (ring, None)
-    assert len(tables) == 3 and all(any(table.children) for table in tables)
+    tables = list(algebra._CHILDREN.values())
+    # the characters share the zero test's table, whatever their kernel; the
+    # collapsed recursion of count_L has its own
+    assert len(tables) == 2 and all(any(table.children) for table in tables)
     numbered = [(table, table.ids[root]) for table in tables for root in roots
                 if root in table.ids]
-    assert len(numbered) == 3
+    assert len(numbered) == 2
     assert all(table.children[cid] is None for table, cid in numbered)
 
 
@@ -1503,6 +1603,23 @@ def test_a_root_that_its_closure_reaches_is_one_class():
         info = {"classes_used": 3, "depth": 2, "largest_component": 1}
         assert results == [Verdict("nonzero", depth=2, witness=((1, 0), (0, 1), 1)),
                            (1, info), (1, info), 2 ** 6]
+
+
+def test_at_most_64_thue_morse_recursions_stay_alive():
+    """The recursions of 70 alphabets are kept for the last 64 of them; an
+    evicted one leaves ``_CHILDREN`` with its table and its folds."""
+    _thue_morse.cache_clear()
+    _collapsed_thue_morse.cache_clear()
+    recs = {_thue_morse: [], _collapsed_thue_morse: []}
+    for q in range(2, 72):
+        assert spread_char(gen(q, 0)) == 1 and count_L(gen(q, 0), 2) == q * q
+        for kind, refs in recs.items():
+            refs.append(weakref.ref(kind(q)))
+    gc.collect()
+    alive = [[ref() for ref in refs if ref() is not None]
+             for refs in recs.values()]
+    assert [len(kept) for kept in alive] == [64, 64]
+    assert set(algebra._CHILDREN) <= set(alive[0] + alive[1])
 
 
 def test_memos_do_not_keep_a_recursion_alive():
