@@ -24,10 +24,11 @@ permanent obstruction (nonzero), or at the depth cap (unknown).
 Related elements, such as those of the sigma tower, share most classes
 below their roots.  So every class key is numbered once, in a class table
 per recursion and ring (``_ClassTable``) that every kernel shares, which
-also keeps the children of every class below a closure's root as ids
-(``_class_children``); the closures walk the ids.  The fold of every key
-word (``WreathRecursion._fold_key``) is kept in a memo (``group._Memo``).
-Both are kept across calls and bounded by the letters they hold.
+also keeps the children of every class below a closure's root as ids;
+``_closure`` builds every closure over the algebra on the ids.  The fold
+of every key word (``WreathRecursion._fold_key``) is kept in a memo
+(``group._Memo``).  Both are kept across calls and bounded by the letters
+they hold.
 """
 
 from __future__ import annotations
@@ -452,13 +453,14 @@ def _collapsed_thue_morse(q: int) -> WreathRecursion:
     The generators x_1, ..., x_{q-1} have one image under ``phi``, so the
     letter map is compatible with the recursion, and folding a word here
     gives the root permutation and the collapsed sections of its fold in
-    ``thue_morse``.  That x_i - x_1 is zero under ``phi`` is certified by
-    a zero test over the rationals, once per q; RuntimeError if it fails.
+    ``thue_morse``.  That image is certified once per q, in O(q): equal
+    images share one letter row (``group._letter_tables``), so each row
+    of x_2, ..., x_{q-1} in ``_thue_morse(q)`` must be the row of x_1;
+    RuntimeError if one is not.
     """
+    rows = _thue_morse(q)._rows
     for i in range(2, q):
-        diff = (AlgebraElement.generator(RATIONALS, q, i)
-                - AlgebraElement.generator(RATIONALS, q, 1))
-        if not is_zero(diff, cap_depth=2).is_zero:
+        if rows[i, 1] is not rows[1, 1]:
             raise RuntimeError(f"x{i} and x1 have different images")
     rho = Permutation.rotation(q, -1)
     images = {0: WreathElement(tuple(((min(a, 1), 1),) for a in range(q)), rho)}
@@ -560,14 +562,13 @@ def _cell_children(key: tuple, fold, ring) -> list:
     under one decomposition step: a (key, 1, (row, column)) triple for
     every cell of ``_grid(key, fold)`` that is not literally zero, in
     row-major order.  No element is built; a kernel weighs the cells as
-    its closure walks them (``characters._closure_value``).
+    its closure walks them (``_closure``).
 
     Every closure over the algebra reads its children here, through
-    ``_class_children``: the zero test, the contraction depth, the
-    characters and the counting of ``L``; so do the group characters,
-    whose word w is the monomial key ((w, 1),).  The
-    order is that of the dense matrix ``phi``, which the zero test's
-    witness and the class indices depend on.
+    ``_closure``: the zero test, the contraction depth, the characters
+    and the counting of ``L``; so do the group characters, whose word w
+    is the monomial key ((w, 1),).  The order is that of the dense matrix
+    ``phi``, which the zero test's witness and the class ids depend on.
     """
     grid = _grid(key, fold)
     return [(child, 1, cell) for cell in sorted(grid)
@@ -619,25 +620,26 @@ class _ClassTable:
         return cid
 
 
-# the class table of ``_class_children`` per recursion, which it does not
-# keep alive
+# the class table of ``_closure`` per recursion, which it does not keep alive
 _CHILDREN: WeakKeyDictionary = WeakKeyDictionary()
 
 
-def _class_children(root: tuple, rec: WreathRecursion, ring):
-    """The class table of (``rec``, ``ring``), the id of the class key
-    ``root`` in it, and the child map of a closure from there on ids: the
-    ``_cell_children`` of a class, with the fold of ``rec``
-    (``WreathRecursion._fold_key``, which keeps its folds across calls)
-    and every child key replaced by its id.
+def _closure(root: tuple, rec: WreathRecursion, ring, cap_classes=None,
+             base=None, weights=None) -> Closure:
+    """The ``Closure`` of the class key ``root`` on the ids of the class
+    table of (``rec``, ``ring``), at most ``cap_classes`` classes: a
+    class's children are its ``_cell_children`` through the fold of
+    ``rec`` (``WreathRecursion._fold_key``), but a class whose key
+    ``base`` accepts has none.  A cell weighs ``weights[row][column]``,
+    and one of weight 0 is left out; with no weights every cell weighs 1.
 
     Related elements share most classes below their roots, so the children
-    of every class but the root are kept across calls, in the one table of
-    ``rec``; a call over another ring starts a new one, since a key equal
-    as a tuple has other children over another ring.  The root is numbered
-    like any other class, so a root that its closure reaches again is one
-    class, but its children are not kept, so a repeated query does not
-    become a cached answer."""
+    of every class but the root are kept across calls, with weight 1, in
+    the one table of ``rec``; a call over another ring starts a new one,
+    since a key equal as a tuple has other children over another ring.
+    The root is numbered like any other class, so a root that its closure
+    reaches again is one class, but its children are not kept, so a
+    repeated query does not become a cached answer."""
     table = _CHILDREN.get(rec)
     if table is None or table.ring != ring:
         table = _CHILDREN[rec] = _ClassTable(rec, ring)
@@ -646,16 +648,21 @@ def _class_children(root: tuple, rec: WreathRecursion, ring):
     shared = table.parts.setdefault
     fold = rec._fold_key
 
-    def children(cid: int) -> tuple:
+    def children(cid: int):
+        if base is not None and base(keys[cid]):
+            return None
         out = stored[cid]
         if out is None:
             out = tuple([(number(child), 1, cell) for child, _, cell
                          in _cell_children(keys[cid], fold, ring)])
             if cid != root_id:
                 stored[cid] = out = tuple([shared(t, t) for t in out])
-        return out
+        if weights is None:
+            return out
+        return [(child, weight, cell) for child, _, cell in out
+                if (weight := weights[cell[0]][cell[1]])]
 
-    return table, root_id, children
+    return Closure(root_id, children, cap_classes, table=table)
 
 
 # -- matrices ---------------------------------------------------------------
@@ -729,9 +736,8 @@ def is_zero(s: AlgebraElement, cap_depth: int = 60) -> Verdict:
         # phi(c) is c times the identity matrix, with entry c at (0, 0)
         return Verdict("nonzero", depth=1, witness=((0,), (0,), s.terms[()]))
     rec = _thue_morse(s.q)
-    table, root, children = _class_children(_class_key(s), rec, s.ring)
     # the root is not scalar, so every scalar entry has a route of its own
-    closure = Closure(root, children, table=table)
+    closure = _closure(_class_key(s), rec, s.ring)
     expand, key_of = closure.expand, closure.key
     level = (0,)
     for depth in range(1, cap_depth + 1):
@@ -834,9 +840,7 @@ def omega_enumerate(ring, q: int, n: int, k_max: int, size_cap: int = 512,
 def contraction_depth(s: AlgebraElement, cap_depth: int = 12):
     """Least n with every entry of phi^n(s) in the span of 1 and single
     generators, or an unknown Verdict past the cap."""
-    table, root, children = _class_children(_class_key(s), _thue_morse(s.q),
-                                            s.ring)
-    closure = Closure(root, children, table=table)
+    closure = _closure(_class_key(s), _thue_morse(s.q), s.ring)
     level = {0: 1}
     for depth in range(cap_depth + 1):
         if all(len(word) <= 1 for idx in level for word, _ in closure.key(idx)):

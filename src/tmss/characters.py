@@ -21,20 +21,21 @@ Fraction, integral or not.  A group word w is the monomial with key
 
 and the empty word is the scalar base class.
 
-The class graph and its solve live in ``closure.Closure``.  A class is
-its normalized key (``algebra._class_key``), numbered once in a class
-table, and every closure here walks the ids of the children of one
-decomposition step from ``algebra._class_children`` (``_closure_value``
-for both kinds of character), so no element is built per class;
+The class graph and its solve live in ``closure.Closure``, and every
+closure here is built by ``algebra._closure``, whose classes are the
+normalized keys (``algebra._class_key``) of the cells of one
+decomposition step, so no element is built per class; this module gives
+it only a cap, the base classes and the kernel weights.
+``_closure_value`` solves the closure for both kinds of character;
 ``count_L`` walks the same class graph level by level with unit weights,
 from a root key read collapsed from the element's terms, and stops at the
 first level whose classes are all countable, so any depth costs at most
-the levels before that one.  The class table and the children of every
-class below a closure's root are kept across calls, per recursion and
-ring, so related elements and every kernel share them; the kernel weighs
-each cell as the closure walks it, and the solve runs afresh on every
-call.  ``spread_char`` and ``Kernel.ones`` build no kernel matrix: every
-cell weighs 1, as stored.  No floating point is used in this module.
+the levels before that one.  The classes and their children are kept
+across calls, per recursion and ring, so related elements and every
+kernel share them; the kernel weighs each cell as the closure walks it,
+and the solve runs afresh on every call.  ``spread_char`` and
+``Kernel.ones`` build no kernel matrix: every cell weighs 1, as stored.
+No floating point is used in this module.
 """
 
 from __future__ import annotations
@@ -45,15 +46,14 @@ from math import gcd
 from .algebra import (
     RATIONALS,
     AlgebraElement,
-    _class_children,
     _class_key,
+    _closure,
     _collapsed_key,
     _collapsed_thue_morse,
     _thue_morse,
     omega_generator,
     sigma,
 )
-from .closure import Closure
 from .group import WreathRecursion, canonical
 from .verdict import ClassExplosionError, Verdict
 from .words import Word, free_reduce, power as word_power
@@ -143,6 +143,8 @@ class Kernel:
         return self.entries[idx[0]][idx[1]]
 
     def psd_report(self) -> dict:
+        if self.weights is None:  # Kernel.ones is 1 1^T: symmetric and PSD
+            return {"symmetric": True, "psd": True}
         q = self.q
         sym = all(self.entries[i][j] == self.entries[j][i]
                   for i in range(q) for j in range(i))
@@ -190,29 +192,20 @@ def _is_psd(m: list[list[Fraction]]) -> bool:
 def _closure_value(root, rec, ring, weights, monomial_base: bool,
                    cap_classes: int, with_info: bool):
     """The character value of the class with key ``root`` for the
-    ``rec.q`` x ``rec.q`` kernel ``weights`` (all ones when None), with the
-    children of ``_class_children`` through ``rec``, or an unknown Verdict
+    ``rec.q`` x ``rec.q`` kernel ``weights`` (all ones when None), on the
+    closure of ``algebra._closure`` through ``rec``, or an unknown Verdict
     at the cap.  The key () of zero has value 0; a scalar, or with
-    ``monomial_base`` any single term, is a base class.  The kernel weighs
-    the stored cells, each of weight 1, and leaves out those of weight 0."""
+    ``monomial_base`` any single term, is a base class."""
     if not root:
         info = {"classes_used": 0, "depth": 0, "largest_component": 0}
         return (Fraction(0), info) if with_info else Fraction(0)
-    table, root, cells = _class_children(root, rec, ring)
-    keys = table.keys
 
-    def children(cid: int):
-        key = keys[cid]
-        if len(key) == 1 and (monomial_base or not key[0][0]):
-            return None
-        if weights is None:
-            return cells(cid)
-        return [(child, weight, cell) for child, _, cell in cells(cid)
-                if (weight := weights[cell[0]][cell[1]])]
+    def base(key) -> bool:
+        return len(key) == 1 and (monomial_base or not key[0][0])
 
     try:
-        closure = Closure(root, children, cap_classes, table=table)
-        value, info = closure.solve(rec.q)
+        value, info = _closure(root, rec, ring, cap_classes, base,
+                               weights).solve(rec.q)
     except ClassExplosionError:
         value, info = Verdict.unknown(cap_classes, "cap_classes"), None
     return (value, info) if with_info else value
@@ -310,9 +303,8 @@ def count_L(s: AlgebraElement, k: int, cap_classes: int = 10_000):
     root = _collapsed_key(s)
     if not root:
         return 0
-    table, root, children = _class_children(root, rec, s.ring)
     try:
-        closure = Closure(root, children, cap_classes, table=table)
+        closure = _closure(root, rec, s.ring, cap_classes)
         counts: dict[int, int] = {0: 1}
         for t in range(k):
             if all(_is_countable(closure.key(idx)) for idx in counts):

@@ -11,9 +11,9 @@ looks at its shape.  A scaling class's key is the ``key()`` of its
 element once each ``group.Power`` in it, a long proper power held as its
 root and exponent, is expanded.  ``Closure`` keeps the classes with their
 first parent, the weighted edges, a level step, the strongly connected
-components and the exact solve over them.  The characters, the zero
-test, the contraction depth, the counting of ``L`` and the nucleus limit
-classes all walk it.
+components and the exact solve over them.  ``algebra._closure`` builds
+the closures of the characters, the zero test, the contraction depth and
+the counting of ``L``; the nucleus limit classes build their own.
 """
 
 from __future__ import annotations

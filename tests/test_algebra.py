@@ -15,8 +15,8 @@ from tmss.algebra import (
     AlgebraElement,
     PrimeField,
     UnsupportedModeError,
-    _class_children,
     _class_key,
+    _closure,
     _collapsed_thue_morse,
     _grid,
     _phi_cells,
@@ -33,7 +33,6 @@ from tmss.algebra import (
     sigma,
 )
 from tmss import algebra
-from tmss.closure import Closure
 from tmss.group import Permutation, WreathElement, WreathRecursion, canonical
 from tmss.verdict import Verdict
 from tmss.words import free_reduce, gamma, parse_word, shared_letters, theta
@@ -217,8 +216,10 @@ def test_high_generators_share_one_image():
     q = 4
     images = [gen(q, i).phi() for i in range(1, q)]
     assert all(m == images[0] for m in images)
-    assert is_zero(gen(q, 2) - gen(q, 1)).is_zero
-    assert is_zero(gen(q, 3) - gen(q, 1)).is_zero
+    # the oracle of the certificate of _collapsed_thue_morse
+    for q in range(3, 9):
+        for i in range(2, q):
+            assert is_zero(gen(q, i) - gen(q, 1)) == Verdict("zero", depth=1)
 
 
 def test_collapse_high_letters_preserves_sign():
@@ -756,8 +757,7 @@ def _two_pass_is_zero(s, cap_depth=60):
     if list(s.terms) == [()] and cap_depth >= 1:
         return Verdict("nonzero", depth=1, witness=((0,), (0,), s.terms[()]))
     rec = _thue_morse(s.q)
-    table, root, children = _class_children(_class_key(s), rec, s.ring)
-    closure = Closure(root, children, table=table)
+    closure = _closure(_class_key(s), rec, s.ring)
     level = {0: 1}
     for depth in range(1, cap_depth + 1):
         for idx in level:
@@ -1000,9 +1000,10 @@ def test_phi_reduces_no_word_again():
 
 
 def test_collapsed_recursion_certificate_raises():
-    # a check, not an assert, so python -O keeps it; the cache is bypassed
-    with mock.patch.object(algebra, "is_zero",
-                           return_value=Verdict("nonzero", depth=1)):
+    # a check, not an assert, so python -O keeps it; the cache is bypassed.
+    # In the inverted variant x2 and x1 swap different strands.
+    with mock.patch.object(algebra, "_thue_morse",
+                           return_value=WreathRecursion.inverted_variant(3)):
         with pytest.raises(RuntimeError,
                            match="x2 and x1 have different images"):
             _collapsed_thue_morse.__wrapped__(3)

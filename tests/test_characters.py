@@ -490,6 +490,9 @@ def test_psd_report():
     assert Kernel([[1, 1], [1, 1]]).psd_report()["psd"] is True
     assert Kernel([[0, 1], [1, 0]]).psd_report()["psd"] is False
     assert Kernel.ones(10).psd_report() == {"symmetric": True, "psd": True}
+    for q in range(2, 9):  # Kernel.ones is answered with no matrix built
+        dense = Kernel([[1] * q] * q)
+        assert Kernel.ones(q).psd_report() == dense.psd_report()
 
 
 def _principal_minors_nonnegative(entries):
@@ -658,22 +661,21 @@ def test_count_drops_the_class_of_an_entry_that_collapses_to_zero():
 
 
 def test_count_certifies_the_collapse_once_per_q():
+    # the certificate reads the letter rows of _thue_morse(q), which
+    # count_L does not otherwise call
     _collapsed_thue_morse.cache_clear()
     s = sigma(one(3), gen(3, 2), one(3) - gen(3, 0) ** 3)
-    with mock.patch("tmss.algebra.is_zero", wraps=is_zero) as spy:
+    with mock.patch("tmss.algebra._thue_morse", wraps=_thue_morse) as spy:
         first, second = count_L(s, 4), count_L(s.gamma_map(1), 5)
     assert (first, second) == (_count_collapsing_after_phi(s, 4),
                                _count_collapsing_after_phi(s.gamma_map(1), 5))
-    assert spy.call_count == 1
-    (diff,), _ = spy.call_args
-    assert diff == gen(3, 2) - gen(3, 1)
+    assert spy.call_args_list == [mock.call(3)]
 
 
 def test_count_collapses_only_the_root():
     """The root key is collapsed from the terms of ``s``: no
     ``collapse_high_letters`` call and no element is built."""
     s = sigma(one(3), gen(3, 2) - gen(3, 1), one(3) - gen(3, 0) ** 3)
-    _collapsed_thue_morse(3)  # its certificate builds elements, once per q
     init = AlgebraElement.__init__
     with mock.patch.object(AlgebraElement, "collapse_high_letters") as collapse, \
             mock.patch.object(AlgebraElement, "__init__", autospec=True,
@@ -1182,7 +1184,6 @@ def _expanded_keys(closures):
 @settings(max_examples=150, deadline=None)
 def test_power_keys_match_the_tuple_path(case):
     s, kernel, rec, word = case
-    _collapsed_thue_morse(s.q)  # its certificate is a closure, built once per q
     with _tuple_path() as folded:
         expected = _results_and_keys(s, kernel, rec, word)
     # every word of a class whose children were read went through the oracle
@@ -1366,7 +1367,6 @@ def kernel_sessions(draw):
     q, mode, word, term_lists = _session_terms(draw)
     kernels = tuple(draw(st.lists(_kernels(q), min_size=2, max_size=8)))
     recs = (draw(user_recursions(q)), draw(user_recursions(q)))
-    _collapsed_thue_morse(q)  # its certificate is a closure, run once per q
     kind = st.sampled_from(("algebra_char", "algebra_char", "group_char",
                             "spread_char", "is_zero", "count_L"))
     call = _session_call(kind, q, term_lists, kernels, recs, word)
