@@ -26,16 +26,34 @@ closure here is built by ``algebra._closure``, whose classes are the
 normalized keys (``algebra._class_key``) of the cells of one
 decomposition step, so no element is built per class; this module gives
 it only a cap, the base classes and the kernel weights.
-``_closure_value`` solves the closure for both kinds of character;
-``count_L`` walks the same class graph level by level with unit weights,
-from a root key read collapsed from the element's terms, and stops at the
-first level whose classes are all countable, so any depth costs at most
-the levels before that one.  The classes and their children are kept
-across calls, per recursion and ring, so related elements and every
-kernel share them; the kernel weighs each cell as the closure walks it,
-and the solve runs afresh on every call.  ``spread_char`` and
-``Kernel.ones`` build no kernel matrix: every cell weighs 1, as stored.
-No floating point is used in this module.
+``_closure_value`` solves the closure for both kinds of character.
+
+Which recursion a character closes over depends on its kernel.  The
+generators x_1, ..., x_{q-1} have one image under ``phi``, so a cell and
+its collapse x_i -> x_1 (i >= 2) have the same cells below them.  Under
+the all-ones kernel the collapse keeps every value: a scalar and a single
+monomial satisfy the recursion with value 1, so merging a class into a
+base class changes nothing.  So ``spread_char``, and ``algebra_char``
+whenever every kernel entry is 1, close over
+``algebra._collapsed_thue_morse(q)``, from the element's word key folded
+through the collapsed recursion, so that every class below the root is
+collapsed; at q = 1000 the closure of x0 is 3 classes, not 1,001.  Any
+other kernel keeps word keys on ``algebra._thue_morse(q)``: there a base
+class's fixed value need not satisfy the recursion, so a class that
+collapses onto one can change its value (``x2 x1^-1`` collapses to the
+scalar 1, but its value under diag(1, 1, 2) at q = 3 is 4/3).
+``group_char`` closes over the recursion it is given.
+
+``count_L`` walks the collapsed class graph level by level with unit
+weights, from a root key read collapsed from the element's terms, and
+stops at the first level whose classes are all countable, so any depth
+costs at most the levels before that one; ``spread_char`` shares its
+class table.  The classes and their children are kept across calls, per
+recursion and ring, so related elements and every kernel share them; the
+kernel weighs each cell as the closure walks it, and the solve runs
+afresh on every call.  An all-ones kernel stores no weights matrix
+(``Kernel.weights`` is None): every cell weighs 1, as stored.  No
+floating point is used in this module.
 """
 
 from __future__ import annotations
@@ -105,7 +123,8 @@ class Kernel:
 
         ``weights`` holds the same matrix with every integral entry as an
         ``int``, so that the closures sum integer edge weights; it is None
-        only for ``Kernel.ones``."""
+        for the all-ones matrix, as for ``Kernel.ones``, so that every
+        all-ones kernel closes as ``spread_char`` does."""
         if not isinstance(entries, (list, tuple)) or not all(
                 isinstance(row, (list, tuple)) for row in entries):
             raise ValueError("kernel must be a list of rows of numbers")
@@ -114,9 +133,11 @@ class Kernel:
         if any(len(row) != q for row in rows):
             raise ValueError("kernel must be square")
         self.entries = rows
-        self.weights = tuple(
-            tuple(e.numerator if e.denominator == 1 else e for e in row)
-            for row in rows)
+        self.weights = None
+        if any(e != 1 for row in rows for e in row):
+            self.weights = tuple(
+                tuple(e.numerator if e.denominator == 1 else e for e in row)
+                for row in rows)
         self.q = q
 
     @classmethod
@@ -143,7 +164,7 @@ class Kernel:
         return self.entries[idx[0]][idx[1]]
 
     def psd_report(self) -> dict:
-        if self.weights is None:  # Kernel.ones is 1 1^T: symmetric and PSD
+        if self.weights is None:  # the all-ones 1 1^T: symmetric and PSD
             return {"symmetric": True, "psd": True}
         q = self.q
         sym = all(self.entries[i][j] == self.entries[j][i]
@@ -220,8 +241,11 @@ def algebra_char(s: AlgebraElement, kernel: Kernel, cap_classes: int = 10_000,
     """
     if kernel.q != s.q:
         raise ValueError("kernel size does not match the alphabet")
-    return _closure_value(_class_key(s), _thue_morse(s.q), s.ring,
-                          kernel.weights, monomial_base, cap_classes, with_info)
+    # only the all-ones kernel, which has no weights, may collapse the
+    # letters x_2 ... x_{q-1}: see the module docstring
+    rec = (_collapsed_thue_morse if kernel.weights is None else _thue_morse)(s.q)
+    return _closure_value(_class_key(s), rec, s.ring, kernel.weights,
+                          monomial_base, cap_classes, with_info)
 
 
 def spread_char(s: AlgebraElement, cap_classes: int = 10_000,
@@ -230,10 +254,11 @@ def spread_char(s: AlgebraElement, cap_classes: int = 10_000,
     with value 1.  A value that is not a nonnegative element of Z[1/q]
     raises RuntimeError: the spread values are certified to be.
 
-    No kernel matrix is built: the closure gives every cell weight 1, so
-    its class children are those of the zero test and shared with it."""
-    value, info = _closure_value(_class_key(s), _thue_morse(s.q), s.ring, None,
-                                 True, cap_classes, True)
+    No kernel matrix is built: the closure gives every cell weight 1, on
+    the collapsed recursion, so its class children are those of
+    ``count_L`` and shared with it."""
+    value, info = _closure_value(_class_key(s), _collapsed_thue_morse(s.q),
+                                 s.ring, None, True, cap_classes, True)
     if not isinstance(value, Verdict):
         # the value lies in Z[1/q]: its denominator divides a power of q,
         # which at composite q need not be a power of q itself (6/4 = 3/2)
@@ -289,8 +314,9 @@ def count_L(s: AlgebraElement, k: int, cap_classes: int = 10_000):
     (``_collapsed_key``, which collapses a long power through its root),
     and the entries are folded through the Thue-Morse recursion on that
     quotient, so they come out collapsed.  The identification is
-    certified once per q by a zero test on the differences x_i - x_1,
-    whose matrix images coincide.
+    certified once per q, in O(q), by the letter rows of
+    ``_thue_morse(q)``: the rows of x_2, ..., x_{q-1} must be the row of
+    x_1 (``algebra._collapsed_thue_morse``).
 
     On that quotient a countable class c w (|w| <= 1) has exactly q
     nonzero cells, each countable again, so the walk stops at the first

@@ -575,21 +575,27 @@ class WreathElement:
 
 
 @lru_cache(maxsize=64)
-def _letter_tables(q: int, images: tuple) -> tuple[dict, _NormalForm]:
+def _letter_tables(q: int, images: tuple) -> tuple[dict, _NormalForm, dict]:
     """Per signed letter, the row of (image, section) pairs that the fold
-    reads at each position, and the word problem's normal form, for
+    reads at each position, with each section letter paired with its
+    inverse, and the word problem's normal form, for
     generator images given as ``(i, perm images, sections)`` triples.
     Every recursion built from the same images shares them; they hold no
     word and no verdict, only the letter tables and the permutation
     products asked for so far.  The sections are written in the
-    alphabet's shared letters, so every fold writes them too.  Generators
-    with equal images share one table and one row per sign, so
-    ``thue_morse(q)``, whose x_1..x_{q-1} are equal, costs O(q), not
-    O(q^2)."""
-    shared = shared_letters(q).__getitem__
+    alphabet's shared letters, so every fold writes them too; the third
+    part is the map of those letters (``shared_letters``), kept with the
+    tables so that the alphabet keeps it.  Generators with equal images
+    share one table and one row per sign, so ``thue_morse(q)``, whose
+    x_1..x_{q-1} are equal, costs O(q), not O(q^2)."""
+    shared = shared_letters(q)
 
     def interned(sections):
-        return tuple(tuple(map(shared, s)) for s in sections)
+        return tuple(tuple(map(shared.__getitem__, s)) for s in sections)
+
+    def paired(sections):
+        return tuple(tuple((letter, shared[letter[0], -letter[1]])
+                           for letter in s) for s in sections)
 
     # per distinct (perm, sections): the tables of the image and of its
     # inverse, then their rows
@@ -602,9 +608,10 @@ def _letter_tables(q: int, images: tuple) -> tuple[dict, _NormalForm]:
             plus = (perm, interned(sections))
             minus = (inv.perm.images, interned(inv.sections))
             tables = distinct[perm, sections] = (
-                plus, minus, tuple(zip(*plus)), tuple(zip(*minus)))
+                plus, minus, tuple(zip(perm, paired(plus[1]))),
+                tuple(zip(minus[0], paired(minus[1]))))
         letters[i, 1], letters[i, -1], rows[i, 1], rows[i, -1] = tables
-    return rows, _NormalForm(q, letters)
+    return rows, _NormalForm(q, letters), shared
 
 
 @dataclass(frozen=True)
@@ -634,7 +641,9 @@ class WreathRecursion:
                 check_word(s, q)
                 growth = max(growth, len(s))
         self.q = q
-        self._rows, self._nf = _letter_tables(q, tuple(
+        # _letters is never read: holding it keeps the alphabet's shared
+        # letters the ones that the rows write, after the tables are evicted
+        self._rows, self._nf, self._letters = _letter_tables(q, tuple(
             (i, el.perm.images, el.sections) for i, el in sorted(images.items())))
         # a word shorter than this has only sections shorter than
         # _POWER_MIN, and no Power is this short
@@ -690,7 +699,10 @@ class WreathRecursion:
         of the word's letters from a, each row giving the next position and
         the section read there, and collects its section on a stack that
         cancels on push.  The stack holds the generator sections' own
-        letter objects, so no letter is built."""
+        letter objects, so no letter is built, and a letter cancels the top
+        when the top is the inverse paired with it in its row: one identity
+        test, however many letters share its index, as x_1 does in the
+        collapsed recursion."""
         rows = self._rows
         try:
             steps = [rows[letter] for letter in word]
@@ -703,9 +715,8 @@ class WreathRecursion:
             b, stack = start, []
             for row in steps:
                 b, section = row[b]
-                for letter in section:
-                    if (stack and stack[-1][0] == letter[0]
-                            and stack[-1][1] == -letter[1]):
+                for letter, inv in section:
+                    if stack and stack[-1] is inv:
                         stack.pop()
                     else:
                         stack.append(letter)

@@ -19,6 +19,7 @@ import re
 import sys
 from functools import lru_cache
 from itertools import chain
+from weakref import WeakValueDictionary
 
 Letter = tuple[int, int]
 Word = tuple[Letter, ...]
@@ -76,7 +77,7 @@ class LetterMap(dict):
     their letter objects, and a map for a large alphabet holds only the
     letters that were used."""
 
-    __slots__ = ("image",)
+    __slots__ = ("image", "__weakref__")
 
     def __init__(self, image):
         super().__init__()
@@ -87,6 +88,18 @@ class LetterMap(dict):
         return value
 
 
+# every alphabet's shared letters that something still holds
+_ALPHABETS: WeakValueDictionary = WeakValueDictionary()
+
+
+def _new_alphabet(q: int) -> LetterMap:
+    """A new map of normalized letters for the alphabet of size ``q``."""
+    def normalized(letter: Letter) -> Letter:
+        (i, sign), = check_word((letter,), q)
+        return int(i), 1 if sign == 1 else -1
+    return LetterMap(normalized)
+
+
 @lru_cache(maxsize=64)
 def shared_letters(q: int) -> LetterMap:
     """The alphabet's one object for each letter, filled on first use.
@@ -95,13 +108,20 @@ def shared_letters(q: int) -> LetterMap:
     and maps to the normalized pair ``(int i, +1 or -1)``, so ``(0, True)``
     enters as ``(0, 1)``.  Every map of this module and every element of
     the algebra write these objects, so equal letters in their words are
-    one object and words compare letter by letter by identity.  The maps
-    of the last 64 alphabets used are kept; an alphabet whose map was
-    dropped gets new objects, which are still equal to the old ones."""
-    def normalized(letter: Letter) -> Letter:
-        (i, sign), = check_word((letter,), q)
-        return int(i), 1 if sign == 1 else -1
-    return LetterMap(normalized)
+    one object and words compare letter by letter by identity.
+
+    The maps of the last 64 alphabets used are kept, and so is every map
+    that something else holds: each letter map derived from the shared
+    letters (``_theta_blocks``, ``_inverse_letters``, ``_gamma_letters``,
+    ``algebra._collapsed_letters``, ``group._letter_tables``) holds the
+    map it was built from, so it writes the letters that this function
+    returns for as long as it is kept.  An alphabet whose map was dropped
+    by all of them gets new objects, which are still equal to the old
+    ones."""
+    letters = _ALPHABETS.get(q)
+    if letters is None:
+        letters = _ALPHABETS[q] = _new_alphabet(q)
+    return letters
 
 
 @lru_cache(maxsize=64)

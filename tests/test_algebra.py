@@ -32,7 +32,7 @@ from tmss.algebra import (
     row_col_bound_profile,
     sigma,
 )
-from tmss import algebra
+from tmss import algebra, words
 from tmss.group import Permutation, WreathElement, WreathRecursion, canonical
 from tmss.verdict import Verdict
 from tmss.words import free_reduce, gamma, parse_word, shared_letters, theta
@@ -1084,6 +1084,30 @@ def test_operations_match_the_validating_constructor(case):
                    for word in built.terms for letter in word)
 
 
+def test_derived_letter_maps_write_the_shared_letters_after_70_alphabets():
+    """``shared_letters`` keeps the maps of 64 alphabets, and every letter
+    map derived from one keeps it too: after 70 alphabets, the words that
+    ``gamma_map``, ``sigma``, ``omega_generator``, ``star``,
+    ``collapse_high_letters`` and ``fold`` write at q = 2 and 3 are still
+    made of ``shared_letters(q)``'s objects."""
+    def built(q):
+        x = omega_generator(RATIONALS, q, 1, 0)
+        y = parse_element("x0 x1^-1 - 2", RATIONALS, q)
+        words_out = [w for elem in (
+            x, x.gamma_map(1), sigma(*[y] * q), y.star(),
+            y.collapse_high_letters(), omega_generator(RATIONALS, q, 0, 1))
+            for w in elem.terms]
+        return words_out + list(_thue_morse(q).fold(((0, 1), (1, -1)) * 3)[1])
+
+    for q in (2, 3):
+        built(q)  # every derived map of q is filled before the others
+    for q in range(4, 74):
+        shared_letters(q)
+    for q in (2, 3):
+        shared = shared_letters(q)
+        assert all(letter is shared[letter] for w in built(q) for letter in w)
+
+
 @pytest.mark.parametrize("ring", [RATIONALS, INTEGERS, PrimeField(2)])
 def test_letters_enter_as_shared_normalized_pairs(ring):
     q = 3
@@ -1093,7 +1117,7 @@ def test_letters_enter_as_shared_normalized_pairs(ring):
     assert all(type(i) is int and type(sign) is int for i, sign in word)
     assert all(letter is shared_letters(q)[letter] for letter in word)
     # a letter first met as (0, True) is stored as (0, 1) too
-    fresh = shared_letters.__wrapped__(q)
+    fresh = words._new_alphabet(q)
     assert [fresh[0, True], fresh[True, -1.0]] == [(0, 1), (1, -1)]
     assert all(type(x) is int for letter in fresh.values() for x in letter)
     # equal letters of separately built words are one object

@@ -841,21 +841,31 @@ def _dense_children(key, fold, ring):
     """The oracle: the class's element is rebuilt from its key, and every
     cell of the dense q x q matrix ``phi`` of that element is tested in
     row-major order, with the cell's ``key()`` as its key and weight 1.
-    ``fold`` gives only q, as the length of the empty word's permutation;
-    ``phi`` folds through the Thue-Morse recursion.  Key words are freely
+    ``fold`` gives only q, as the length of the empty word's permutation,
+    and whether it is the fold of the collapsed recursion, whose cells
+    are those of ``phi`` collapsed by ``collapse_high_letters``; ``phi``
+    folds through the Thue-Morse recursion.  Key words are freely
     reduced, so mode B holds the element whatever the mode of the root."""
-    elem = AlgebraElement(ring, len(fold(())[0]), "B", key)
-    return [(entry.key(), 1, (i, j)) for i, row in enumerate(elem.phi())
-            for j, entry in enumerate(row) if not entry.is_zero_literal]
+    q = len(fold(())[0])
+    elem = AlgebraElement(ring, q, "B", key)
+    collapsed = getattr(fold, "__self__", None) is _collapsed_thue_morse(q)
+    cells = [((i, j), entry.collapse_high_letters() if collapsed else entry)
+             for i, row in enumerate(elem.phi()) for j, entry in enumerate(row)]
+    return [(entry.key(), 1, cell) for cell, entry in cells
+            if not entry.is_zero_literal]
+
+
+def _all_ones(kernel):
+    return all(kernel[i, j] == 1 for i in range(kernel.q) for j in range(kernel.q))
 
 
 def _algebra_char_on_the_dense_grid(s, kernel, monomial_base, cap_classes):
     """``algebra_char``'s oracle with the kernel in the children: a class is
     the ``key()`` of an element, and cell (i, j) of its dense ``phi``
-    (``_dense_children``) is a child of weight k(i, j), as a Fraction,
-    unless that weight is 0; a scalar, or with ``monomial_base`` any single
-    term, is a base class."""
-    fold = _thue_morse(s.q).fold
+    (``_dense_children``), collapsed for an all-ones kernel, is a child of
+    weight k(i, j), as a Fraction, unless that weight is 0; a scalar, or
+    with ``monomial_base`` any single term, is a base class."""
+    fold = (_collapsed_thue_morse if _all_ones(kernel) else _thue_morse)(s.q).fold
 
     def children(key):
         if len(key) == 1 and (monomial_base or not key[0][0]):
@@ -938,11 +948,12 @@ def children_cases(draw):
 @given(children_cases())
 @settings(max_examples=150, deadline=None)
 def test_spread_char_is_the_all_ones_kernel_character(case):
-    # the oracle's dense matrix weighs every stored cell 1 in its closure;
-    # Kernel.ones has no weights matrix and takes the stored cells as they are
+    # an all-ones kernel is recognised by its values, not its constructor:
+    # the parsed matrix stores no weights either, so it closes as
+    # Kernel.ones and spread_char do
     s = case[0]
     dense = Kernel([[1] * s.q for _ in range(s.q)])
-    assert dense.weights is not None
+    assert dense.weights is None
     expected = algebra_char(s, dense, monomial_base=True, with_info=True)
     assert spread_char(s, with_info=True) == expected
     for monomial_base in (True, False):
@@ -1047,6 +1058,114 @@ def test_algebra_char_matches_the_dense_grid(case, monomial_base, cap_classes):
         expected = _value_or_singular(compute)
     assert _expanded_words(seen)[0] <= set(called)
     assert _value_or_singular(compute) == expected
+
+
+# -- the all-ones characters on the collapsed recursion ----------------------------
+
+
+def _word_key_character(s, weights, monomial_base, cap_classes):
+    """The oracle: an algebra character closed over the word keys of
+    ``_thue_morse(q)``, as every kernel did before the all-ones kernel
+    closed over the collapsed recursion; a value and info, or an unknown
+    Verdict and None."""
+    return characters._closure_value(_class_key(s), _thue_morse(s.q), s.ring,
+                                     weights, monomial_base, cap_classes, True)
+
+
+@st.composite
+def collapse_cases(draw):
+    """An element over Q, Z, F2 or F3 at q = 2..6, either random in mode A
+    or B (half of them shifted to coefficient sum zero) or a gamma shift of
+    a sigma of towers ``1 - gamma^i Pi^(q^k)`` and zeros, with a class cap
+    that often cuts the closure."""
+    q = draw(st.integers(2, 6))
+    ring = draw(st.sampled_from((RATIONALS, INTEGERS, PrimeField(2),
+                                 PrimeField(3))))
+    if draw(st.booleans()):
+        tower = st.builds(partial(omega_generator, ring, q),
+                          st.integers(0, q - 1), st.integers(0, 2 if q < 4 else 1))
+        comps = draw(st.lists(st.one_of(
+            st.just(AlgebraElement.zero(ring, q)), tower), min_size=q, max_size=q))
+        s = sigma(*comps).gamma_map(draw(st.integers(0, q - 1)))
+    else:
+        mode = draw(st.sampled_from(("A", "B")))
+        sign = (1,) if mode == "A" else (1, -1)
+        letter = st.tuples(st.integers(0, q - 1), st.sampled_from(sign))
+        word = st.lists(letter, max_size=5).map(tuple)
+        terms = draw(st.lists(st.tuples(word, st.integers(-3, 3)), max_size=4))
+        s = AlgebraElement(ring, q, mode, terms)
+        if draw(st.booleans()):
+            s = s - AlgebraElement.one(ring, q, mode).scale(sum(s.terms.values()))
+    return s, draw(st.sampled_from((3, 8, 30, 10_000)))
+
+
+@given(collapse_cases())
+@settings(max_examples=200, deadline=None)
+def test_all_ones_characters_match_the_word_key_closure(case):
+    """``spread_char`` and every all-ones kernel give the values of the
+    word-key closure on fewer or as many classes; an unknown of the
+    word-key closure may become a value only at a cap, and then it is the
+    word-key value past the cap."""
+    s, cap = case
+    q = s.q
+    calls = [(True, lambda: spread_char(s, cap, with_info=True))]
+    for kernel in (Kernel.ones(q), Kernel([[1] * q] * q)):
+        for monomial_base in (True, False):
+            calls.append((monomial_base, lambda k=kernel, b=monomial_base:
+                          algebra_char(s, k, cap, b, with_info=True)))
+    for monomial_base, compute in calls:
+        expected, old_info = _word_key_character(s, None, monomial_base, cap)
+        value, info = compute()
+        if isinstance(expected, Verdict):
+            assert expected.is_unknown and cap < 10_000
+            if not isinstance(value, Verdict):
+                assert value == _word_key_character(
+                    s, None, monomial_base, 10_000)[0]
+            continue
+        assert value == expected
+        assert info["classes_used"] <= old_info["classes_used"]
+
+
+def test_other_kernels_keep_word_keys():
+    """A class may collapse onto a base class whose fixed value does not
+    satisfy the recursion of a kernel other than all ones, so those keep
+    the word keys of ``_thue_morse(q)``: x2 + x1 has identity-kernel value
+    0, though its collapse 2 x1 is a base class of value 1, and x2 x1^-1
+    has value 4/3 under diag(1, 1, 2), though its collapse is the scalar
+    1.  Under the all-ones kernel both values are 1 either way."""
+    cases = ((parse_element("x2 + x1", RATIONALS, 3), Kernel.identity(3),
+              True, Fraction(0)),
+             (parse_element("x2 x1^-1", RATIONALS, 3),
+              Kernel([[1, 0, 0], [0, 1, 0], [0, 0, 2]]), False, Fraction(4, 3)))
+    for s, kernel, monomial_base, value in cases:
+        with _recorded_keys() as seen:
+            result = algebra_char(s, kernel, monomial_base=monomial_base,
+                                  with_info=True)
+        closure, = seen
+        assert closure.table._rec() is _thue_morse(3)
+        assert result == _word_key_character(s, kernel.weights, monomial_base,
+                                             10_000)
+        assert result[0] == value
+        collapsed = s.collapse_high_letters()
+        assert len(collapsed.terms) == 1  # a base class on the collapse
+        with _recorded_keys() as seen:
+            assert algebra_char(s, Kernel.ones(3),
+                                monomial_base=monomial_base) == 1
+        closure, = seen
+        assert closure.table._rec() is _collapsed_thue_morse(3)
+        assert _word_key_character(s, None, monomial_base, 10_000)[0] == 1
+
+
+@pytest.mark.parametrize("q", [100, 1000])
+def test_the_all_ones_kernel_at_a_large_alphabet_walks_three_classes(q):
+    # x0's cells are x0, x1 and, collapsed, x1 again, and the scalar below
+    # them: not x0, ..., x_{q-1}, as on word keys
+    x0 = gen(q, 0)
+    assert algebra_char(x0, Kernel.ones(q), with_info=True) == (
+        1, {"classes_used": 3, "depth": 2, "largest_component": 1})
+    if q == 100:
+        assert _word_key_character(x0, None, False, 10_000) == (
+            1, {"classes_used": q + 1, "depth": 2, "largest_component": 1})
 
 
 def test_closures_do_not_call_phi():
@@ -1433,23 +1552,32 @@ def test_kernels_and_rings_over_shared_tables_give_the_results_of_empty_ones(
 
 
 def test_kernels_on_one_element_share_one_table():
-    """Kernels weigh the cells of one class table: after many of them on
-    one element, the Thue-Morse recursion has one table, which holds only
-    the classes of the all-ones closure."""
+    """Kernels weigh the cells of one class table per recursion: after many
+    of them on one element, each recursion has one table, which holds only
+    the classes of the closure that weighs every cell of it.  The all-ones
+    kernels close over the collapsed recursion, with fewer classes; every
+    other kernel over the Thue-Morse one, where a kernel with no zero
+    entry reaches every class that any kernel does."""
     s = parse_element("1 - x0^9 + x1 x2^-1 - 2*x2", RATIONALS, 3)
     _empty_memos()
     with _recorded_keys() as seen:
         algebra_char(s, Kernel.ones(3))
-    ones, = seen
+        algebra_char(s, Kernel([[2] * 3] * 3))
+    ones, twos = seen
     rng = random.Random(1)
     entries = (-1, 0, 0, Fraction(1, 2), 1, 2, Fraction(-1, 3))
     kernels = [Kernel([[rng.choice(entries) for _ in range(3)]
                        for _ in range(3)]) for _ in range(200)]
-    for kernel in kernels + [Kernel.identity(3)]:
+    kernels += [Kernel.identity(3), Kernel([[1] * 3] * 3)]
+    for kernel in kernels:
         _value_or_singular(lambda: algebra_char(s, kernel, with_info=True))
-    table, = algebra._CHILDREN.values()
-    assert table._rec() is _thue_morse(3)
-    assert set(range(len(table.keys))) == set(ones.keys)
+    spread_char(s)
+    tables = {table._rec(): table for table in algebra._CHILDREN.values()}
+    assert set(tables) == {_collapsed_thue_morse(3), _thue_morse(3)}
+    for rec, closure in ((_collapsed_thue_morse(3), ones),
+                         (_thue_morse(3), twos)):
+        assert set(range(len(tables[rec].keys))) == set(closure.keys)
+    assert len(ones.keys) < len(twos.keys)
     _empty_memos()
 
 

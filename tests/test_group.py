@@ -30,6 +30,7 @@ from tmss.words import (
     inverse,
     parse_word,
     power,
+    shared_letters,
     theta,
 )
 
@@ -492,14 +493,15 @@ def _fold_by_letters(rec, word):
     """The oracle: ``_fold_letters`` letter by letter, as it was written
     before it walked one strand at a time.  Strand a tracks where the
     prefix read so far sends a and collects its section on a stack that
-    cancels on push."""
+    cancels on push, comparing letters by value where ``_fold_letters``
+    compares each with the shared inverse paired with it in its row."""
     pos = list(range(rec.q))
     stacks = [[] for _ in pos]
     for letter in word:
         images, sections = zip(*rec._rows[letter])
         for a, stack in enumerate(stacks):
             b = pos[a]
-            for i, sign in sections[b]:
+            for (i, sign), _ in sections[b]:
                 if stack and stack[-1][0] == i and stack[-1][1] == -sign:
                     stack.pop()
                 else:
@@ -522,9 +524,14 @@ def test_fold_letters_matches_the_letter_by_letter_oracle(preset, q, data):
                                 max_size=12).map(tuple))
     for w in (word, free_reduce(word), rooted, word + inverse(word)):
         assert rec._fold_letters(w) == _fold_by_letters(rec, w)
-    # the sections hold the generator sections' own letter objects
+    # the sections hold the generator sections' own letter objects, each
+    # paired in its row with the alphabet's shared inverse
+    shared = shared_letters(q)
+    assert all(letter is shared[letter] and inv is shared[letter[0], -letter[1]]
+               for row in rec._rows.values() for _, section in row
+               for letter, inv in section)
     own = {id(letter) for row in rec._rows.values() for _, section in row
-           for letter in section}
+           for letter, _ in section}
     assert all(id(letter) in own for section in rec._fold_letters(word)[1]
                for letter in section)
 
