@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -317,6 +318,21 @@ class _Perms:
         return pid
 
 
+class _Steps(dict):
+    """The step rows of one section code (see ``_NormalForm``), keyed by
+    the id of the perm that follows the code in a state, each built on
+    first use like a ``_Row``: per position b, the section at b as ops
+    (see ``_NormalForm.state``) and the strand that the code and then the
+    perm move b to."""
+
+    __slots__ = ("images", "base")
+
+    def __missing__(self, p: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+        after = self.images[p]
+        row = self[p] = tuple((section, after[b]) for section, b in self.base)
+        return row
+
+
 class _NormalForm:
     """The states of the word problem for one table of generator images:
     normal forms in F(S) * P (see ``WreathRecursion.is_trivial``).
@@ -326,8 +342,10 @@ class _NormalForm:
     s p s' has p the identity and s' the inverse of s.  The section letter
     (i, sign) has the code ~(2i + (sign < 0)), so codes are negative and
     code ^ 1 is the inverse letter.  Perm ids compose by ``perms.mul``.
-    ``strands`` reads a state's sections in one pass per strand, and
-    ``fold`` refutes a state whose strands do not all end where they start.
+    ``strands`` reads a state's sections one strand at a time, each pair
+    (s, p) of the state as one step row ``steps[s][p]`` (``_Steps``), and
+    ``fold`` refutes a state at the first strand that does not end where
+    it starts.
     """
 
     def __init__(self, q: int,
@@ -339,15 +357,16 @@ class _NormalForm:
         for (i, sign), (perm, sections) in letters.items():
             self.ops[(i, sign)] = (~(2 * i + (sign < 0)) if any(sections)
                                    else self.perms.id(perm))
-        # per code, indexed by code, and per strand b: the section at b as
-        # ops (see state) with the strand it moves b to
-        self.sections: list[list[tuple[tuple[int, ...], int]]] = [[]] * (2 * q)
+        # per code, indexed by code: its step rows
+        self.steps: list[_Steps | None] = [None] * (2 * q)
         for letter, code in self.ops.items():
             if code < 0:
                 perm, sections = letters[letter]
-                self.sections[code] = [
+                row = self.steps[code] = _Steps()
+                row.images = self.perms.images
+                row.base = tuple(
                     (tuple(op for op in self.word(sections[b]) if op), perm[b])
-                    for b in range(q)]
+                    for b in range(q))
 
     def state(self, ops) -> tuple[int, ...]:
         """The state of the product of ``ops``: a perm id (>= 0) composes
@@ -357,19 +376,21 @@ class _NormalForm:
         # the state below the top permutation, over a bottom 0 that no
         # letter code matches
         stack, top = [0], 0
+        push, pop = stack.append, stack.pop
         for op in ops:
             if op < 0:
                 if top == 0 and stack[-1] == op ^ 1:
-                    stack.pop()
-                    top = stack.pop()
+                    pop()
+                    top = pop()
                 else:
-                    stack += (top, op)
+                    push(top)
+                    push(op)
                     top = 0
             elif top:
                 top = mul[top][op]
             else:
                 top = op
-        stack.append(top)
+        push(top)
         return tuple(stack[1:])
 
     def word(self, word: Word) -> tuple[int, ...]:
@@ -427,36 +448,37 @@ class _NormalForm:
         out = self.conjugated(out)
         return out, len(out) - 1
 
-    def strands(self, state: tuple[int, ...]) -> tuple[list, tuple[int, ...]]:
-        """Strand a's section of ``state`` for every a, each a state, and
-        the strand each ends on: the images of the root permutation.  A
-        strand pushes each section's ops straight onto its own cancelling
-        stack, as ``state`` does."""
-        images, mul, sections = self.perms.images, self.perms.mul, self.sections
-        pairs = tuple(zip(state[1::2], state[2::2]))
-        out, ends = [], []
+    def strands(self, state: tuple[int, ...]
+                ) -> Iterator[tuple[tuple[int, ...], int]]:
+        """Yield strand a's section of ``state``, a state, and the strand it
+        ends on (the image of a under the root permutation), one strand at
+        a time for each a.  Each strand reads one step row per (code, perm)
+        pair of ``state`` and pushes the row's section ops straight onto a
+        cancelling stack, as ``state`` does."""
+        images, mul, steps = self.perms.images, self.perms.mul, self.steps
+        rows = [steps[code][p] for code, p in zip(state[1::2], state[2::2])]
+        stack = [0]
+        push, pop = stack.append, stack.pop
         for b in images[state[0]]:
-            stack, top = [0], 0
-            for code, p in pairs:
-                section, b = sections[code][b]
+            top = 0
+            for row in rows:
+                section, b = row[b]
                 for op in section:
                     if op < 0:
                         if top == 0 and stack[-1] == op ^ 1:
-                            stack.pop()
-                            top = stack.pop()
+                            pop()
+                            top = pop()
                         else:
-                            stack += (top, op)
+                            push(top)
+                            push(op)
                             top = 0
                     elif top:
                         top = mul[top][op]
                     else:
                         top = op
-                if p:
-                    b = images[p][b]
-            stack.append(top)
-            out.append(tuple(stack[1:]))
-            ends.append(b)
-        return out, tuple(ends)
+            push(top)
+            yield tuple(stack[1:]), b
+            del stack[1:]
 
     def fold(self, state: tuple[int, ...], period: int
              ) -> list[tuple[tuple[int, ...], int]] | None:
@@ -476,12 +498,15 @@ class _NormalForm:
         if period < 2 * k or k >= _POWER_MIN // 2:
             d = _root_length(state[1:period + 1]) // 2
         if d == k:
-            sections, ends = self.strands(state)
-            if ends != self.perms.images[0]:
-                return None
-            return [(s, len(s) - 1) for s in map(self.conjugated, sections)]
+            out = []
+            for a, (section, end) in enumerate(self.strands(state)):
+                if end != a:
+                    return None
+                section = self.conjugated(section)
+                out.append((section, len(section) - 1))
+            return out
         unit, m = state[:2 * d + 1], k // d
-        sections, ends = self.strands(unit)
+        sections, ends = zip(*self.strands(unit))
         cycles = _cycles(ends)
         if any(m % len(cycle) for cycle in cycles):
             return None
@@ -574,16 +599,30 @@ class WreathElement:
         }
 
 
+class _Moves(dict):
+    """The fold rows of permutations, keyed by perm id and each built on
+    first use: per position, its image and no section.  The pairs are
+    shared, one per image, so a row costs one pointer a position."""
+
+    __slots__ = ("images", "pairs")
+
+    def __missing__(self, p: int) -> tuple[tuple[int, Word], ...]:
+        row = self[p] = tuple(map(self.pairs.__getitem__, self.images[p]))
+        return row
+
+
 @lru_cache(maxsize=64)
-def _letter_tables(q: int, images: tuple) -> tuple[dict, _NormalForm, dict]:
+def _letter_tables(q: int, images: tuple
+                   ) -> tuple[dict, _NormalForm, _Moves, dict]:
     """Per signed letter, the row of (image, section) pairs that the fold
     reads at each position, with each section letter paired with its
-    inverse, and the word problem's normal form, for
-    generator images given as ``(i, perm images, sections)`` triples.
+    inverse, the word problem's normal form, and the fold rows of its
+    permutations (``_Moves``), for generator images given as ``(i, perm
+    images, sections)`` triples.
     Every recursion built from the same images shares them; they hold no
     word and no verdict, only the letter tables and the permutation
-    products asked for so far.  The sections are written in the
-    alphabet's shared letters, so every fold writes them too; the third
+    products and rows asked for so far.  The sections are written in the
+    alphabet's shared letters, so every fold writes them too; the last
     part is the map of those letters (``shared_letters``), kept with the
     tables so that the alphabet keeps it.  Generators with equal images
     share one table and one row per sign, so ``thue_morse(q)``, whose
@@ -611,7 +650,10 @@ def _letter_tables(q: int, images: tuple) -> tuple[dict, _NormalForm, dict]:
                 plus, minus, tuple(zip(perm, paired(plus[1]))),
                 tuple(zip(minus[0], paired(minus[1]))))
         letters[i, 1], letters[i, -1], rows[i, 1], rows[i, -1] = tables
-    return rows, _NormalForm(q, letters), shared
+    nf = _NormalForm(q, letters)
+    moves = _Moves()
+    moves.images, moves.pairs = nf.perms.images, [(b, ()) for b in range(q)]
+    return rows, nf, moves, shared
 
 
 @dataclass(frozen=True)
@@ -643,8 +685,9 @@ class WreathRecursion:
         self.q = q
         # _letters is never read: holding it keeps the alphabet's shared
         # letters the ones that the rows write, after the tables are evicted
-        self._rows, self._nf, self._letters = _letter_tables(q, tuple(
-            (i, el.perm.images, el.sections) for i, el in sorted(images.items())))
+        self._rows, self._nf, self._moves, self._letters = _letter_tables(
+            q, tuple((i, el.perm.images, el.sections)
+                     for i, el in sorted(images.items())))
         # a word shorter than this has only sections shorter than
         # _POWER_MIN, and no Power is this short
         self._short = -(-_POWER_MIN // max(growth, 1))
@@ -695,20 +738,38 @@ class WreathRecursion:
         return images, tuple(map(_expanded, sections))
 
     def _fold_letters(self, word: Word) -> tuple[tuple[int, ...], tuple[Word, ...]]:
-        """The fold of ``word`` strand by strand: strand a follows the rows
-        of the word's letters from a, each row giving the next position and
-        the section read there, and collects its section on a stack that
+        """The fold of ``word`` strand by strand.  The word is read once
+        into steps: each section letter's row, and each run of rooted
+        letters composed into one permutation (``_NormalForm.ops``,
+        ``perms.mul``) and read as its row in ``_moves``.  Strand a then
+        follows the steps from a, each giving the next position and the
+        section read there, and collects its section on a stack that
         cancels on push.  The stack holds the generator sections' own
         letter objects, so no letter is built, and a letter cancels the top
         when the top is the inverse paired with it in its row: one identity
         test, however many letters share its index, as x_1 does in the
         collapsed recursion."""
-        rows = self._rows
+        rows, moves, ops = self._rows, self._moves, self._nf.ops
+        mul = self._nf.perms.mul
+        steps = []
+        run = 0  # the perm id of the rooted letters read since the last step
         try:
-            steps = [rows[letter] for letter in word]
+            for letter in word:
+                op = ops[letter]
+                if op < 0:
+                    if run:
+                        steps.append(moves[run])
+                        run = 0
+                    steps.append(rows[letter])
+                elif run:
+                    run = mul[run][op]
+                else:
+                    run = op
         except KeyError as fault:
             check_word(fault.args, self.q)  # raises, naming the letter
             raise
+        if run:
+            steps.append(moves[run])
         perm: list[int] = []
         out: list[Word] = []
         for start in range(self.q):

@@ -50,9 +50,7 @@ from tmss.characters import (
 from tmss.closure import Closure, SingularSystemError, _solve_system
 from tmss.group import (
     _POWER_MIN,
-    Permutation,
     Power,
-    WreathElement,
     WreathRecursion,
     _expanded,
     canonical,
@@ -1417,18 +1415,6 @@ def test_deep_towers_stay_compressed(s, value, word):
 _RINGS = (RATIONALS, INTEGERS, PrimeField(2), PrimeField(3))
 
 
-@st.composite
-def user_recursions(draw, q):
-    """A recursion with random root permutations and sections of at most one
-    letter, of either sign."""
-    letter = st.tuples(st.integers(0, q - 1), st.sampled_from((1, -1)))
-    section = st.lists(letter, max_size=1).map(tuple)
-    images = {i: WreathElement(tuple(draw(section) for _ in range(q)),
-                               Permutation(tuple(draw(st.permutations(range(q))))))
-              for i in range(q)}
-    return WreathRecursion(q, images)
-
-
 def _session_terms(draw):
     """The q, mode, word strategy and term lists of a session; each term
     list is an element."""
@@ -1463,7 +1449,8 @@ def memo_sessions(draw):
     collapsed one of count_L."""
     q, mode, word, term_lists = _session_terms(draw)
     kernels = (draw(_kernels(q)), draw(_kernels(q)))
-    recs = (draw(user_recursions(q)), _thue_morse(q), _collapsed_thue_morse(q))
+    recs = (draw(strategies.user_recursions(q)), _thue_morse(q),
+            _collapsed_thue_morse(q))
     kind = st.sampled_from(("is_zero", "contraction_depth", "count_L",
                             "spread_char", "algebra_char", "group_char"))
     call = _session_call(kind, q, term_lists, kernels, recs, word)
@@ -1485,7 +1472,8 @@ def kernel_sessions(draw):
     recursion, and a switch of ring replaces it."""
     q, mode, word, term_lists = _session_terms(draw)
     kernels = tuple(draw(st.lists(_kernels(q), min_size=2, max_size=8)))
-    recs = (draw(user_recursions(q)), draw(user_recursions(q)))
+    recs = (draw(strategies.user_recursions(q)),
+            draw(strategies.user_recursions(q)))
     kind = st.sampled_from(("algebra_char", "algebra_char", "group_char",
                             "spread_char", "is_zero", "count_L"))
     call = _session_call(kind, q, term_lists, kernels, recs, word)

@@ -510,6 +510,26 @@ def _fold_by_letters(rec, word):
     return tuple(pos), tuple(map(tuple, stacks))
 
 
+def _fold_by_strands(rec, word):
+    """The oracle of ``fold``: the letter loop ``_fold_letters`` as it was
+    before it composed runs of rooted letters, one row step per letter on
+    every strand."""
+    steps = [rec._rows[letter] for letter in word]
+    perm, out = [], []
+    for start in range(rec.q):
+        b, stack = start, []
+        for row in steps:
+            b, section = row[b]
+            for letter, inv in section:
+                if stack and stack[-1] is inv:
+                    stack.pop()
+                else:
+                    stack.append(letter)
+        perm.append(b)
+        out.append(tuple(stack))
+    return tuple(perm), tuple(out)
+
+
 FOLD_PRESETS = PRESETS + (_collapsed_thue_morse,)
 
 
@@ -548,9 +568,39 @@ def test_fold_letters_names_a_letter_outside_the_alphabet(preset, q, data):
         rec._fold_letters(word[:at] + (bad,) + word[at:])
 
 
+def rooted_runs(q: int, rooted):
+    """Words that alternate runs of up to 3 other letters with runs of up
+    to 30 letters drawn from ``rooted``."""
+    letter = st.tuples(st.integers(0, q - 1), st.sampled_from((1, -1)))
+    run = st.lists(st.sampled_from(rooted), max_size=30).map(tuple)
+    other = st.lists(letter, max_size=3).map(tuple)
+    return st.lists(st.tuples(other, run), max_size=6).map(
+        lambda parts: sum((a + b for a, b in parts), ()))
+
+
+@given(st.integers(2, 5), st.data())
+@settings(max_examples=300, deadline=None)
+def test_fold_letters_composes_rooted_runs_as_the_letter_loop(q, data):
+    """A run of rooted letters is one permutation step on each strand;
+    the fold is that of one row step per letter, on the presets and on a
+    user recursion with rooted generators, one of them with the identity
+    permutation, and generator sections of up to three letters."""
+    if data.draw(st.booleans()):
+        rec = data.draw(st.sampled_from(FOLD_PRESETS))(q)
+    else:
+        rooted = data.draw(st.sets(st.integers(1, q - 1), min_size=1))
+        rec = data.draw(strategies.user_recursions(
+            q, max_letters=3, rooted=rooted, fixed={min(rooted)}))
+    rooted = sorted(letter for letter, op in rec._nf.ops.items() if op >= 0)
+    word = data.draw(rooted_runs(q, rooted)) if rooted else ()
+    for w in (word, free_reduce(word), inverse(word)):
+        assert rec._fold_letters(w) == _fold_by_strands(rec, w)
+        assert rec.fold(w) == _fold_by_strands(rec, w)
+
+
 # -- folding proper powers through their root ------------------------------------
-# The letter loop ``_fold_letters`` is the oracle: ``fold`` must agree with it
-# on every word, whichever path it takes.
+# The plain letter loop ``_fold_by_strands`` is the oracle: ``fold`` must agree
+# with it on every word, whichever path it takes.
 
 
 @given(st.sampled_from(ALL_PRESETS), st.integers(2, 5), st.data())
@@ -562,7 +612,7 @@ def test_fold_of_powers_matches_the_letter_loop(preset, q, data):
     m = data.draw(st.integers(1, 40))
     tail = data.draw(words(q, max_len=4))
     for word in (power(root, m), power(root, m) + tail, power(root, -m)):
-        assert rec.fold(word) == rec._fold_letters(word)
+        assert rec.fold(word) == _fold_by_strands(rec, word)
 
 
 @pytest.mark.parametrize("preset,q,root,m", [
@@ -578,7 +628,7 @@ def test_fold_of_powers_cancels_at_the_seam(preset, q, root, m):
     # leftover factors begin with t: the two parts cancel where they meet
     rec = preset(q)
     word = root * m
-    assert rec.fold(word) == rec._fold_letters(word)
+    assert rec.fold(word) == _fold_by_strands(rec, word)
 
 
 @given(st.sampled_from(ALL_PRESETS), st.integers(2, 5), st.data())
@@ -586,7 +636,7 @@ def test_fold_of_powers_cancels_at_the_seam(preset, q, root, m):
 def test_fold_of_other_words_matches_the_letter_loop(preset, q, data):
     rec = preset(q)
     word = data.draw(words(q, max_len=80))
-    assert rec.fold(word) == rec._fold_letters(word)
+    assert rec.fold(word) == _fold_by_strands(rec, word)
 
 
 def test_powers_are_read_letter_by_letter_only_in_their_root():
@@ -771,7 +821,7 @@ def test_key_fold_matches_the_fold_on_canonical_words(preset, q, data):
     rec = preset(q)
     word = data.draw(reduced_powers(q))
     perm, sections = rec._fold_key(canonical(word))
-    assert (perm, tuple(map(_expanded, sections))) == rec._fold_letters(word)
+    assert (perm, tuple(map(_expanded, sections))) == _fold_by_strands(rec, word)
     assert all(canonical(_expanded(s)) == s for s in sections)
 
 
@@ -793,7 +843,7 @@ def test_key_fold_of_a_power_whose_cycle_product_is_not_cyclically_reduced(
     assert type(key) is Power and key.root == root
     perm, sections = rec._fold_key(key)
     assert not all(type(s) is Power for s in sections)
-    assert (perm, tuple(map(_expanded, sections))) == rec._fold_letters(word)
+    assert (perm, tuple(map(_expanded, sections))) == _fold_by_strands(rec, word)
     assert all(canonical(_expanded(s)) == s for s in sections)
 
 
@@ -953,6 +1003,89 @@ def test_state_fold_matches_the_word_fold(preset, q, data):
 ])
 def test_state_fold_of_powers_that_cancel_at_the_seam(preset, root, m):
     _check_state_fold(preset(4), root, m)
+
+
+def _strands_by_pairs(rec, state):
+    """The oracle of ``nf.strands``: the strand walk as it was before the
+    step rows.  Per code, the section at each position, as a state, and
+    the strand it moves to come from the fold of the code's letter; each
+    strand unpacks every (code, perm) pair of ``state``, reads the section
+    there and applies the perm itself, and its section is the state of the
+    ops it read."""
+    nf = rec._nf
+    images = nf.perms.images
+    sections = {}
+    for letter, code in nf.ops.items():
+        if code < 0:
+            perm, words = rec.fold((letter,))
+            sections[code] = [(nf.word(w), b) for w, b in zip(words, perm)]
+    out = []
+    for b in images[state[0]]:
+        ops = []
+        for code, p in zip(state[1::2], state[2::2]):
+            section, b = sections[code][b]
+            ops += section
+            if p:
+                b = images[p][b]
+        out.append((nf.state(ops), b))
+    return out
+
+
+@given(st.integers(2, 5), st.data())
+@settings(max_examples=300, deadline=None)
+def test_strands_match_the_per_pair_walk(q, data):
+    """On the presets and on a user recursion whose sections have up to
+    three letters, rooted ones among them, and whose permutations may be
+    the identity."""
+    if data.draw(st.booleans()):
+        rec = data.draw(st.sampled_from(PRESETS))(q)
+    else:
+        rooted = data.draw(st.sets(st.integers(1, q - 1)))
+        fixed = data.draw(st.sets(st.integers(0, q - 1), max_size=2))
+        rec = data.draw(strategies.user_recursions(
+            q, max_letters=3, rooted=rooted, fixed=fixed))
+    state = rec._nf.word(data.draw(words(q, max_len=30)))
+    assert list(rec._nf.strands(state)) == _strands_by_pairs(rec, state)
+
+
+def test_a_root_that_fixes_strand_0_is_still_refuted():
+    # in transposed_variant(3), x0 x1 has the root permutation (1 2):
+    # strand 0 closes and strand 1 does not; x0 x1 x0^-1 x2 fixes the first
+    # level, and its strand-0 section x0^-1 x2 is refuted the same way
+    rec = WreathRecursion.transposed_variant(3)
+    nf = rec._nf
+    state, period = nf.power(nf.word(((0, 1), (1, 1))), 1)
+    assert [end for _, end in nf.strands(state)] == [0, 2, 1]
+    assert nf.fold(state, period) is None and _fold_directly(rec, state) is None
+    assert rec.is_trivial(((0, 1), (1, 1), (0, -1), (2, 1))).is_false
+
+
+def test_a_rotated_root_is_refuted_after_one_strand():
+    # x0 x1 x0 x2 x0 in thue_morse(3) has three section letters and the root
+    # permutation rho^5: strand 0 ends on 1, so strands 1 and 2 are not read
+    rec = WreathRecursion.thue_morse(3)
+    nf = rec._nf
+    state, period = nf.power(nf.word(((0, 1), (1, 1), (0, 1), (2, 1), (0, 1))), 1)
+    assert len(state) == 7 and period == 6
+    reads = []
+
+    class Row(tuple):
+        def __getitem__(self, b):
+            reads.append(b)
+            return tuple.__getitem__(self, b)
+
+    class Steps:
+        def __init__(self, steps):
+            self.steps = steps
+
+        def __getitem__(self, p):
+            return Row(self.steps[p])
+
+    spied = [None if steps is None else Steps(steps) for steps in nf.steps]
+    with mock.patch.object(nf, "steps", spied):
+        assert nf.fold(state, period) is None
+    assert len(reads) == 3 and reads[0] == 0
+    assert rec.is_trivial(((0, 1), (1, 1), (0, 1), (2, 1), (0, 1))).is_false
 
 
 def test_states_compose_permutations_as_then_does():
