@@ -22,22 +22,22 @@ permanent obstruction (nonzero), or at the depth cap (unknown).
 ``contraction_depth`` walks the same graph.
 
 Related elements, such as those of the sigma tower, share most classes
-below their roots.  So every class key is numbered once, in a class table
-per recursion and ring (``_ClassTable``) that every kernel shares, which
-also keeps the children of every class below a closure's root as ids;
-``_closure`` builds every closure over the algebra on the ids.  The fold
-of every key word (``WreathRecursion._fold_key``) is kept in a memo
-(``group._Memo``).  Both are kept across calls and bounded by the letters
-they hold.
+below their roots.  So every class key is numbered once, in the class
+table that each recursion keeps for one ring (``_ClassTable``) and every
+kernel shares, which also keeps the children of every class below a
+closure's root as ids; ``_closure`` builds every closure over the algebra
+on the ids.  The fold of every key word (``WreathRecursion._fold_key``) is
+kept in a memo (``group._Memo``).  Both are kept across calls and bounded
+by the letters they hold.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from weakref import WeakKeyDictionary, ref
 
 from . import group
 from .closure import Closure
@@ -54,7 +54,7 @@ from .group import (
 )
 from .verdict import Verdict
 from .words import (
-    LetterMap,
+    LazyMap,
     Word,
     _inverse_letters,
     _parse_token,
@@ -74,6 +74,7 @@ class UnsupportedModeError(ValueError):
 # -- coefficient rings ----------------------------------------------------
 
 
+@dataclass(frozen=True)
 class Rationals:
     name = "Q"
     is_field = True
@@ -88,16 +89,8 @@ class Rationals:
         """``x`` as a class key holds it: an integral rational as an int."""
         return x.numerator if x.denominator == 1 else x
 
-    def __repr__(self):
-        return "Rationals()"
 
-    def __eq__(self, other):
-        return type(other) is Rationals
-
-    def __hash__(self):
-        return hash("Rationals")
-
-
+@dataclass(frozen=True)
 class Integers:
     name = "Z"
     is_field = False
@@ -117,24 +110,42 @@ class Integers:
     def compact(self, x):
         return x
 
-    def __repr__(self):
-        return "Integers()"
 
-    def __eq__(self, other):
-        return type(other) is Integers
-
-    def __hash__(self):
-        return hash("Integers")
+# the first 13 primes: as Miller-Rabin bases they decide primality below
+# _PROVEN (Sorenson and Webster, "Strong pseudoprimes to twelve prime
+# bases", Math. Comp. 86, 2017)
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PROVEN = 3_317_044_064_679_887_385_961_981
 
 
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin on ``_BASES``, for n < ``_PROVEN``."""
+    if n < 2 or any(n % b == 0 for b in _BASES):
+        return n in _BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    for b in _BASES:
+        # n passes base b when b^d = 1 or b^(d 2^r) = -1 for some r < s
+        x = pow(b, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
+            return False
+    return True
+
+
+@dataclass(frozen=True)
 class PrimeField:
+    p: int
     is_field = True
 
-    def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.name = f"F{p}"
+    def __post_init__(self):
+        if not isinstance(self.p, int) or self.p >= _PROVEN:
+            raise ValueError(f"a prime modulus must be an integer below "
+                             f"{_PROVEN}, where primality is proven")
+        if not _is_prime(self.p):
+            raise ValueError(f"{self.p} is not prime")
+
+    @property
+    def name(self) -> str:
+        return f"F{self.p}"
 
     def coerce(self, x):
         if isinstance(x, Fraction):
@@ -149,15 +160,6 @@ class PrimeField:
 
     def compact(self, x):
         return x % self.p
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
-
-    def __eq__(self, other):
-        return type(other) is PrimeField and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
 
 
 RATIONALS = Rationals()
@@ -426,7 +428,7 @@ class AlgebraElement:
 
 
 @lru_cache(maxsize=64)
-def _collapsed_letters(q: int) -> LetterMap:
+def _collapsed_letters(q: int) -> LazyMap:
     """The letter that ``collapse_high_letters`` writes for each letter;
     one table per alphabet, so that a process holds the letters of at most
     64 alphabets."""
@@ -435,7 +437,7 @@ def _collapsed_letters(q: int) -> LetterMap:
     def collapsed(letter):
         i, sign = letter
         return shared[min(i, 1), sign]
-    return LetterMap(collapsed)
+    return LazyMap(collapsed)
 
 
 @lru_cache(maxsize=64)
@@ -590,19 +592,18 @@ class _ClassTable:
     A closure hashes its root's key to find its id; any other key is
     hashed only when the children of a class are computed, so a walk over
     stored children reads ids alone.  The table holds each key's
-    ``_held`` letters once, in ``letters``.  A table that holds more than
-    ``group._MEMO_LETTERS`` letters leaves ``_CHILDREN``: the call in
-    flight keeps it and its ids, and the next call starts a new one."""
+    ``_held`` letters once, in ``letters``.  Its recursion keeps it as
+    ``_classes``, next to the fold memo ``_folds``, and frees both."""
 
-    __slots__ = ("ids", "keys", "children", "parts", "letters", "ring", "_rec")
+    __slots__ = ("ids", "keys", "children", "parts", "letters", "ring")
 
-    def __init__(self, rec: WreathRecursion, ring):
+    def __init__(self, ring):
         self.ids: dict = {}
         self.keys: list = []
         self.children: list = []
         self.parts: dict = {}
         self.letters = 0
-        self.ring, self._rec = ring, ref(rec)
+        self.ring = ring
 
     def id(self, key: tuple) -> int:
         """The id of the class with key ``key``, numbered on first use."""
@@ -614,14 +615,7 @@ class _ClassTable:
             self.keys.append(key)
             self.children.append(None)
             self.letters += sum(_held(w) for w, _ in key)
-            if (self.letters > group._MEMO_LETTERS
-                    and _CHILDREN.get(rec := self._rec()) is self):
-                del _CHILDREN[rec]
         return cid
-
-
-# the class table of ``_closure`` per recursion, which it does not keep alive
-_CHILDREN: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def _closure(root: tuple, rec: WreathRecursion, ring, cap_classes=None,
@@ -635,18 +629,22 @@ def _closure(root: tuple, rec: WreathRecursion, ring, cap_classes=None,
 
     Related elements share most classes below their roots, so the children
     of every class but the root are kept across calls, with weight 1, in
-    the one table of ``rec``; a call over another ring starts a new one,
-    since a key equal as a tuple has other children over another ring.
-    The root is numbered like any other class, so a root that its closure
-    reaches again is one class, but its children are not kept, so a
-    repeated query does not become a cached answer."""
-    table = _CHILDREN.get(rec)
+    the one table of ``rec`` (``rec._classes``).  A call starts a new one
+    when that table is over another ring, where a key equal as a tuple has
+    other children.  A table leaves its recursion once it holds more than
+    ``group._MEMO_LETTERS`` letters, but serves the closure in flight to
+    its end.  The root is numbered like any other class, so a root that
+    its closure reaches again is one class, but its children are not
+    kept, so a repeated query does not become a cached answer."""
+    table = rec._classes
     if table is None or table.ring != ring:
-        table = _CHILDREN[rec] = _ClassTable(rec, ring)
-    root_id = table.id(root)
+        table = rec._classes = _ClassTable(ring)
     keys, stored, number = table.keys, table.children, table.id
     shared = table.parts.setdefault
     fold = rec._fold_key
+    root_id = number(root)
+    if table.letters > group._MEMO_LETTERS:
+        rec._classes = None
 
     def children(cid: int):
         if base is not None and base(keys[cid]):
@@ -655,6 +653,8 @@ def _closure(root: tuple, rec: WreathRecursion, ring, cap_classes=None,
         if out is None:
             out = tuple([(number(child), 1, cell) for child, _, cell
                          in _cell_children(keys[cid], fold, ring)])
+            if table.letters > group._MEMO_LETTERS and rec._classes is table:
+                rec._classes = None
             if cid != root_id:
                 stored[cid] = out = tuple([shared(t, t) for t in out])
         if weights is None:

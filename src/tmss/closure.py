@@ -4,8 +4,8 @@ An object is decomposed one level, its pieces are identified up to a key
 (the normalized key of a scaling class, a nucleus representative), and
 each class is decomposed once.  The child map names a class and each of
 its children by a key.  A nucleus representative is its own key.  A
-scaling class is numbered once in a class table (``algebra._ClassTable``)
-per recursion and ring, and named by that small int, its id, so that no
+scaling class is numbered once in the class table of its recursion
+(``algebra._ClassTable``), and named by that small int, its id, so that no
 walk hashes a class key again; the table reads the key back where a walk
 looks at its shape.  A scaling class's key is the ``key()`` of its
 element once each ``group.Power`` in it, a long proper power held as its

@@ -38,6 +38,7 @@ from functools import lru_cache
 from .closure import Closure
 from .verdict import ClassExplosionError, Verdict
 from .words import (
+    LazyMap,
     Letter,
     Word,
     check_alphabet,
@@ -280,31 +281,18 @@ def _key_section(product: Word, laps: int, tail: Word):
     return canonical(_join(_reduced_power(product, laps), tail))
 
 
-class _Row(dict):
-    """One row of ``_Perms.mul``: the ids of the permutation ``first``
-    followed by others, keyed by the id of the other, each composed on
-    first use."""
-
-    __slots__ = ("perms", "first")
-
-    def __missing__(self, b: int) -> int:
-        second = self.perms.images[b]
-        pid = self[b] = self.perms.id(tuple(second[x] for x in self.first))
-        return pid
-
-
 class _Perms:
     """Interned permutations of {0..q-1}: ``ids`` maps images to an id (0
     is the identity), ``images`` lists them by id, and ``mul[a][b]`` is the
-    id of a followed by b, from one ``_Row`` per id that holds only the
-    products asked for, as P may be all of S_q (``transposed_variant``)."""
+    id of a followed by b, from one ``LazyMap`` row per id that holds only
+    the products asked for, as P may be all of S_q (``transposed_variant``)."""
 
     __slots__ = ("ids", "images", "mul")
 
     def __init__(self, q: int):
         self.ids: dict[tuple[int, ...], int] = {}
         self.images: list[tuple[int, ...]] = []
-        self.mul: list[_Row] = []
+        self.mul: list[LazyMap] = []
         self.id(tuple(range(q)))
 
     def id(self, images: tuple[int, ...]) -> int:
@@ -312,25 +300,9 @@ class _Perms:
         if pid is None:
             pid = self.ids[images] = len(self.images)
             self.images.append(images)
-            row = _Row()
-            row.perms, row.first = self, images
-            self.mul.append(row)
+            self.mul.append(LazyMap(lambda b: self.id(
+                tuple(map(self.images[b].__getitem__, images)))))
         return pid
-
-
-class _Steps(dict):
-    """The step rows of one section code (see ``_NormalForm``), keyed by
-    the id of the perm that follows the code in a state, each built on
-    first use like a ``_Row``: per position b, the section at b as ops
-    (see ``_NormalForm.state``) and the strand that the code and then the
-    perm move b to."""
-
-    __slots__ = ("images", "base")
-
-    def __missing__(self, p: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-        after = self.images[p]
-        row = self[p] = tuple((section, after[b]) for section, b in self.base)
-        return row
 
 
 class _NormalForm:
@@ -343,9 +315,10 @@ class _NormalForm:
     (i, sign) has the code ~(2i + (sign < 0)), so codes are negative and
     code ^ 1 is the inverse letter.  Perm ids compose by ``perms.mul``.
     ``strands`` reads a state's sections one strand at a time, each pair
-    (s, p) of the state as one step row ``steps[s][p]`` (``_Steps``), and
-    ``fold`` refutes a state at the first strand that does not end where
-    it starts.
+    (s, p) of the state as one step row ``steps[s][p]``, built on first
+    use: per position b, the section at b as ops and the strand that s and
+    then p move b to.  ``fold`` refutes a state at the first strand that
+    does not end where it starts.
     """
 
     def __init__(self, q: int,
@@ -357,16 +330,16 @@ class _NormalForm:
         for (i, sign), (perm, sections) in letters.items():
             self.ops[(i, sign)] = (~(2 * i + (sign < 0)) if any(sections)
                                    else self.perms.id(perm))
-        # per code, indexed by code: its step rows
-        self.steps: list[_Steps | None] = [None] * (2 * q)
+        # per code, indexed by code: its step rows, keyed by perm id
+        self.steps: list[LazyMap | None] = [None] * (2 * q)
+        images = self.perms.images
         for letter, code in self.ops.items():
             if code < 0:
                 perm, sections = letters[letter]
-                row = self.steps[code] = _Steps()
-                row.images = self.perms.images
-                row.base = tuple(
-                    (tuple(op for op in self.word(sections[b]) if op), perm[b])
-                    for b in range(q))
+                base = tuple((tuple(op for op in self.word(sections[b]) if op),
+                              perm[b]) for b in range(q))
+                self.steps[code] = LazyMap(lambda p, base=base: tuple(
+                    (section, images[p][b]) for section, b in base))
 
     def state(self, ops) -> tuple[int, ...]:
         """The state of the product of ``ops``: a perm id (>= 0) composes
@@ -599,25 +572,14 @@ class WreathElement:
         }
 
 
-class _Moves(dict):
-    """The fold rows of permutations, keyed by perm id and each built on
-    first use: per position, its image and no section.  The pairs are
-    shared, one per image, so a row costs one pointer a position."""
-
-    __slots__ = ("images", "pairs")
-
-    def __missing__(self, p: int) -> tuple[tuple[int, Word], ...]:
-        row = self[p] = tuple(map(self.pairs.__getitem__, self.images[p]))
-        return row
-
-
 @lru_cache(maxsize=64)
 def _letter_tables(q: int, images: tuple
-                   ) -> tuple[dict, _NormalForm, _Moves, dict]:
+                   ) -> tuple[dict, _NormalForm, LazyMap, dict]:
     """Per signed letter, the row of (image, section) pairs that the fold
     reads at each position, with each section letter paired with its
     inverse, the word problem's normal form, and the fold rows of its
-    permutations (``_Moves``), for generator images given as ``(i, perm
+    permutations by perm id, built on first use from one shared (image, no
+    section) pair per position, for generator images given as ``(i, perm
     images, sections)`` triples.
     Every recursion built from the same images shares them; they hold no
     word and no verdict, only the letter tables and the permutation
@@ -651,8 +613,8 @@ def _letter_tables(q: int, images: tuple
                 tuple(zip(minus[0], paired(minus[1]))))
         letters[i, 1], letters[i, -1], rows[i, 1], rows[i, -1] = tables
     nf = _NormalForm(q, letters)
-    moves = _Moves()
-    moves.images, moves.pairs = nf.perms.images, [(b, ()) for b in range(q)]
+    pairs = [(b, ()) for b in range(q)]
+    moves = LazyMap(lambda p: tuple(map(pairs.__getitem__, nf.perms.images[p])))
     return rows, nf, moves, shared
 
 
@@ -692,6 +654,8 @@ class WreathRecursion:
         # _POWER_MIN, and no Power is this short
         self._short = -(-_POWER_MIN // max(growth, 1))
         self._folds = _Memo()
+        # the class table of ``algebra._closure``, which starts one
+        self._classes = None
         # always empty (is_trivial keeps no state); perfbench/tracer.py reads its size
         self._trivial_cache: dict[Word, bool] = {}
 

@@ -71,11 +71,12 @@ def commutator(a: Word, b: Word) -> Word:
     return a + b + inverse(a) + inverse(b)
 
 
-class LetterMap(dict):
-    """A map of letters, filled on first use of each letter: ``image(letter)``
-    gives the value of a letter not seen yet.  Words mapped through it share
-    their letter objects, and a map for a large alphabet holds only the
-    letters that were used."""
+class LazyMap(dict):
+    """A dict filled on first use of each key: ``image(key)`` gives the value
+    of a key not seen yet; a hit is a plain dict subscript, and ``in`` and
+    ``get`` fill nothing.  Words mapped through a letter map share their
+    letter objects, and a map for a large alphabet holds only the letters
+    that were used."""
 
     __slots__ = ("image", "__weakref__")
 
@@ -83,8 +84,8 @@ class LetterMap(dict):
         super().__init__()
         self.image = image
 
-    def __missing__(self, letter):
-        value = self[letter] = self.image(letter)
+    def __missing__(self, key):
+        value = self[key] = self.image(key)
         return value
 
 
@@ -92,16 +93,16 @@ class LetterMap(dict):
 _ALPHABETS: WeakValueDictionary = WeakValueDictionary()
 
 
-def _new_alphabet(q: int) -> LetterMap:
+def _new_alphabet(q: int) -> LazyMap:
     """A new map of normalized letters for the alphabet of size ``q``."""
     def normalized(letter: Letter) -> Letter:
         (i, sign), = check_word((letter,), q)
         return int(i), 1 if sign == 1 else -1
-    return LetterMap(normalized)
+    return LazyMap(normalized)
 
 
 @lru_cache(maxsize=64)
-def shared_letters(q: int) -> LetterMap:
+def shared_letters(q: int) -> LazyMap:
     """The alphabet's one object for each letter, filled on first use.
 
     A letter is checked (``check_word``) the first time it is looked up,
@@ -125,7 +126,7 @@ def shared_letters(q: int) -> LetterMap:
 
 
 @lru_cache(maxsize=64)
-def _theta_blocks(q: int) -> LetterMap:
+def _theta_blocks(q: int) -> LazyMap:
     """The block that ``theta`` writes for each letter, of shared letters."""
     shared = shared_letters(q)
 
@@ -134,18 +135,18 @@ def _theta_blocks(q: int) -> LetterMap:
         if sign == 1:
             return tuple(shared[(i + k) % q, 1] for k in range(q))
         return tuple(shared[(i + k) % q, -1] for k in range(q - 1, -1, -1))
-    return LetterMap(block)
+    return LazyMap(block)
 
 
 @lru_cache(maxsize=64)
-def _inverse_letters(q: int) -> LetterMap:
+def _inverse_letters(q: int) -> LazyMap:
     """The shared inverse of each letter."""
     shared = shared_letters(q)
 
     def inverted(letter: Letter) -> Letter:
         i, sign = letter
         return shared[i, -sign]
-    return LetterMap(inverted)
+    return LazyMap(inverted)
 
 
 def theta(word: Word, q: int) -> Word:
@@ -163,14 +164,14 @@ def theta_iter(word: Word, q: int, n: int) -> Word:
 
 
 @lru_cache(maxsize=256)
-def _gamma_letters(shift: int, q: int) -> LetterMap:
+def _gamma_letters(shift: int, q: int) -> LazyMap:
     """The shared letter that ``gamma`` writes for each letter."""
     shared = shared_letters(q)
 
     def rotated(letter: Letter) -> Letter:
         i, sign = letter
         return shared[(i + shift) % q, sign]
-    return LetterMap(rotated)
+    return LazyMap(rotated)
 
 
 def gamma(word: Word, shift: int, q: int) -> Word:

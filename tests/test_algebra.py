@@ -1,5 +1,6 @@
 """Matrix recursion on the group algebra: phi, zero testing, sigma, omega."""
 
+import math
 import re
 from fractions import Fraction
 from functools import partial
@@ -57,6 +58,46 @@ def test_prime_field_rejects_composite_modulus():
         PrimeField(4)
     with pytest.raises(ValueError):
         PrimeField(1)
+
+
+def test_prime_field_decides_primality_by_miller_rabin():
+    def by_trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, n))
+
+    assert ([n for n in range(-2, 1500) if algebra._is_prime(n)]
+            == [n for n in range(-2, 1500) if by_trial_division(n)])
+    # strong pseudoprimes to the first 4, 9 and 12 primes as bases
+    for factors in ((151, 751, 28351), (149491, 747451, 34233211),
+                    (399165290221, 798330580441)):
+        n = math.prod(factors)
+        assert not algebra._is_prime(n)
+        with pytest.raises(ValueError, match=f"{n} is not prime"):
+            PrimeField(n)
+    # a 19-digit prime, which trial division takes seconds to certify, and
+    # the largest prime below the proven bound
+    for p in (10 ** 18 + 3, algebra._PROVEN - 168):
+        assert PrimeField(p).p == p
+
+
+@given(st.integers(0, algebra._PROVEN - 1))
+@settings(deadline=None)  # the first example imports sympy
+def test_miller_rabin_matches_sympy_below_the_proven_bound(n):
+    sympy = pytest.importorskip("sympy")
+    assert algebra._is_prime(n) == sympy.isprime(n)
+    if n > 2:
+        assert algebra._is_prime(sympy.prevprime(n))
+
+
+def test_prime_field_refuses_a_modulus_past_the_proven_bound():
+    # the bound is the least composite that passes all 13 bases, and a
+    # 401-digit modulus is too large for a float square root; a float
+    # modulus would make every coefficient a float
+    assert algebra._PROVEN == 1287836182261 * 2575672364521
+    assert algebra._is_prime(algebra._PROVEN)
+    for p in (algebra._PROVEN, 10 ** 400 + 1, 7.0, 43.0):
+        with pytest.raises(ValueError,
+                           match="a prime modulus must be an integer below"):
+            PrimeField(p)
 
 
 def test_prime_field_inversion():

@@ -880,12 +880,38 @@ def _algebra_char_on_the_dense_grid(s, kernel, monomial_base, cap_classes):
         return Verdict.unknown(cap_classes, "cap_classes"), None
 
 
+# every live recursion, each with its own fold memo and class table
+_RECURSIONS = weakref.WeakSet()
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _recorded_recursions():
+    """Record in ``_RECURSIONS`` every recursion alive when this module's
+    tests start, and every one built while they run."""
+    _RECURSIONS.update(obj for obj in gc.get_objects()
+                       if type(obj) is WreathRecursion)
+    init = WreathRecursion.__init__
+
+    def recording_init(rec, *args, **kwargs):
+        init(rec, *args, **kwargs)
+        _RECURSIONS.add(rec)
+
+    with mock.patch.object(WreathRecursion, "__init__", recording_init):
+        yield
+
+
+def _tables():
+    """The class table of every recursion that a closure has used."""
+    return {rec: rec._classes for rec in _RECURSIONS
+            if rec._classes is not None}
+
+
 def _empty_memos():
-    """Empty the fold and children memos of every recursion that a closure
-    has used, so that the next closure computes every class again."""
-    for rec in list(algebra._CHILDREN):
+    """Empty the fold memo and the class table of every recursion, so that
+    the next closure computes every class again."""
+    for rec in _RECURSIONS:
         rec._folds.clear()
-    algebra._CHILDREN.clear()
+        rec._classes = None
 
 
 def _class_keys(closure):
@@ -1140,7 +1166,7 @@ def test_other_kernels_keep_word_keys():
             result = algebra_char(s, kernel, monomial_base=monomial_base,
                                   with_info=True)
         closure, = seen
-        assert closure.table._rec() is _thue_morse(3)
+        assert closure.table is _thue_morse(3)._classes
         assert result == _word_key_character(s, kernel.weights, monomial_base,
                                              10_000)
         assert result[0] == value
@@ -1150,7 +1176,7 @@ def test_other_kernels_keep_word_keys():
             assert algebra_char(s, Kernel.ones(3),
                                 monomial_base=monomial_base) == 1
         closure, = seen
-        assert closure.table._rec() is _collapsed_thue_morse(3)
+        assert closure.table is _collapsed_thue_morse(3)._classes
         assert _word_key_character(s, None, monomial_base, 10_000)[0] == 1
 
 
@@ -1560,7 +1586,7 @@ def test_kernels_on_one_element_share_one_table():
     for kernel in kernels:
         _value_or_singular(lambda: algebra_char(s, kernel, with_info=True))
     spread_char(s)
-    tables = {table._rec(): table for table in algebra._CHILDREN.values()}
+    tables = _tables()
     assert set(tables) == {_collapsed_thue_morse(3), _thue_morse(3)}
     for rec, closure in ((_collapsed_thue_morse(3), ones),
                          (_thue_morse(3), twos)):
@@ -1598,7 +1624,7 @@ def _memos():
     The parts that a memo or table shares are parts of what it keeps, so
     its bound covers them."""
     out = []
-    for rec, table in algebra._CHILDREN.items():
+    for rec, table in _tables().items():
         folds = rec._folds
         assert set(folds.parts) <= {part for images, sections in folds.values()
                                     for part in (images, *sections)}
@@ -1606,7 +1632,6 @@ def _memos():
             _word_letters(word) + sum(map(_word_letters, sections))
             for word, (_, sections) in folds.items())))
         n = len(table.keys)
-        assert table._rec() is rec
         assert table.ids == {key: cid for cid, key in enumerate(table.keys)}
         stored = [triple for children in table.children
                   if children is not None for triple in children]
@@ -1642,8 +1667,8 @@ def test_memos_hold_their_bound_and_keep_the_results():
 
 @pytest.mark.parametrize("bound", [6, 12, 24])
 def test_a_table_that_passes_its_bound_in_a_call_keeps_the_results(bound):
-    """A table that passes the bound while a closure walks it leaves
-    ``_CHILDREN`` and still serves that closure; the results are those of
+    """A table that passes the bound while a closure walks it leaves its
+    recursion and still serves that closure; the results are those of
     empty tables, and every table left holds at most the bound after every
     call."""
     elems = omega_enumerate(RATIONALS, 2, 1, 1, size_cap=8)
@@ -1657,15 +1682,14 @@ def test_a_table_that_passes_its_bound_in_a_call_keeps_the_results(bound):
         expected.append(_outcome(f))
     _empty_memos()
     number = algebra._ClassTable.id
-    in_call = []  # whether a closure was built when a table was detached
+    in_call = []  # whether the closure walking a detached table numbers in it
     seen = []
 
     def numbering(table, key):
-        attached = algebra._CHILDREN.get(table._rec()) is table
-        cid = number(table, key)
-        if attached and algebra._CHILDREN.get(table._rec()) is not table:
-            in_call.append(bool(seen))
-        return cid
+        if table.letters > bound:
+            in_call.append(bool(seen) and seen[-1].table is table and all(
+                rec._classes is not table for rec in _RECURSIONS))
+        return number(table, key)
 
     with mock.patch.object(group, "_MEMO_LETTERS", bound), \
             mock.patch.object(algebra._ClassTable, "id", numbering):
@@ -1679,6 +1703,21 @@ def test_a_table_that_passes_its_bound_in_a_call_keeps_the_results(bound):
     _empty_memos()
 
 
+def test_a_base_root_that_passes_the_bound_leaves_its_recursion():
+    # a monomial root is a base class, so its closure walks no children;
+    # numbering the root alone passes the bound
+    s = parse_element("x1 x2 x1 x2 x1 x2 x1", RATIONALS, 3)
+    _empty_memos()
+    with mock.patch.object(group, "_MEMO_LETTERS", 6):
+        with _recorded_keys() as seen:
+            assert algebra_char(s, Kernel.identity(3), monomial_base=True,
+                                with_info=True)[1]["classes_used"] == 1
+        closure, = seen
+        assert closure.table.letters == 7
+        assert _thue_morse(3)._classes is None
+    _empty_memos()
+
+
 def test_roots_stay_out_of_the_children_memos():
     # a repeated query computes its root again: no root has stored children
     s = tower(3, 2)
@@ -1686,7 +1725,7 @@ def test_roots_stay_out_of_the_children_memos():
     _empty_memos()
     is_zero(s), contraction_depth(s), count_L(s, 4), spread_char(s)
     algebra_char(s, Kernel.identity(3))
-    tables = list(algebra._CHILDREN.values())
+    tables = list(_tables().values())
     # the characters share the zero test's table, whatever their kernel; the
     # collapsed recursion of count_L has its own
     assert len(tables) == 2 and all(any(table.children) for table in tables)
@@ -1723,7 +1762,7 @@ def test_a_root_that_its_closure_reaches_is_one_class():
 
 def test_at_most_64_thue_morse_recursions_stay_alive():
     """The recursions of 70 alphabets are kept for the last 64 of them; an
-    evicted one leaves ``_CHILDREN`` with its table and its folds."""
+    evicted one is freed with its table and its folds."""
     _thue_morse.cache_clear()
     _collapsed_thue_morse.cache_clear()
     recs = {_thue_morse: [], _collapsed_thue_morse: []}
@@ -1735,14 +1774,16 @@ def test_at_most_64_thue_morse_recursions_stay_alive():
     alive = [[ref() for ref in refs if ref() is not None]
              for refs in recs.values()]
     assert [len(kept) for kept in alive] == [64, 64]
-    assert set(algebra._CHILDREN) <= set(alive[0] + alive[1])
+    assert set(_tables()) <= set(alive[0] + alive[1])
 
 
 def test_memos_do_not_keep_a_recursion_alive():
     rec = WreathRecursion.inverted_variant(3)
     assert group_char(rec, ((0, 1), (1, -1)) * 3) == group_char(
         rec, ((0, 1), (1, -1)) * 3)
-    assert rec in algebra._CHILDREN and rec._folds
+    # the memos, held here, do not hold their recursion
+    table, folds = rec._classes, rec._folds
+    assert table is not None and folds
     alive = weakref.ref(rec)
     del rec
     gc.collect()

@@ -368,6 +368,8 @@ def test_omega_cap_of_1_keeps_the_first_element(capsys):
     ("Fp:4", "4 is not prime"),
     ("Fp:1", "1 is not prime"),
     ("Fp:x", "invalid literal for int()"),
+    (f"Fp:{10 ** 400 + 1}",
+     "a prime modulus must be an integer below 3317044064679887385961981"),
 ])
 def test_bad_prime_field_reports_its_reason(capsys, ring, reason):
     code, out, err = run(capsys, "char", "spread", "x0", "--ring", ring)
@@ -388,6 +390,12 @@ def test_char_additivity(capsys):
     omega = "1 - x0 x1 x0 x1"
     code, out, _ = run(capsys, "char", "additivity", omega, omega)
     assert code == 0 and out == "sigma=2 sum=2 additive=True"
+
+
+def test_a_19_digit_prime_field_is_certified_at_once(capsys):
+    code, out, _ = run(capsys, "algebra", "star", "x0",
+                       "--ring", "Fp:1000000000000000003")
+    assert code == 0 and out == "x0^-1"
 
 
 def test_prime_field_flag(capsys):

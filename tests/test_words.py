@@ -16,6 +16,7 @@ from tmss.algebra import RATIONALS, AlgebraElement, parse_element
 from tmss.group import WreathRecursion
 from tmss.words import (
     InvalidLetterError,
+    LazyMap,
     _gamma_letters,
     check_alphabet,
     check_word,
@@ -275,3 +276,23 @@ def test_gamma_reads_only_the_letters_it_meets():
     q = 10 ** 12
     assert gamma(((0, 1), (q - 1, -1)), 1, q) == ((1, 1), (0, -1))
     assert len(_gamma_letters(1, q)) == 2
+
+
+def test_a_lazy_map_fills_each_key_once_on_first_use():
+    asked = []
+
+    def image(key):
+        asked.append(key)
+        return [key]
+
+    lazy = LazyMap(image)
+    # neither a membership test nor get fills a key
+    assert 3 not in lazy and lazy.get(3) is None and lazy.get(3, 0) == 0
+    assert asked == [] and len(lazy) == 0
+    first = lazy[3]
+    assert first == [3] and lazy[3] is first and lazy[4] == [4]
+    assert 3 in lazy and lazy.get(3) is first
+    assert asked == [3, 4] and lazy == {3: [3], 4: [4]}
+    # a value that image gives once is kept, even a falsy one
+    empty = LazyMap(lambda key: asked.append(key))
+    assert empty[5] is None and empty[5] is None and asked == [3, 4, 5]
